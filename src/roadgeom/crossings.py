@@ -1,10 +1,15 @@
 """Pairwise edge-crossing detection, classification, and planarization.
 
-Candidate pairs come from a uniform grid keyed by the cells each segment
-passes through; classification uses float orientation tests with an exact
-rational fallback, so the output matches an all-pairs oracle exactly.
-Contacts are kinded: proper interior crossings, endpoint touches, and
-collinear overlaps (reported, never planarized).
+Candidate pairs come from a sort-based join on a uniform grid whose cell
+is the median segment span: each segment registers the cells it passes
+through (column by column for wide ones), the registrations are sorted by
+cell, and every two sharing a cell form a pair, deduplicated by sort.  A
+segment that would register more than m cells is instead tested against
+every segment's bounding box.  With K candidate pairs this costs
+O((m + K) log m).  Classification uses float orientation tests with an
+exact rational fallback, so the output matches an all-pairs oracle
+exactly.  Contacts are kinded: proper interior crossings, endpoint
+touches, and collinear overlaps (reported, never planarized).
 """
 
 from __future__ import annotations
@@ -15,11 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .errors import DegeneracyError, InvariantViolation
+from ._arrays import concat_ranges, sorted_unique
+from .errors import ConfigError, DegeneracyError, InvariantViolation
 from .geometry import COLLINEAR_OVERLAP, PROPER
 from .graphs import GeometricGraph
 
 _EPS = geometry._ORIENT_EPS
+_PAIR_BLOCK = 1 << 22  # candidate pairs expanded at once by the grid join
 
 
 @dataclass(frozen=True)
@@ -41,105 +48,97 @@ def crossing_histogram(records) -> dict[tuple[int, int], int]:
 
 
 def _cell_candidates(g: GeometricGraph):
-    """(a, b) edge-index arrays of deduplicated same-cell pairs."""
+    """(a, b) edge-index arrays of the distinct candidate pairs, a < b, sorted.
+
+    Every pair of segments that touch is among them: segments are joined on
+    the grid cells they pass through, and segments too long to register
+    their cells are tested against every segment's bounding box instead.
+    """
     m = g.m
     x1, y1, x2, y2 = g.segment_arrays()
-    xmin = np.minimum(x1, x2)
-    xmax = np.maximum(x1, x2)
-    ymin = np.minimum(y1, y2)
-    ymax = np.maximum(y1, y2)
+    # Left endpoint first, as the column walk runs in increasing x.
+    swap = x1 > x2
+    ax, ay = np.where(swap, x2, x1), np.where(swap, y2, y1)
+    bx, by = np.where(swap, x1, x2), np.where(swap, y1, y2)
+    ymin = np.minimum(ay, by)
+    ymax = np.maximum(ay, by)
 
-    spans = np.maximum(xmax - xmin, ymax - ymin)
+    spans = np.maximum(bx - ax, ymax - ymin)
     positive = spans[spans > 0]
-    if len(positive):
-        h = float(np.median(positive))
-    else:
-        h = 1.0
-    h = max(h, 1e-12)
+    h = max(float(np.median(positive)) if len(positive) else 1.0, 1e-12)
 
-    cx0 = np.floor(xmin / h).astype(np.int64)
-    cx1 = np.floor(xmax / h).astype(np.int64)
-    cy0 = np.floor(ymin / h).astype(np.int64)
-    cy1 = np.floor(ymax / h).astype(np.int64)
+    fx0, fx1 = np.floor(ax / h), np.floor(bx / h)
+    fy0, fy1 = np.floor(ymin / h), np.floor(ymax / h)
+    wide = ((fx1 - fx0) > 1) | ((fy1 - fy0) > 1)
+    # A walked segment registers at most 3 rows per column plus one per row
+    # it climbs; one whose bound exceeds m is cheaper to test against all m
+    # bounding boxes than to walk.
+    long = wide & (3.0 * (fx1 - fx0 + 1.0) + (fy1 - fy0) + 2.0 > m)
+    reg = np.flatnonzero(~long)
+    if len(reg):
+        c0, c1, r0, r1 = (f[reg] for f in (fx0, fx1, fy0, fy1))
+        # Rows stray at most two past the box, so this bounds every int64 key.
+        extent = (max(-c0.min(), c1.max()) + 1.0) * (r1.max() - r0.min() + 5.0)
+        if max(-r0.min(), r1.max()) >= 2.0**61 or extent >= 2.0**62:
+            raise ConfigError("coordinate range too large for the crossing grid")
 
-    wide = ((cx1 - cx0) > 1) | ((cy1 - cy0) > 1)
-    narrow = ~wide
+    # Each registered segment covers one strip of rows per grid column: its
+    # bounding-box rows, or, for a sloped wide segment, the rows it spans
+    # inside the column with one row of padding against rounding in ya/yb.
+    cx0 = fx0[reg].astype(np.int64)
+    ncol = fx1[reg].astype(np.int64) - cx0 + 1
+    owner = np.repeat(reg, ncol)
+    col = concat_ranges(cx0, ncol)
+    row_lo = fy0[owner].astype(np.int64)
+    row_hi = fy1[owner].astype(np.int64)
+    walk = wide[owner] & (ax[owner] != bx[owner])
+    e, c = owner[walk], col[walk]
+    slope = (by[e] - ay[e]) / (bx[e] - ax[e])
+    ya = ay[e] + slope * (np.maximum(ax[e], c * h) - ax[e])
+    yb = ay[e] + slope * (np.minimum(bx[e], (c + 1) * h) - ax[e])
+    row_lo[walk] = np.floor(np.minimum(ya, yb) / h).astype(np.int64) - 1
+    row_hi[walk] = np.floor(np.maximum(ya, yb) / h).astype(np.int64) + 1
 
-    shift_y = int(cy0.min()) - 1 if m else 0
-    width_y = int(cy1.max()) - shift_y + 3 if m else 1
+    nrow = row_hi - row_lo + 1
+    base, top = (row_lo.min(), row_hi.max()) if len(reg) else (0, 0)
+    cell = np.repeat(col * (top - base + 1), nrow)
+    cell += concat_ranges(row_lo - base, nrow)
+    keys = _same_cell_keys(cell, np.repeat(owner, nrow), m)
+    for i in np.flatnonzero(long):
+        hit = (ax <= bx[i]) & (bx >= ax[i]) & (ymin <= ymax[i]) & (ymax >= ymin[i])
+        hit[i] = False
+        j = np.flatnonzero(hit)
+        keys.append(np.minimum(j, i) * np.int64(m) + np.maximum(j, i))
+    if len(keys) > 1:
+        keys = [sorted_unique(np.concatenate(keys))]
+    return np.divmod(keys[0], m)
 
-    def key(cx, cy):
-        return cx * width_y + (cy - shift_y)
 
-    cells = []
-    owners = []
-    ids = np.arange(m, dtype=np.int64)
-    for take_x, take_y, mask in (
-        (cx0, cy0, narrow),
-        (cx1, cy0, narrow & (cx1 > cx0)),
-        (cx0, cy1, narrow & (cy1 > cy0)),
-        (cx1, cy1, narrow & (cx1 > cx0) & (cy1 > cy0)),
-    ):
-        cells.append(key(take_x[mask], take_y[mask]))
-        owners.append(ids[mask])
-
-    # Long segments walk their grid columns; only the rows the segment
-    # actually spans inside each column are registered.
-    for i in np.flatnonzero(wide):
-        a = (x1[i], y1[i])
-        b = (x2[i], y2[i])
-        if a[0] > b[0]:
-            a, b = b, a
-        col_lo, col_hi = int(cx0[i]), int(cx1[i])
-        ccells = []
-        if a[0] == b[0]:
-            for cy in range(int(cy0[i]), int(cy1[i]) + 1):
-                ccells.append((col_lo, cy))
-        else:
-            slope = (b[1] - a[1]) / (b[0] - a[0])
-            for cx in range(col_lo, col_hi + 1):
-                lo_x = max(a[0], cx * h)
-                hi_x = min(b[0], (cx + 1) * h)
-                ya = a[1] + slope * (lo_x - a[0])
-                yb = a[1] + slope * (hi_x - a[0])
-                if ya > yb:
-                    ya, yb = yb, ya
-                # One row of padding absorbs the rounding in ya/yb, so the
-                # registered cells always cover the exact segment.
-                for cy in range(int(np.floor(ya / h)) - 1, int(np.floor(yb / h)) + 2):
-                    ccells.append((cx, cy))
-        arr = np.asarray(ccells, dtype=np.int64)
-        cells.append(arr[:, 0] * width_y + (arr[:, 1] - shift_y))
-        owners.append(np.full(len(arr), i, dtype=np.int64))
-
-    cell_keys = np.concatenate(cells) if cells else np.empty(0, dtype=np.int64)
-    owner_ids = np.concatenate(owners) if owners else np.empty(0, dtype=np.int64)
-    order = np.lexsort((owner_ids, cell_keys))
-    cell_keys = cell_keys[order]
-    owner_ids = owner_ids[order]
-
-    pair_a = []
-    pair_b = []
-    boundaries = np.flatnonzero(np.diff(cell_keys)) + 1
-    starts = np.concatenate([[0], boundaries]) if len(cell_keys) else np.empty(0, np.int64)
-    stops = np.concatenate([boundaries, [len(cell_keys)]]) if len(cell_keys) else starts
-    counts = stops - starts
-    # Batch pair generation over all cells of equal occupancy at once.
-    for k in np.unique(counts):
-        if k < 2:
-            continue
-        sel = starts[counts == k]
-        members = owner_ids[sel[:, None] + np.arange(k)[None, :]]
-        ii, jj = np.triu_indices(int(k), k=1)
-        pair_a.append(members[:, ii].ravel())
-        pair_b.append(members[:, jj].ravel())
-    if not pair_a:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    a = np.concatenate(pair_a)
-    b = np.concatenate(pair_b)
-    a, b = np.minimum(a, b), np.maximum(a, b)
-    keys = np.unique(a * np.int64(m) + b)
-    return keys // m, keys % m
+def _same_cell_keys(cell, owner, m):
+    """Keys a * m + b (a < b) of the owner pairs registered in a common cell,
+    as a list of sorted distinct blocks (a pair may recur across blocks)."""
+    order = np.argsort(cell)
+    cell, owner = cell[order], owner[order]
+    first = np.ones(len(cell), dtype=bool)
+    np.not_equal(cell[1:], cell[:-1], out=first[1:])
+    run_stop = np.append(np.flatnonzero(first)[1:], len(cell))
+    pos = np.arange(len(cell))
+    # Each registration pairs with every later one in its cell.
+    later = run_stop[np.cumsum(first) - 1] - pos - 1
+    # Expand about _PAIR_BLOCK pairs at a time and deduplicate each block, so
+    # the copies of a pair that shares several cells never all exist at once.
+    done = np.cumsum(later)
+    total = int(done[-1]) if len(done) else 0
+    cuts = np.searchsorted(done, np.arange(_PAIR_BLOCK, total, _PAIR_BLOCK))
+    blocks = []
+    for p, k in zip(np.split(pos, cuts), np.split(later, cuts)):
+        a = owner[np.repeat(p, k)]
+        b = owner[concat_ranges(p + 1, k)]
+        keys = np.minimum(a, b)
+        keys *= m
+        keys += np.maximum(a, b, out=a)
+        blocks.append(sorted_unique(keys))
+    return blocks
 
 
 def find_crossings(g: GeometricGraph) -> list[CrossingRecord]:
@@ -152,21 +151,13 @@ def find_crossings(g: GeometricGraph) -> list[CrossingRecord]:
     if g.m < 2:
         return []
     a, b = _cell_candidates(g)
-    if len(a) == 0:
-        return []
     x1, y1, x2, y2 = g.segment_arrays()
-    ax, ay, bx, by = x1[a], y1[a], x2[a], y2[a]
-    cx, cy, dx, dy = x1[b], y1[b], x2[b], y2[b]
-
+    xlo, xhi = np.minimum(x1, x2), np.maximum(x1, x2)
+    ylo, yhi = np.minimum(y1, y2), np.maximum(y1, y2)
     overlap = (
-        (np.maximum(ax, bx) >= np.minimum(cx, dx))
-        & (np.maximum(cx, dx) >= np.minimum(ax, bx))
-        & (np.maximum(ay, by) >= np.minimum(cy, dy))
-        & (np.maximum(cy, dy) >= np.minimum(ay, by))
+        (xhi[a] >= xlo[b]) & (xhi[b] >= xlo[a]) & (yhi[a] >= ylo[b]) & (yhi[b] >= ylo[a])
     )
     a, b = a[overlap], b[overlap]
-    if len(a) == 0:
-        return []
     ax, ay, bx, by = x1[a], y1[a], x2[a], y2[a]
     cx, cy, dx, dy = x1[b], y1[b], x2[b], y2[b]
 
@@ -215,26 +206,18 @@ def find_crossings(g: GeometricGraph) -> list[CrossingRecord]:
     shared_suspect = shared & maybe_zero & positive_overlap
     ambiguous = (ambiguous & ~shared) | shared_suspect
 
-    records = []
     idx = np.flatnonzero(proper_fast)
-    if len(idx):
-        rx = bx[idx] - ax[idx]
-        ry = by[idx] - ay[idx]
-        sx = dx[idx] - cx[idx]
-        sy = dy[idx] - cy[idx]
-        denom = rx * sy - ry * sx
-        t = ((cx[idx] - ax[idx]) * sy - (cy[idx] - ay[idx]) * sx) / denom
-        px = ax[idx] + t * rx
-        py = ay[idx] + t * ry
-        for k, row in enumerate(idx):
-            e1, e2 = int(a[row]), int(b[row])
-            lv = tuple(sorted((int(g.edge_level[e1]), int(g.edge_level[e2]))))
-            records.append(
-                CrossingRecord(e1, e2, (float(px[k]), float(py[k])), lv, PROPER)
-            )
+    rx = bx[idx] - ax[idx]
+    ry = by[idx] - ay[idx]
+    sx = dx[idx] - cx[idx]
+    sy = dy[idx] - cy[idx]
+    denom = rx * sy - ry * sx
+    t = ((cx[idx] - ax[idx]) * sy - (cy[idx] - ay[idx]) * sx) / denom
+    kinds = [PROPER] * len(idx)
+    points = list(zip((ax[idx] + t * rx).tolist(), (ay[idx] + t * ry).tolist()))
 
-    for row in np.flatnonzero(ambiguous):
-        e1, e2 = int(a[row]), int(b[row])
+    kept = []
+    for row in np.flatnonzero(ambiguous).tolist():
         kind, point = geometry.segment_contact(
             float(ax[row]), float(ay[row]), float(bx[row]), float(by[row]),
             float(cx[row]), float(cy[row]), float(dx[row]), float(dy[row]),
@@ -243,11 +226,22 @@ def find_crossings(g: GeometricGraph) -> list[CrossingRecord]:
             continue
         if shared[row] and kind != COLLINEAR_OVERLAP:
             continue  # planned junction, not a crossing
-        lv = tuple(sorted((int(g.edge_level[e1]), int(g.edge_level[e2]))))
-        records.append(CrossingRecord(e1, e2, point, lv, kind))
+        kept.append(row)
+        kinds.append(kind)
+        points.append(point)
 
-    records.sort(key=lambda r: (r.e1, r.e2))
-    return records
+    # Rows are in (e1, e2) order already; merge the two sources back into it.
+    rows = np.concatenate([idx, np.array(kept, dtype=np.int64)])
+    order = np.argsort(rows, kind="stable")
+    e1, e2 = a[rows[order]], b[rows[order]]
+    lv1, lv2 = g.edge_level[e1], g.edge_level[e2]
+    return [
+        CrossingRecord(i, j, points[k], (lo, hi), kinds[k])
+        for k, i, j, lo, hi in zip(
+            order.tolist(), e1.tolist(), e2.tolist(),
+            np.minimum(lv1, lv2).tolist(), np.maximum(lv1, lv2).tolist(),
+        )
+    ]
 
 
 @dataclass(frozen=True)
@@ -275,56 +269,57 @@ def planarize(g: GeometricGraph, records, verify: bool = True) -> PlanarizedGrap
             )
     proper = sorted(proper_only(records), key=lambda r: (r.e1, r.e2))
 
-    n = g.n
-    points = [tuple(p) for p in g.xy]
-    crossing_vertices = []
-    cuts: dict[int, list[tuple[float, int]]] = {}
-    for i, r in enumerate(proper):
-        vid = n + i
-        crossing_vertices.append((vid, r.point, r.e1, r.e2))
-        points.append(r.point)
-        for e in (r.e1, r.e2):
-            ux, uy = g.xy[g.edge_u[e]]
-            vx, vy = g.xy[g.edge_v[e]]
-            ln2 = (vx - ux) ** 2 + (vy - uy) ** 2
-            t = ((r.point[0] - ux) * (vx - ux) + (r.point[1] - uy) * (vy - uy)) / ln2
-            if not 0.0 < t < 1.0:
-                raise DegeneracyError(
-                    f"crossing ({r.e1}, {r.e2}) lies numerically on an endpoint"
-                )
-            cuts.setdefault(e, []).append((t, vid))
+    n, m = g.n, g.m
+    pts = np.array([r.point for r in proper], dtype=np.float64).reshape(-1, 2)
+    # One cut per (crossing, edge), crossing-major: e1's cut, then e2's.
+    edge = np.array([(r.e1, r.e2) for r in proper], dtype=np.int64).ravel()
+    vid = np.repeat(np.arange(n, n + len(proper)), 2)
+    u, v = g.xy[g.edge_u[edge]], g.xy[g.edge_v[edge]]
+    # Squares go through libm pow (float_power), as ``x ** 2`` on a numpy
+    # scalar does; x * x rounds differently for some x, which would move t
+    # and the sub-edge weights by an ulp.
+    ln2 = np.float_power(v - u, 2).sum(axis=1)
+    t = ((np.repeat(pts, 2, axis=0) - u) * (v - u)).sum(axis=1) / ln2
+    bad = np.flatnonzero(~((t > 0.0) & (t < 1.0)))
+    if len(bad):
+        r = proper[bad[0] // 2]
+        raise DegeneracyError(
+            f"crossing ({r.e1}, {r.e2}) lies numerically on an endpoint"
+        )
 
-    eu, ev, ew, el = [], [], [], []
-    split_edges = {}
-    for e in range(g.m):
-        u, v = int(g.edge_u[e]), int(g.edge_v[e])
-        w, lv = float(g.edge_weight[e]), int(g.edge_level[e])
-        if e not in cuts:
-            split_edges[e] = (len(eu),)
-            eu.append(u)
-            ev.append(v)
-            ew.append(w)
-            el.append(lv)
-            continue
-        chain = sorted(cuts[e])
-        ts = [t for t, _ in chain]
-        if len(set(ts)) != len(ts):
-            raise DegeneracyError(f"concurrent crossings on edge {e}")
-        stops = [(0.0, u)] + chain + [(1.0, v)]
-        ids = []
-        for (t0, a), (t1, b) in zip(stops, stops[1:]):
-            ids.append(len(eu))
-            eu.append(a)
-            ev.append(b)
-            ew.append(w * (t1 - t0))
-            el.append(lv)
-        split_edges[e] = tuple(ids)
+    # Cuts along each edge by (t, crossing id); equal t is a concurrency.
+    order = np.lexsort((vid, t, edge))
+    edge, t, vid = edge[order], t[order], vid[order]
+    tied = np.flatnonzero((edge[1:] == edge[:-1]) & (t[1:] == t[:-1]))
+    if len(tied):
+        raise DegeneracyError(f"concurrent crossings on edge {int(edge[tied[0]])}")
+
+    # Edge e becomes sub-edges first[e] .. first[e] + cuts[e]; its k-th cut
+    # ends sub-edge first[e] + k and starts the next one.
+    cuts = np.bincount(edge, minlength=m)
+    first = np.cumsum(cuts + 1) - (cuts + 1)
+    owner = np.repeat(np.arange(m), cuts + 1)
+    end = first[edge] + np.arange(len(edge)) - (np.cumsum(cuts) - cuts)[edge]
+    eu, ev = np.empty(len(owner), dtype=np.int64), np.empty(len(owner), dtype=np.int64)
+    t0, t1 = np.empty(len(owner)), np.empty(len(owner))
+    eu[first], t0[first] = g.edge_u, 0.0
+    ev[first + cuts], t1[first + cuts] = g.edge_v, 1.0
+    ev[end], t1[end] = vid, t
+    eu[end + 1], t0[end + 1] = vid, t
+    split_edges = {
+        e: tuple(range(s, s + k + 1))
+        for e, (s, k) in enumerate(zip(first.tolist(), cuts.tolist()))
+    }
+    crossing_vertices = tuple(
+        (n + i, r.point, r.e1, r.e2) for i, r in enumerate(proper)
+    )
 
     graph = GeometricGraph(
-        np.asarray(points, dtype=np.float64), eu, ev, ew, el,
+        np.concatenate([g.xy, pts]), eu, ev,
+        g.edge_weight[owner] * (t1 - t0), g.edge_level[owner],
         meta={"planarized_from": g.meta.get("source", "graph")},
     )
-    out = PlanarizedGraph(graph, g, tuple(crossing_vertices), split_edges)
+    out = PlanarizedGraph(graph, g, crossing_vertices, split_edges)
     if verify:
         leftover = proper_only(find_crossings(graph))
         if leftover:

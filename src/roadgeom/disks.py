@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._arrays import sorted_unique
 from .errors import ConfigError, ValidationError
 from .graphs import GeometricGraph
 
@@ -241,7 +242,7 @@ def _enumerate_pairs(centers, radii):
     if not out:
         return np.empty((0, 2), dtype=np.int64)
     allp = np.concatenate(out)
-    keys = np.unique(allp[:, 0] * np.int64(n) + allp[:, 1])
+    keys = sorted_unique(allp[:, 0] * np.int64(n) + allp[:, 1])
     return np.column_stack([keys // n, keys % n])
 
 

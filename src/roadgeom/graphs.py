@@ -16,6 +16,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from ._arrays import sorted_unique
 from .errors import ConfigError, ParseError, ValidationError
 
 COORD_SCALE = 1e-6  # file coordinates are integers in micro-degrees
@@ -68,7 +69,7 @@ class GeometricGraph:
                 raise ValidationError("edge level must be in 1..4")
             u, v = np.minimum(u, v), np.maximum(u, v)
             key = u * n + v
-            if len(np.unique(key)) != len(key):
+            if len(sorted_unique(key)) != len(key):
                 raise ValidationError("duplicate parallel edge")
         self.xy = xy
         self.edge_u = u

@@ -145,14 +145,12 @@ def voronoi_via_tree(g: GeometricGraph, tree: SeparatorTree, sites) -> VoronoiLa
     if len(tree.label) != g.n or np.any(tree.label < 0):
         raise ValidationError("tree labels do not cover the graph")
 
-    used = []
     seen = set()
     for s in sites:
         for node_id in tree.path_to_root(int(tree.label[s])):
             if node_id in seen:
                 break
             seen.add(node_id)
-            used.append(node_id)
     used = sorted(seen)
     fresh = {node_id: g.n + i for i, node_id in enumerate(used)}
 

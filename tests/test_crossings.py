@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,7 @@ from hypothesis import strategies as st
 
 import roadgeom as rg
 from roadgeom import crossings as cr
-from roadgeom.errors import DegeneracyError
+from roadgeom.errors import ConfigError, DegeneracyError
 from roadgeom.geometry import COLLINEAR_OVERLAP, ENDPOINT_TOUCH, PROPER, segment_contact
 
 import oracles
@@ -13,6 +16,17 @@ import oracles
 
 def record_set(records):
     return {(r.e1, r.e2, r.kind) for r in records}
+
+
+def oracle_set(g):
+    return {(i, j, kind) for (i, j), (kind, _) in oracles.all_pairs_crossings(g).items()}
+
+
+def segments_graph(segments):
+    """One edge per segment [((x1, y1), (x2, y2)), ...]; no shared vertices."""
+    points = [p for seg in segments for p in seg]
+    edges = [(2 * i, 2 * i + 1, 1.0, 4) for i in range(len(segments))]
+    return rg.GeometricGraph.build(points, edges)
 
 
 class TestFindCrossings:
@@ -138,12 +152,174 @@ class TestPlanarize:
                     cross = (b[0] - a[0]) * (q[1] - a[1]) - (b[1] - a[1]) * (q[0] - a[0])
                     assert abs(cross) < 1e-9 * max(1.0, np.abs(b - a).max())
 
+    def test_concurrent_crossings_rejected(self):
+        g = segments_graph([((0, 0), (2, 2)), ((0, 2), (2, 0)), ((0, 1), (2, 1))])
+        recs = cr.find_crossings(g)
+        assert len(cr.proper_only(recs)) == 3
+        with pytest.raises(DegeneracyError, match="concurrent crossings on edge 0"):
+            cr.planarize(g, recs)
+
+    def test_endpoint_cut_rejected_before_concurrency(self):
+        g = segments_graph([
+            ((0, 0), (2, 2)), ((0, 2), (2, 0)), ((0, 1), (2, 1)),
+            ((5, 5), (6, 6)), ((5, 6), (6, 5)),
+        ])
+        recs = cr.find_crossings(g) + [cr.CrossingRecord(3, 4, (6.0, 6.0), (4, 4), PROPER)]
+        with pytest.raises(DegeneracyError, match=r"crossing \(3, 4\) lies numerically on an"):
+            cr.planarize(g, recs)
+
+    def test_split_edges_cover_every_sub_edge_once(self, gotham_small):
+        recs = cr.find_crossings(gotham_small)
+        p = cr.planarize(gotham_small, recs)
+        assert sorted(p.split_edges) == list(range(gotham_small.m))
+        subs = [i for chain in p.split_edges.values() for i in chain]
+        assert subs == list(range(p.graph.m))
+        for e, chain in p.split_edges.items():
+            total = sum(p.graph.edge_weight[list(chain)])
+            assert total == pytest.approx(gotham_small.edge_weight[e])
+
     def test_collinear_overlap_rejected(self):
         g = rg.GeometricGraph.build(
             [(0, 0), (2, 0), (1, 0), (3, 0)], [(0, 1, 1, 4), (2, 3, 1, 4)]
         )
         with pytest.raises(DegeneracyError, match="collinear"):
             cr.planarize(g, cr.find_crossings(g))
+
+
+def lattice_with_wide_segments():
+    """Unit segments on a lattice around the origin (so the grid cell is 1
+    and their endpoints sit on cell boundaries) crossed by wide segments."""
+    segs = []
+    for i in range(-4, 4):
+        for j in range(-4, 4):
+            segs.append(((i, j + 0.5), (i + 1, j + 0.5)))
+            segs.append(((i + 0.5, j), (i + 0.5, j + 1)))
+    segs += [
+        ((0, -4), (0, 4)),  # long vertical on a cell boundary
+        ((-3.75, -2), (3.25, -2)),  # long horizontal on a cell boundary
+        ((-2.5, -4), (-1.5, 4)),  # steep, endpoints on boundaries
+        ((1.25, 4), (0.75, -4)),  # steep, falling, right to left
+        ((-4, -3.3), (4, 1.7)),  # shallow
+        ((3.5, -4), (-3.5, 3)),  # falling diagonal through lattice points
+        ((-3.25, 3.5), (2.5, 3.5)),  # horizontal, overlapping lattice segments
+    ]
+    return segments_graph(segs)
+
+
+def loop_cell_candidates(g):
+    """Reference grid join: the same cells as ``_cell_candidates`` registers,
+    walked one segment and one column at a time, as sorted (a, b) pairs."""
+    x1, y1, x2, y2 = g.segment_arrays()
+    spans = np.maximum(np.abs(x2 - x1), np.abs(y2 - y1))
+    h = max(float(np.median(spans[spans > 0])), 1e-12)
+    cells = {}
+    for i in range(g.m):
+        a, b = (x1[i], y1[i]), (x2[i], y2[i])
+        if a[0] > b[0]:
+            a, b = b, a
+        c0, c1 = int(np.floor(a[0] / h)), int(np.floor(b[0] / h))
+        r0, r1 = int(np.floor(min(a[1], b[1]) / h)), int(np.floor(max(a[1], b[1]) / h))
+        if (c1 - c0 <= 1 and r1 - r0 <= 1) or a[0] == b[0]:
+            mine = [(cx, cy) for cx in range(c0, c1 + 1) for cy in range(r0, r1 + 1)]
+        else:
+            slope = (b[1] - a[1]) / (b[0] - a[0])
+            mine = []
+            for cx in range(c0, c1 + 1):
+                ya = a[1] + slope * (max(a[0], cx * h) - a[0])
+                yb = a[1] + slope * (min(b[0], (cx + 1) * h) - a[0])
+                lo, hi = int(np.floor(min(ya, yb) / h)), int(np.floor(max(ya, yb) / h))
+                mine += [(cx, cy) for cy in range(lo - 1, hi + 2)]
+        for cell in mine:
+            cells.setdefault(cell, []).append(i)
+    pairs = {pair for members in cells.values() for pair in itertools.combinations(members, 2)}
+    return sorted(pairs)
+
+
+class TestWideSegments:
+    def test_candidates_equal_loop_reference(self, rgg_small, gotham_small):
+        planar = cr.planarize(gotham_small, cr.find_crossings(gotham_small)).graph
+        for g in (lattice_with_wide_segments(), rgg_small, planar):
+            a, b = cr._cell_candidates(g)
+            assert list(zip(a.tolist(), b.tolist())) == loop_cell_candidates(g)
+
+    def test_candidates_cover_oracle(self):
+        g = lattice_with_wide_segments()
+        a, b = cr._cell_candidates(g)
+        assert np.all(a < b) and np.all(np.diff(a * g.m + b) > 0)
+        got = set(zip(a.tolist(), b.tolist()))
+        assert set(oracles.all_pairs_crossings(g)) <= got
+
+    def test_matches_oracle(self):
+        g = lattice_with_wide_segments()
+        recs = cr.find_crossings(g)
+        assert record_set(recs) == oracle_set(g)
+        assert {r.kind for r in recs} == {PROPER, ENDPOINT_TOUCH, COLLINEAR_OVERLAP}
+        assert [(r.e1, r.e2) for r in recs] == sorted((r.e1, r.e2) for r in recs)
+
+    def test_huge_edge_uses_bounding_boxes(self):
+        # One edge 10^9 grid cells long would take hours to walk cell by cell.
+        rng = np.random.default_rng(5)
+        start = rng.uniform(0, 10, (200, 2))
+        angle = rng.uniform(0, 2 * np.pi, 200)
+        end = start + np.column_stack([np.cos(angle), np.sin(angle)])
+        direction = np.array([np.cos(0.3), np.sin(0.3)])
+        far = 5e8 * direction
+        segs = list(zip(map(tuple, start), map(tuple, end)))
+        segs.append((tuple((5, 5) - far), tuple((5, 5) + far)))
+        g = segments_graph(segs)
+        t0 = time.perf_counter()
+        recs = cr.find_crossings(g)
+        assert time.perf_counter() - t0 < 1.0
+        assert record_set(recs) == oracle_set(g)
+        assert any(r.e2 == 200 for r in recs)
+        a, b = cr._cell_candidates(g)
+        assert set(oracles.all_pairs_crossings(g)) <= set(zip(a.tolist(), b.tolist()))
+
+    def test_unrepresentable_grid_is_config_error(self):
+        g = segments_graph([((0, 0), (1, 1)), ((0, 1), (1, 0)), ((1e300, 0), (1e300, 1))])
+        with pytest.raises(ConfigError, match="crossing grid"):
+            cr.find_crossings(g)
+
+
+class TestWindowedOracleAtScale:
+    """find_crossings against the exact oracle inside seeded windows of a
+    65k-vertex random geometric graph, and its planarization."""
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        g = rg.gen_random_geometric(65536, 1.5 / 256, seed=1)
+        return g, cr.find_crossings(g)
+
+    def test_windows_match_oracle(self, big):
+        g, recs = big
+        rng = np.random.default_rng(1)
+        x1, y1, x2, y2 = g.segment_arrays()
+        half = 2 * 1.5 / 256
+        for _ in range(4):
+            cx, cy = g.xy[rng.integers(g.n)]
+            edges = np.flatnonzero(
+                (np.maximum(x1, x2) >= cx - half) & (np.minimum(x1, x2) <= cx + half)
+                & (np.maximum(y1, y2) >= cy - half) & (np.minimum(y1, y2) <= cy + half)
+            )
+            assert 90 <= len(edges) <= 190
+            ends = np.unique(np.concatenate([g.edge_u[edges], g.edge_v[edges]]))
+            sub = rg.GeometricGraph(
+                g.xy[ends],
+                np.searchsorted(ends, g.edge_u[edges]),
+                np.searchsorted(ends, g.edge_v[edges]),
+                g.edge_weight[edges],
+                g.edge_level[edges],
+            )
+            want = {(int(edges[i]), int(edges[j]), kind) for i, j, kind in oracle_set(sub)}
+            inside = set(edges.tolist())
+            got = {(r.e1, r.e2, r.kind) for r in recs if r.e1 in inside and r.e2 in inside}
+            assert got == want and len(want) > 0
+
+    def test_planarize_leaves_no_proper_crossing(self, big):
+        g, recs = big
+        p = cr.planarize(g, recs, verify=True)
+        assert p.graph.n == g.n + len(cr.proper_only(recs))
+        assert cr.proper_only(cr.find_crossings(p.graph)) == []
 
 
 int_coord = st.integers(min_value=-6, max_value=6)
