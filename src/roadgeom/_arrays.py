@@ -1,8 +1,10 @@
-"""Small array helpers shared by the spatial joins."""
+"""Small array helpers shared by the spatial joins and the CSR builders."""
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import ConfigError
 
 
 def sorted_unique(keys) -> np.ndarray:
@@ -25,3 +27,52 @@ def concat_ranges(starts, counts) -> np.ndarray:
     out = np.repeat(starts - offsets, counts)
     out += np.arange(len(out))
     return out
+
+
+def grid_join(query_xy, site_xy, cell):
+    """(qi, sj): every query/site index pair whose cells on the grid of side
+    ``cell`` are at most one cell apart in each axis, grouped by query.
+
+    Sites are keyed by the ranks of their distinct columns and rows, so the
+    keys stay below n^2 whatever the coordinate range; the sites of a query's
+    three rows in one column then hold one consecutive key range.  Cell
+    coordinates must be exact float integers (below 2^53), else ConfigError.
+    """
+    with np.errstate(over="ignore"):
+        q = np.floor(np.asarray(query_xy, dtype=np.float64).reshape(-1, 2) / cell)
+        s = np.floor(np.asarray(site_xy, dtype=np.float64).reshape(-1, 2) / cell)
+    # Written so that NaN and inf fail the test too.
+    if not (np.abs(q).max(initial=0.0) < 2.0**53 and np.abs(s).max(initial=0.0) < 2.0**53):
+        raise ConfigError("coordinate range too large for the grid join")
+    if len(q) == 0 or len(s) == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    cols, rows = np.unique(s[:, 0]), np.unique(s[:, 1])
+    skey = np.searchsorted(cols, s[:, 0]) * len(rows) + np.searchsorted(rows, s[:, 1])
+    order = np.argsort(skey, kind="stable")
+    skey = skey[order]
+    row_lo = np.searchsorted(rows, q[:, 1] - 1.0, "left")
+    row_hi = np.searchsorted(rows, q[:, 1] + 1.0, "right")
+    starts, counts = np.empty((2, len(q), 3), dtype=np.int64)
+    for k, dx in enumerate((-1.0, 0.0, 1.0)):
+        c = np.searchsorted(cols, q[:, 0] + dx)
+        hit = cols[np.minimum(c, len(cols) - 1)] == q[:, 0] + dx
+        starts[:, k] = np.searchsorted(skey, c * len(rows) + row_lo)
+        counts[:, k] = np.searchsorted(skey, c * len(rows) + row_hi) - starts[:, k]
+        counts[~hit, k] = 0
+    qi = np.repeat(np.arange(len(q)), counts.sum(axis=1))
+    return qi, order[concat_ranges(starts.ravel(), counts.ravel())]
+
+
+def csr(n, u, v):
+    """CSR of the undirected edges (u[k], v[k]) on n vertices.
+
+    Returns (indptr, neighbor, slot).  Each vertex lists its edges in edge
+    order, as one pass over the edges appending to both endpoints would;
+    ``slot`` is 2k where edge k is seen from u[k] and 2k + 1 where it is
+    seen from v[k], so ``slot >> 1`` is the edge index.
+    """
+    ends = np.column_stack([u, v]).ravel()
+    slot = np.argsort(ends, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ends, minlength=n), out=indptr[1:])
+    return indptr, np.column_stack([v, u]).ravel()[slot], slot

@@ -103,7 +103,8 @@ def cmd_crossings(args) -> int:
     g = resolve_graph(args.graph, args.seed)
     records = crossings_mod.find_crossings(g)
     proper = crossings_mod.proper_only(records)
-    _assert_crossing_charges(g, proper)
+    if proper:
+        disks_mod.check_crossing_charges(g, disks_mod.build_disk_system(g), proper)
     handle, w = _writer(args)
     w.writerow(["e1", "e2", "x", "y", "level1", "level2", "kind"])
     for r in records:
@@ -116,44 +117,16 @@ def cmd_crossings(args) -> int:
     return 0
 
 
-def _assert_crossing_charges(g, proper):
-    """Every proper crossing's near endpoints must own intersecting disks."""
-    if not proper:
-        return
-    system = disks_mod.build_disk_system(g)
-    pair_set = {(int(i), int(j)) for i, j in system.pairs}
-    for r in proper:
-        near = []
-        for e in (r.e1, r.e2):
-            u, v = int(g.edge_u[e]), int(g.edge_v[e])
-            du = (g.xy[u, 0] - r.point[0]) ** 2 + (g.xy[u, 1] - r.point[1]) ** 2
-            dv = (g.xy[v, 0] - r.point[0]) ** 2 + (g.xy[v, 1] - r.point[1]) ** 2
-            near.append(u if (du, u) <= (dv, v) else v)
-        a, b = sorted(near)
-        if a != b and (a, b) not in pair_set:
-            raise InvariantViolation(
-                f"crossing ({r.e1}, {r.e2}) near-endpoint disks ({a}, {b}) do not intersect"
-            )
-
-
 def cmd_ply(args) -> int:
     g = resolve_graph(args.graph, args.seed)
     system = disks_mod.build_disk_system(g)
-    _assert_subgraph_property(g, system)
+    disks_mod.check_edges_are_pairs(g, system)
     rep = disks_mod.ply_report(system)
     handle, w = _writer(args)
     w.writerow(["n", "max_center_ply", "sqrt_n_th_ply", "max_disk_degree"])
     w.writerow([g.n, rep.max_center_ply, rep.kth_largest_center_ply, rep.max_disk_degree])
     _close(handle)
     return 0
-
-
-def _assert_subgraph_property(g, system):
-    pair_set = {(int(i), int(j)) for i, j in system.pairs}
-    for i in range(g.m):
-        u, v = int(g.edge_u[i]), int(g.edge_v[i])
-        if (min(u, v), max(u, v)) not in pair_set:
-            raise InvariantViolation(f"edge ({u}, {v}) missing from disk pairs")
 
 
 def cmd_decompose(args) -> int:
@@ -279,10 +252,11 @@ def cmd_arrangement(args) -> int:
 def _report_metric(metric, g, seed, cutoff):
     if metric == "crossings":
         proper = crossings_mod.proper_only(crossings_mod.find_crossings(g))
-        _assert_crossing_charges(g, proper)
+        if proper:
+            disks_mod.check_crossing_charges(g, disks_mod.build_disk_system(g), proper)
         return len(proper)
     system = disks_mod.build_disk_system(g)
-    _assert_subgraph_property(g, system)
+    disks_mod.check_edges_are_pairs(g, system)
     if metric == "ply":
         return disks_mod.ply_report(system).max_center_ply
     if metric == "sqrt_ply":
@@ -346,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="rng seed (generators and randomized algorithms)")
         p.add_argument("--out", default=None, help="output CSV path (default stdout)")
-        p.add_argument("--format", default="csv", choices=["csv"], help="output format")
 
     p = sub.add_parser("crossings", help="detect and classify edge crossings")
     p.add_argument("graph")

@@ -6,10 +6,13 @@ contains the source graph.  All disk predicates use closed disks and
 correctly rounded ``hypot`` distances: an edge's two endpoint disks then
 satisfy dist <= r_u + r_v exactly, even in floating point.
 
-Pair enumeration and point-coverage queries run on per-radius-band uniform
-grids (doubling radius classes, cell = 4 * band base), which keeps candidate
-windows at one cell in every direction without assuming a bounded radius
-ratio.
+The pair index comes from one banded join.  Disks fall into doubling radius
+bands; band b's centers are joined (``grid_join``, cell 4 * 2^b) against
+the centers of every band up to b, so each intersecting pair is found in the
+band of its larger disk without assuming a bounded radius ratio.  Point
+coverage uses the same per-band join.  Center ply needs no spatial query: a
+disk that covers another disk's center intersects it, so center ply is
+counted over the pair index.
 """
 
 from __future__ import annotations
@@ -19,16 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import sorted_unique
-from .errors import ConfigError, ValidationError
+from ._arrays import csr, grid_join, sorted_unique
+from .errors import ConfigError, InvariantViolation, ValidationError
 from .graphs import GeometricGraph
-
-
-@dataclass(frozen=True)
-class Disk:
-    vertex: int
-    center: tuple[float, float]
-    radius: float
 
 
 class DiskSystem:
@@ -56,35 +52,10 @@ class DiskSystem:
     def __len__(self):
         return len(self.radii)
 
-    def disk(self, i: int) -> Disk:
-        return Disk(
-            int(self.vertices[i]),
-            (float(self.centers[i, 0]), float(self.centers[i, 1])),
-            float(self.radii[i]),
-        )
-
-    @property
-    def disks(self) -> list[Disk]:
-        return [self.disk(i) for i in range(len(self))]
-
     def pair_adjacency(self):
         """CSR over the intersection graph: (indptr, neighbor positions)."""
         if self._adjacency is None:
-            n = len(self)
-            deg = np.zeros(n, dtype=np.int64)
-            if len(self.pairs):
-                np.add.at(deg, self.pairs[:, 0], 1)
-                np.add.at(deg, self.pairs[:, 1], 1)
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(deg, out=indptr[1:])
-            nbr = np.empty(2 * len(self.pairs), dtype=np.int64)
-            cursor = indptr[:-1].copy()
-            for i, j in self.pairs:
-                nbr[cursor[i]] = j
-                cursor[i] += 1
-                nbr[cursor[j]] = i
-                cursor[j] += 1
-            self._adjacency = (indptr, nbr)
+            self._adjacency = csr(len(self), self.pairs[:, 0], self.pairs[:, 1])[:2]
         return self._adjacency
 
     def degrees(self) -> np.ndarray:
@@ -92,9 +63,21 @@ class DiskSystem:
         return np.diff(indptr)
 
     def center_ply(self) -> np.ndarray:
-        """Per-position count of disks covering that position's center."""
+        """Per-position count of disks covering that position's center.
+
+        Its own disk plus every pair partner j with hypot <= r_j: a disk
+        covering a center intersects that center's disk, and the float test
+        hypot <= r_j implies the pair test hypot <= r_i + r_j.
+        """
         if self._center_ply is None:
-            self._center_ply = covering_counts(self, self.centers)
+            i, j = self.pairs[:, 0], self.pairs[:, 1]
+            d = _pair_distances(self)
+            n = len(self)
+            self._center_ply = (
+                1
+                + np.bincount(i[d <= self.radii[j]], minlength=n)
+                + np.bincount(j[d <= self.radii[i]], minlength=n)
+            )
         return self._center_ply
 
     def max_center_ply(self) -> int:
@@ -136,23 +119,6 @@ def _band_index(radii):
     return bands
 
 
-def _bucket(points, cell):
-    """dict (cx, cy) -> positional index array."""
-    cx = np.floor(points[:, 0] / cell).astype(np.int64)
-    cy = np.floor(points[:, 1] / cell).astype(np.int64)
-    order = np.lexsort((cy, cx))
-    cx, cy = cx[order], cy[order]
-    buckets = {}
-    if len(order) == 0:
-        return buckets
-    change = np.flatnonzero((np.diff(cx) != 0) | (np.diff(cy) != 0)) + 1
-    starts = np.concatenate([[0], change])
-    stops = np.concatenate([change, [len(order)]])
-    for s, t in zip(starts, stops):
-        buckets[(int(cx[s]), int(cy[s]))] = order[s:t]
-    return buckets
-
-
 def build_disk_system(g: GeometricGraph) -> DiskSystem:
     """Natural disk system of a graph plus the complete intersection-pair index."""
     n = g.n
@@ -171,145 +137,41 @@ def _enumerate_pairs(centers, radii):
     if n < 2:
         return np.empty((0, 2), dtype=np.int64)
     bands = _band_index(radii)
-    band_values = np.unique(bands)
-    grids = {}
-    members = {}
-    for b in band_values:
-        idx = np.flatnonzero(bands == b)
-        members[int(b)] = idx
-        grids[int(b)] = (_bucket(centers[idx], 4.0 * 2.0 ** float(b)), idx)
-
-    out = []
-
-    # Same-band pairs: cell = 4 * band base >= 2 * max radius in the band,
-    # so intersecting same-band disks sit within one cell of each other.
-    forward = ((0, 0), (1, 0), (0, 1), (1, 1), (1, -1))
-    for b in band_values:
-        buckets, idx = grids[int(b)]
-        for (cx, cy), local_a in buckets.items():
-            ga = idx[local_a]
-            for ox, oy in forward:
-                nb = buckets.get((cx + ox, cy + oy))
-                if nb is None:
-                    continue
-                gb = idx[nb]
-                if ox == 0 and oy == 0:
-                    ii, jj = np.triu_indices(len(ga), k=1)
-                    cu, cv = ga[ii], ga[jj]
-                else:
-                    cu = np.repeat(ga, len(gb))
-                    cv = np.tile(gb, len(ga))
-                if len(cu) == 0:
-                    continue
-                d = np.hypot(
-                    centers[cu, 0] - centers[cv, 0], centers[cu, 1] - centers[cv, 1]
-                )
-                keep = d <= radii[cu] + radii[cv]
-                if keep.any():
-                    out.append(
-                        np.column_stack(
-                            [np.minimum(cu[keep], cv[keep]), np.maximum(cu[keep], cv[keep])]
-                        )
-                    )
-
-    # Cross-band pairs: query each disk against every higher band's grid;
-    # there r_i + max_r(band) < one cell, so a 3x3 window suffices.
-    for bi_pos, b1 in enumerate(band_values):
-        for b2 in band_values[bi_pos + 1 :]:
-            buckets2, idx2 = grids[int(b2)]
-            cell2 = 4.0 * 2.0 ** float(b2)
-            for i in members[int(b1)]:
-                cx = int(math.floor(centers[i, 0] / cell2))
-                cy = int(math.floor(centers[i, 1] / cell2))
-                cand = []
-                for ox in (-1, 0, 1):
-                    for oy in (-1, 0, 1):
-                        hit = buckets2.get((cx + ox, cy + oy))
-                        if hit is not None:
-                            cand.append(idx2[hit])
-                if not cand:
-                    continue
-                cj = np.concatenate(cand)
-                d = np.hypot(centers[cj, 0] - centers[i, 0], centers[cj, 1] - centers[i, 1])
-                keep = d <= radii[i] + radii[cj]
-                if keep.any():
-                    cj = cj[keep]
-                    ci = np.full(len(cj), i, dtype=np.int64)
-                    out.append(
-                        np.column_stack([np.minimum(ci, cj), np.maximum(ci, cj)])
-                    )
-
-    if not out:
-        return np.empty((0, 2), dtype=np.int64)
-    allp = np.concatenate(out)
-    keys = sorted_unique(allp[:, 0] * np.int64(n) + allp[:, 1])
+    keys = []
+    # A band-b disk has radius < 2^(b + 1), so two intersecting disks of
+    # bands <= b sit less than one cell (4 * 2^b) apart.
+    for b in np.unique(bands):
+        lower = np.flatnonzero(bands <= b)
+        band = np.flatnonzero(bands == b)
+        qi, sj = grid_join(centers[lower], centers[band], 4.0 * 2.0 ** float(b))
+        i, j = lower[qi], band[sj]
+        d = np.hypot(centers[i, 0] - centers[j, 0], centers[i, 1] - centers[j, 1])
+        keep = (d <= radii[i] + radii[j]) & (i != j)
+        keys.append(np.minimum(i[keep], j[keep]) * np.int64(n) + np.maximum(i[keep], j[keep]))
+    keys = sorted_unique(np.concatenate(keys))
     return np.column_stack([keys // n, keys % n])
+
+
+def _pair_distances(system: DiskSystem) -> np.ndarray:
+    i, j = system.pairs[:, 0], system.pairs[:, 1]
+    c = system.centers
+    return np.hypot(c[i, 0] - c[j, 0], c[i, 1] - c[j, 1])
 
 
 def covering_counts(system: DiskSystem, points) -> np.ndarray:
     """Number of system disks covering each query point (closed disks)."""
     points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     counts = np.zeros(len(points), dtype=np.int64)
-    if len(system) == 0 or len(points) == 0:
-        return counts
     bands = _band_index(system.radii)
     for b in np.unique(bands):
-        idx = np.flatnonzero(bands == b)
-        cell = 4.0 * 2.0 ** float(b)
-        point_buckets = _bucket(points, cell)
-        disk_buckets = _bucket(system.centers[idx], cell)
-        for (cx, cy), local_d in disk_buckets.items():
-            gd = idx[local_d]
-            near = []
-            for ox in (-1, 0, 1):
-                for oy in (-1, 0, 1):
-                    hit = point_buckets.get((cx + ox, cy + oy))
-                    if hit is not None:
-                        near.append(hit)
-            if not near:
-                continue
-            pi = np.concatenate(near)
-            diff_x = points[pi, 0][:, None] - system.centers[gd, 0][None, :]
-            diff_y = points[pi, 1][:, None] - system.centers[gd, 1][None, :]
-            inside = np.hypot(diff_x, diff_y) <= system.radii[gd][None, :]
-            np.add.at(counts, pi, inside.sum(axis=1))
+        band = np.flatnonzero(bands == b)
+        qi, sj = grid_join(points, system.centers[band], 4.0 * 2.0 ** float(b))
+        d = band[sj]
+        inside = np.hypot(
+            points[qi, 0] - system.centers[d, 0], points[qi, 1] - system.centers[d, 1]
+        ) <= system.radii[d]
+        counts += np.bincount(qi[inside], minlength=len(points))
     return counts
-
-
-def covering_lists(system: DiskSystem, points) -> list[np.ndarray]:
-    """Per-disk arrays of query-point indices the disk covers."""
-    points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    lists: list = [[] for _ in range(len(system))]
-    if len(system) == 0 or len(points) == 0:
-        return [np.empty(0, dtype=np.int64) for _ in lists]
-    bands = _band_index(system.radii)
-    for b in np.unique(bands):
-        idx = np.flatnonzero(bands == b)
-        cell = 4.0 * 2.0 ** float(b)
-        point_buckets = _bucket(points, cell)
-        disk_buckets = _bucket(system.centers[idx], cell)
-        for (cx, cy), local_d in disk_buckets.items():
-            gd = idx[local_d]
-            near = []
-            for ox in (-1, 0, 1):
-                for oy in (-1, 0, 1):
-                    hit = point_buckets.get((cx + ox, cy + oy))
-                    if hit is not None:
-                        near.append(hit)
-            if not near:
-                continue
-            pi = np.concatenate(near)
-            diff_x = points[pi, 0][:, None] - system.centers[gd, 0][None, :]
-            diff_y = points[pi, 1][:, None] - system.centers[gd, 1][None, :]
-            inside = np.hypot(diff_x, diff_y) <= system.radii[gd][None, :]
-            for col, d in enumerate(gd):
-                covered = pi[inside[:, col]]
-                if len(covered):
-                    lists[d].append(covered)
-    return [
-        np.unique(np.concatenate(l)) if l else np.empty(0, dtype=np.int64)
-        for l in lists
-    ]
 
 
 # -- reports ------------------------------------------------------------------
@@ -361,7 +223,7 @@ def exceptional_decomposition(system: DiskSystem, k: int) -> ExceptionalSplit:
     if ply.max() <= k:
         return ExceptionalSplit((), int(ply.max()) if n else 0, 0, True)
 
-    cover = covering_lists(system, system.centers)
+    c, r = system.centers, system.radii
     indptr, nbr = system.pair_adjacency()
     deg = np.diff(indptr).astype(np.int64)
     full_deg = deg.copy()
@@ -376,10 +238,12 @@ def exceptional_decomposition(system: DiskSystem, k: int) -> ExceptionalSplit:
         pick = int(live[np.argmax(deg[live])])
         active[pick] = False
         removed.append(pick)
-        covered = cover[pick]
-        ply[covered] -= 1
         neigh = nbr[indptr[pick] : indptr[pick + 1]]
         deg[neigh] -= 1
+        # pick's own center leaves with it; the others it covers are its
+        # partners' centers within r_pick.
+        d = np.hypot(c[neigh, 0] - c[pick, 0], c[neigh, 1] - c[pick, 1])
+        ply[neigh[d <= r[pick]]] -= 1
     removed_ids = tuple(int(system.vertices[p]) for p in removed)
     max_deg = int(full_deg[removed].max()) if removed else 0
     budget = math.ceil(math.sqrt(n))
@@ -410,10 +274,7 @@ def charge_audit(system: DiskSystem) -> ChargeAudit:
     if len(system.pairs):
         i = system.pairs[:, 0]
         j = system.pairs[:, 1]
-        d = np.hypot(
-            system.centers[i, 0] - system.centers[j, 0],
-            system.centers[i, 1] - system.centers[j, 1],
-        )
+        d = _pair_distances(system)
         ci_inside_j = d <= system.radii[j]
         cj_inside_i = d <= system.radii[i]
         i_smaller = (system.radii[i] < system.radii[j]) | (
@@ -436,3 +297,51 @@ def charge_audit(system: DiskSystem) -> ChargeAudit:
         containment,
         tall,
     )
+
+
+# -- invariant checks ---------------------------------------------------------
+
+
+def _missing_pairs(system: DiskSystem, a, b) -> np.ndarray:
+    """Mask of the k with a[k] != b[k] whose disks are not an indexed pair."""
+    a, b = np.minimum(a, b), np.maximum(a, b)
+    n = np.int64(len(system))
+    keys = np.sort(system.pairs[:, 0] * n + system.pairs[:, 1])
+    want = a * n + b
+    found = np.searchsorted(keys, want, "right") > np.searchsorted(keys, want, "left")
+    return (a != b) & ~found
+
+
+def check_edges_are_pairs(g: GeometricGraph, system: DiskSystem) -> None:
+    """Raise InvariantViolation unless every edge joins intersecting disks."""
+    bad = np.flatnonzero(_missing_pairs(system, g.edge_u, g.edge_v))
+    if len(bad):
+        u, v = int(g.edge_u[bad[0]]), int(g.edge_v[bad[0]])
+        raise InvariantViolation(f"edge ({u}, {v}) missing from disk pairs")
+
+
+def check_crossing_charges(g: GeometricGraph, system: DiskSystem, proper) -> None:
+    """Raise InvariantViolation unless every proper crossing's near
+    endpoints own the same or intersecting disks.
+
+    The near endpoint of an edge is the one closer to the crossing point,
+    the lower vertex id on ties.
+    """
+    if not proper:
+        return
+    edges = np.array([(r.e1, r.e2) for r in proper], dtype=np.int64)
+    px, py = np.array([r.point for r in proper], dtype=np.float64).T
+    near = []
+    for e in edges.T:
+        u, v = g.edge_u[e], g.edge_v[e]
+        # float_power is libm pow, the rounding of a scalar ``** 2``.
+        du = np.float_power(g.xy[u, 0] - px, 2) + np.float_power(g.xy[u, 1] - py, 2)
+        dv = np.float_power(g.xy[v, 0] - px, 2) + np.float_power(g.xy[v, 1] - py, 2)
+        near.append(np.where((du < dv) | ((du == dv) & (u <= v)), u, v))
+    bad = np.flatnonzero(_missing_pairs(system, *near))
+    if len(bad):
+        r = proper[bad[0]]
+        a, b = sorted(int(x[bad[0]]) for x in near)
+        raise InvariantViolation(
+            f"crossing ({r.e1}, {r.e2}) near-endpoint disks ({a}, {b}) do not intersect"
+        )

@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from ._arrays import sorted_unique
+from ._arrays import csr, grid_join, sorted_unique
 from .errors import ConfigError, ParseError, ValidationError
 
 COORD_SCALE = 1e-6  # file coordinates are integers in micro-degrees
@@ -113,23 +113,9 @@ class GeometricGraph:
     def adjacency(self):
         """CSR adjacency: (indptr, neighbor, edge_index, weight)."""
         if self._adjacency is None:
-            n, m = self.n, self.m
-            deg = self.degrees()
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(deg, out=indptr[1:])
-            nbr = np.empty(2 * m, dtype=np.int64)
-            eidx = np.empty(2 * m, dtype=np.int64)
-            cursor = indptr[:-1].copy()
-            for i in range(m):
-                a, b = self.edge_u[i], self.edge_v[i]
-                nbr[cursor[a]] = b
-                eidx[cursor[a]] = i
-                cursor[a] += 1
-                nbr[cursor[b]] = a
-                eidx[cursor[b]] = i
-                cursor[b] += 1
-            wt = self.edge_weight[eidx]
-            self._adjacency = (indptr, nbr, eidx, wt)
+            indptr, nbr, slot = csr(self.n, self.edge_u, self.edge_v)
+            eidx = slot >> 1
+            self._adjacency = (indptr, nbr, eidx, self.edge_weight[eidx])
         return self._adjacency
 
     def segment_arrays(self):
@@ -462,52 +448,22 @@ def gen_gotham(side: int, expressways: int, seed) -> GeometricGraph:
 
 def gen_random_geometric(n: int, radius: float, seed) -> GeometricGraph:
     """Uniform points in the unit square, edges between pairs at distance
-    <= radius (weight = distance, level 4).  Spatial-hash construction."""
+    <= radius (weight = distance, level 4), found by a grid join."""
     if n < 1:
         raise ConfigError("n must be >= 1")
     if radius <= 0:
         raise ConfigError("radius must be > 0")
     rng = np.random.default_rng(seed)
     xy = rng.random((n, 2))
-    cell = radius
-    cx = np.floor(xy[:, 0] / cell).astype(np.int64)
-    cy = np.floor(xy[:, 1] / cell).astype(np.int64)
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for i in range(n):
-        buckets.setdefault((int(cx[i]), int(cy[i])), []).append(i)
-
-    eu, ev, ew = [], [], []
-    r2 = radius * radius
-    forward = ((0, 0), (1, 0), (0, 1), (1, 1), (1, -1))
-    for (bx, by), members in buckets.items():
-        a = np.asarray(members, dtype=np.int64)
-        for ox, oy in forward:
-            other = buckets.get((bx + ox, by + oy))
-            if other is None:
-                continue
-            b = np.asarray(other, dtype=np.int64)
-            if ox == 0 and oy == 0:
-                ii, jj = np.triu_indices(len(a), k=1)
-                cand_u, cand_v = a[ii], a[jj]
-            else:
-                cand_u = np.repeat(a, len(b))
-                cand_v = np.tile(b, len(a))
-            d = xy[cand_u] - xy[cand_v]
-            d2 = d[:, 0] ** 2 + d[:, 1] ** 2
-            keep = d2 <= r2
-            if keep.any():
-                eu.append(np.minimum(cand_u[keep], cand_v[keep]))
-                ev.append(np.maximum(cand_u[keep], cand_v[keep]))
-                ew.append(np.sqrt(d2[keep]))
-    if eu:
-        eu = np.concatenate(eu)
-        ev = np.concatenate(ev)
-        ew = np.concatenate(ew)
-        order = np.lexsort((ev, eu))
-        eu, ev, ew = eu[order], ev[order], ew[order]
-    else:
-        eu = ev = np.empty(0, dtype=np.int64)
-        ew = np.empty(0, dtype=np.float64)
+    eu, ev = grid_join(xy, xy, radius)
+    first = eu < ev
+    eu, ev = eu[first], ev[first]
+    d = xy[eu] - xy[ev]
+    d2 = d[:, 0] ** 2 + d[:, 1] ** 2
+    keep = d2 <= radius * radius
+    eu, ev, ew = eu[keep], ev[keep], np.sqrt(d2[keep])
+    order = np.lexsort((ev, eu))
+    eu, ev, ew = eu[order], ev[order], ew[order]
     return GeometricGraph(
         xy, eu, ev, ew, np.full(len(eu), 4, dtype=np.int64), meta={"generator": "rgg"}
     )

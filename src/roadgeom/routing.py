@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._arrays import csr
 from .errors import ValidationError
 from .graphs import GeometricGraph
 from .separators import SeparatorTree
@@ -154,54 +155,26 @@ def voronoi_via_tree(g: GeometricGraph, tree: SeparatorTree, sites) -> VoronoiLa
     used = sorted(seen)
     fresh = {node_id: g.n + i for i, node_id in enumerate(used)}
 
-    eu, ev, ew, er_fwd, er_rev = [], [], [], [], []
+    # Zero-weight edges (a, b, rule seen from a, rule seen from b): tree
+    # edges to the parent node, then one anchor per site.
+    extra = [
+        (fresh[node_id], fresh[tree.nodes[node_id].parent], _NO_SITE, _NO_SITE)
+        for node_id in used
+        if tree.nodes[node_id].parent in fresh
+    ]
+    extra += [(fresh[int(tree.label[s])], s, s, _NO_SITE) for s in sites]
+    eu, ev, rule_ab, rule_ba = np.array(extra, dtype=np.int64).T
 
-    def add(a, b, w, rule_ab, rule_ba):
-        eu.append(a)
-        ev.append(b)
-        ew.append(w)
-        er_fwd.append(rule_ab)
-        er_rev.append(rule_ba)
-
-    for node_id in used:
-        parent = tree.nodes[node_id].parent
-        if parent is not None and parent in fresh:
-            add(fresh[node_id], fresh[parent], 0.0, _NO_SITE, _NO_SITE)
-    for s in sites:
-        add(fresh[int(tree.label[s])], s, 0.0, s, _NO_SITE)
-
-    n_aug = g.n + len(used)
-    base_indptr, base_nbr, _, base_wt = g.adjacency()
-    deg = np.zeros(n_aug, dtype=np.int64)
-    deg[: g.n] = np.diff(base_indptr)
-    for a, b in zip(eu, ev):
-        deg[a] += 1
-        deg[b] += 1
-    indptr = np.zeros(n_aug + 1, dtype=np.int64)
-    np.cumsum(deg, out=indptr[1:])
-    nbr = np.empty(indptr[-1], dtype=np.int64)
-    wt = np.empty(indptr[-1], dtype=np.float64)
-    rule = np.empty(indptr[-1], dtype=np.int64)
-    cursor = indptr[:-1].copy()
-    for v in range(g.n):
-        s, t = base_indptr[v], base_indptr[v + 1]
-        k = t - s
-        nbr[cursor[v] : cursor[v] + k] = base_nbr[s:t]
-        wt[cursor[v] : cursor[v] + k] = base_wt[s:t]
-        rule[cursor[v] : cursor[v] + k] = -2
-        cursor[v] += k
-    for a, b, w, rf, rb in zip(eu, ev, ew, er_fwd, er_rev):
-        nbr[cursor[a]] = b
-        wt[cursor[a]] = w
-        rule[cursor[a]] = rf
-        cursor[a] += 1
-        nbr[cursor[b]] = a
-        wt[cursor[b]] = w
-        rule[cursor[b]] = rb
-        cursor[b] += 1
+    # Base edges first, then the extra edges: every vertex keeps its base
+    # CSR neighbours in front.
+    indptr, nbr, slot = csr(
+        g.n + len(used), np.concatenate([g.edge_u, eu]), np.concatenate([g.edge_v, ev])
+    )
+    wt = np.concatenate([g.edge_weight, np.zeros(len(eu))])[slot >> 1]
+    rule = np.concatenate([np.full(2 * g.m, -2), np.column_stack([rule_ab, rule_ba]).ravel()])[slot]
 
     root_vertex = fresh[0]  # the tree root is node 0 and is always in B'
     dist, label, parent = _lex_dijkstra(
-        n_aug, indptr, nbr, wt, rule, [(0.0, _NO_SITE, root_vertex)]
+        g.n + len(used), indptr, nbr, wt, rule, [(0.0, _NO_SITE, root_vertex)]
     )
     return _finalize(g, sites, dist, label, parent)

@@ -136,6 +136,34 @@ def all_pairs_center_ply(system):
     return ply
 
 
+def greedy_exceptional(system, k):
+    """Greedy exceptional set from O(n^2) cover and intersection matrices.
+
+    While some live center is covered by more than k live disks, remove the
+    live disk with the most live intersecting partners (lowest position on
+    ties).  Returns (removed vertex ids, residual max center ply).
+    """
+    centers = system.centers
+    radii = system.radii
+    n = len(radii)
+    d = np.hypot(
+        centers[:, None, 0] - centers[None, :, 0], centers[:, None, 1] - centers[None, :, 1]
+    )
+    covers = d <= radii[:, None]  # covers[a, p]: disk a covers center p
+    meets = (d <= radii[:, None] + radii[None, :]) & ~np.eye(n, dtype=bool)
+    live = np.ones(n, dtype=bool)
+    removed = []
+    while live.any():
+        ply = covers[live].sum(axis=0)
+        if ply[live].max() <= k:
+            return tuple(int(system.vertices[p]) for p in removed), int(ply[live].max())
+        degree = meets[:, live].sum(axis=1)
+        pick = int(np.flatnonzero(live)[np.argmax(degree[live])])
+        live[pick] = False
+        removed.append(pick)
+    return tuple(int(system.vertices[p]) for p in removed), 0
+
+
 def brute_force_system_ply(system):
     """Max number of disks covering any point of the plane.
 

@@ -1,0 +1,102 @@
+import numpy as np
+import pytest
+
+import roadgeom as rg
+from roadgeom._arrays import csr, grid_join
+from roadgeom.disks import build_disk_system
+from roadgeom.errors import ConfigError
+
+
+def cursor_csr(n, u, v):
+    """One pass over the edges, appending each edge to both endpoints."""
+    deg = np.bincount(np.concatenate([u, v]).astype(np.int64), minlength=n)
+    indptr = np.concatenate([[0], np.cumsum(deg)])
+    nbr = np.empty(2 * len(u), dtype=np.int64)
+    eidx = np.empty(2 * len(u), dtype=np.int64)
+    cursor = indptr[:-1].copy()
+    for k, (a, b) in enumerate(zip(u, v)):
+        for x, y in ((a, b), (b, a)):
+            nbr[cursor[x]] = y
+            eidx[cursor[x]] = k
+            cursor[x] += 1
+    return indptr, nbr, eidx
+
+
+def assert_csr_matches(n, u, v):
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    indptr, nbr, slot = csr(n, u, v)
+    want = cursor_csr(n, u, v)
+    assert np.array_equal(indptr, want[0])
+    assert np.array_equal(nbr, want[1])
+    assert np.array_equal(slot >> 1, want[2])
+    # slot parity says which endpoint sees the edge.
+    assert np.array_equal(np.where(slot & 1, v[slot >> 1], u[slot >> 1]), np.repeat(np.arange(n), np.diff(indptr)))
+
+
+class TestCsr:
+    def test_vertex_seen_as_v_then_u(self):
+        # Vertex 0 is v of edge 0 and u of edge 1; vertex 2 is u, v, v.
+        assert_csr_matches(5, [2, 0, 1, 3, 1], [0, 1, 3, 2, 2])
+
+    def test_isolated_vertices_and_no_edges(self):
+        assert_csr_matches(4, [3], [1])
+        assert_csr_matches(3, [], [])
+
+    def test_random_multigraph(self):
+        rng = np.random.default_rng(5)
+        u = rng.integers(0, 40, size=300)
+        v = (u + rng.integers(1, 40, size=300)) % 40
+        assert_csr_matches(45, u, v)
+
+    def test_graph_and_pair_adjacency(self, gotham_small, rgg_medium, hub_small):
+        for g in (gotham_small, rgg_medium, hub_small):
+            indptr, nbr, eidx, wt = g.adjacency()
+            want = cursor_csr(g.n, g.edge_u, g.edge_v)
+            assert all(np.array_equal(a, b) for a, b in zip((indptr, nbr, eidx), want))
+            assert np.array_equal(wt, g.edge_weight[want[2]])
+            s = build_disk_system(g)
+            want = cursor_csr(len(s), s.pairs[:, 0], s.pairs[:, 1])
+            assert all(np.array_equal(a, b) for a, b in zip(s.pair_adjacency(), want))
+
+
+def brute_join(q, s, cell):
+    cq, cs = np.floor(q / cell), np.floor(s / cell)
+    near = (np.abs(cq[:, None, :] - cs[None, :, :]) <= 1).all(axis=2)
+    return set(zip(*map(np.ndarray.tolist, np.nonzero(near))))
+
+
+class TestGridJoin:
+    def test_matches_brute_force(self):
+        rng = np.random.default_rng(2)
+        q = rng.uniform(-3, 5, size=(300, 2))
+        s = np.vstack([rng.uniform(-2, 4, size=(200, 2)), q[:20], [[-2.0, -2.0], [-2.0, -2.0]]])
+        for cell in (0.25, 1.0, 3.0, 50.0):
+            qi, sj = grid_join(q, s, cell)
+            assert len(qi) == len(set(zip(qi.tolist(), sj.tolist())))
+            assert set(zip(qi.tolist(), sj.tolist())) == brute_join(q, s, cell)
+            assert np.all(np.diff(qi) >= 0)
+
+    def test_sparse_cells_far_apart(self):
+        # 1e12 cells per axis: rank keys stay small where packed cell
+        # coordinates would not fit in int64.
+        s = np.array([[0.0, 0.0], [1e12, 1e12], [1e12 + 1.5, 1e12], [0.5, 1e12]])
+        q = np.array([[1e12 + 0.9, 1e12 + 0.9], [0.2, -0.7], [3.0, 3.0]])
+        qi, sj = grid_join(q, s, 1.0)
+        assert set(zip(qi.tolist(), sj.tolist())) == brute_join(q, s, 1.0)
+
+    def test_empty_sides(self):
+        for q, s in ((np.empty((0, 2)), np.ones((3, 2))), (np.ones((3, 2)), np.empty((0, 2)))):
+            qi, sj = grid_join(q, s, 1.0)
+            assert len(qi) == len(sj) == 0
+
+    def test_unrepresentable_cells_are_config_error(self):
+        # Disks of radius 1e-300 about 1e300 apart: the band cell is about
+        # 4e-300, so cell coordinates reach 1e600 (inf).
+        g = rg.GeometricGraph.build(
+            [(0.0, 0.0), (2e-300, 0.0), (1e300, 0.0), (1e300, 2e-300)],
+            [(0, 1, 1.0, 4), (2, 3, 1.0, 4)],
+        )
+        with pytest.raises(ConfigError, match="grid join"):
+            build_disk_system(g)
+        with pytest.raises(ConfigError, match="grid join"):
+            grid_join([[0.0, 0.0]], [[2.0**60, 0.0]], 1.0)

@@ -1,18 +1,25 @@
 import math
+import re
 
 import numpy as np
+import pytest
 
 import roadgeom as rg
+from roadgeom import crossings as cr
 from roadgeom.disks import (
     DiskSystem,
     build_disk_system,
     charge_audit,
+    check_crossing_charges,
+    check_edges_are_pairs,
     covering_counts,
     exceptional_decomposition,
     ply_report,
 )
+from roadgeom.errors import InvariantViolation
 
 import oracles
+from test_acceptance import corpus, crossing_charge_holds
 
 
 def system_from(centers, radii):
@@ -193,3 +200,101 @@ class TestCovering:
         s = system_from([(0.0, 0.0), (1.0, 0.0)], [0.0, 0.0])
         counts = covering_counts(s, [(0.0, 0.0), (0.5, 0.0)])
         assert counts.tolist() == [1, 0]
+
+
+def degenerate_graph():
+    """A hub-and-spoke graph plus a vertex on another's coordinates with an
+    edge, isolated (zero-radius) vertices on existing centers, and pairs of
+    coincident zero-radius centers (one pair joined by a zero-length edge)."""
+    g = rg.gen_hub_spoke(16, 9, seed=2)
+    n = g.n
+    extra = [g.xy[0], g.xy[0], g.xy[5], (40.0, 40.0), (40.0, 40.0), (3.25, 3.25), (3.25, 3.25)]
+    return rg.GeometricGraph(
+        np.vstack([g.xy, extra]),
+        np.concatenate([g.edge_u, [n, n + 5]]),
+        np.concatenate([g.edge_v, [7, n + 6]]),
+        np.concatenate([g.edge_weight, [1.0, 0.0]]),
+        np.concatenate([g.edge_level, [4, 4]]),
+    )
+
+
+@pytest.fixture(params=["gotham_small", "rgg_medium", "hub_small", "degenerate"])
+def system(request):
+    if request.param == "degenerate":
+        return build_disk_system(degenerate_graph())
+    return build_disk_system(request.getfixturevalue(request.param))
+
+
+class TestPairIndexDerived:
+    """Quantities read off the pair index equal the O(n^2) oracles."""
+
+    def test_pairs_and_center_ply(self, system):
+        assert {(int(i), int(j)) for i, j in system.pairs} == oracles.all_pairs_disk_pairs(system)
+        assert np.array_equal(system.center_ply(), oracles.all_pairs_center_ply(system))
+
+    def test_covering_counts(self, system):
+        rng = np.random.default_rng(1)
+        lo, hi = system.centers.min(axis=0) - 1, system.centers.max(axis=0) + 1
+        pts = np.vstack([system.centers, rng.uniform(lo, hi, size=(300, 2)), system.centers + 0.5])
+        want = np.zeros(len(pts), dtype=np.int64)
+        for c, r in zip(system.centers, system.radii):
+            want += np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1]) <= r
+        assert np.array_equal(covering_counts(system, pts), want)
+
+    def test_exceptional_removals(self, system):
+        for k in (1, 2, 3):
+            split = exceptional_decomposition(system, k)
+            removed, residual = oracles.greedy_exceptional(system, k)
+            assert split.removed == removed
+            assert split.residual_max_center_ply == residual
+
+
+class TestPairChecks:
+    """The vectorized checks against the per-record reference of C2."""
+
+    def test_corpus_passes(self):
+        for name, g in corpus():
+            s = build_disk_system(g)
+            proper = cr.proper_only(cr.find_crossings(g))
+            pair_set = {(int(i), int(j)) for i, j in s.pairs}
+            assert all(crossing_charge_holds(g, s, pair_set, r) for r in proper), name
+            check_crossing_charges(g, s, proper)
+            check_edges_are_pairs(g, s)
+
+    def test_planted_violations(self):
+        rng = np.random.default_rng(4)
+        planted = 0
+        for name, g in corpus():
+            s = build_disk_system(g)
+            proper = cr.proper_only(cr.find_crossings(g))
+            crossing_pairs = sorted(
+                {
+                    (min(a, b), max(a, b))
+                    for r in proper
+                    for a in (int(g.edge_u[r.e1]), int(g.edge_v[r.e1]))
+                    for b in (int(g.edge_u[r.e2]), int(g.edge_v[r.e2]))
+                    if a != b
+                }
+            )
+            edge_pairs = list(zip(g.edge_u.tolist(), g.edge_v.tolist()))
+            picks = [crossing_pairs[i] for i in rng.permutation(len(crossing_pairs))[:6]]
+            picks += [edge_pairs[i] for i in rng.permutation(len(edge_pairs))[:3]]
+            for drop in picks:
+                keep = [p for p in map(tuple, s.pairs.tolist()) if p != drop]
+                broken = DiskSystem(s.vertices, s.centers, s.radii, np.asarray(keep).reshape(-1, 2))
+                pair_set = set(keep)
+                failing = [r for r in proper if not crossing_charge_holds(g, broken, pair_set, r)]
+                if failing:
+                    planted += 1
+                    r = failing[0]
+                    with pytest.raises(InvariantViolation, match=re.escape(f"crossing ({r.e1}, {r.e2}) ")):
+                        check_crossing_charges(g, broken, proper)
+                else:
+                    check_crossing_charges(g, broken, proper)
+                missing = [e for e in edge_pairs if e not in pair_set]
+                if missing:
+                    with pytest.raises(InvariantViolation, match=re.escape(f"edge {missing[0]} missing")):
+                        check_edges_are_pairs(g, broken)
+                else:
+                    check_edges_are_pairs(g, broken)
+        assert planted >= 5

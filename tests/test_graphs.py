@@ -161,14 +161,15 @@ class TestRandomGeometric:
                 assert g.m == 0
 
     def test_matches_all_pairs(self):
-        g = rg.gen_random_geometric(100, 0.2, seed=3)
-        want = set()
-        for i in range(100):
-            for j in range(i + 1, 100):
-                if math.hypot(*(g.xy[j] - g.xy[i])) <= 0.2:
-                    want.add((i, j))
-        got = {(int(u), int(v)) for u, v in zip(g.edge_u, g.edge_v)}
-        assert got == want
+        for radius in (0.2, 1e-6, 0.75):
+            g = rg.gen_random_geometric(100, radius, seed=3)
+            want = set()
+            for i in range(100):
+                for j in range(i + 1, 100):
+                    if math.hypot(*(g.xy[j] - g.xy[i])) <= radius:
+                        want.add((i, j))
+            got = {(int(u), int(v)) for u, v in zip(g.edge_u, g.edge_v)}
+            assert got == want
 
     def test_determinism(self):
         assert rg.gen_random_geometric(50, 0.2, seed=7) == rg.gen_random_geometric(
