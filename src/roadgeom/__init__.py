@@ -14,7 +14,7 @@ from .arrangement import (
     vertex_depths,
 )
 from .augment import clustering_check, grid_augment, neighborly_check
-from .crossings import crossing_histogram, find_crossings, planarize, proper_only
+from .crossings import CrossingTable, crossing_histogram, find_crossings, planarize, proper_only
 from .disks import (
     DiskSystem,
     build_disk_system,
@@ -41,6 +41,7 @@ from .separators import build_decomposition, find_separator
 __version__ = "0.1.0"
 
 __all__ = [
+    "CrossingTable",
     "DiskSystem",
     "Edge",
     "GeometricGraph",

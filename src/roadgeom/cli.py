@@ -99,18 +99,24 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def cmd_crossings(args) -> int:
-    g = resolve_graph(args.graph, args.seed)
-    records = crossings_mod.find_crossings(g)
-    proper = crossings_mod.proper_only(records)
+def _checked_crossings(g):
+    """find_crossings(g) and its proper rows, whose disk charges are checked."""
+    table = crossings_mod.find_crossings(g)
+    proper = crossings_mod.proper_only(table)
     if proper:
         disks_mod.check_crossing_charges(g, disks_mod.build_disk_system(g), proper)
+    return table, proper
+
+
+def cmd_crossings(args) -> int:
+    g = resolve_graph(args.graph, args.seed)
+    table, proper = _checked_crossings(g)
     handle, w = _writer(args)
     w.writerow(["e1", "e2", "x", "y", "level1", "level2", "kind"])
-    for r in records:
+    for r in table:
         w.writerow([r.e1, r.e2, _fmt(r.point[0]), _fmt(r.point[1]), r.level_pair[0], r.level_pair[1], r.kind])
     hist = crossings_mod.crossing_histogram(proper)
-    handle.write(f"# proper_total={len(proper)} degenerate_total={len(records) - len(proper)}\n")
+    handle.write(f"# proper_total={len(proper)} degenerate_total={len(table) - len(proper)}\n")
     for (l1, l2), count in sorted(hist.items()):
         handle.write(f"# level_pair_{l1}_{l2}={count}\n")
     _close(handle)
@@ -251,10 +257,7 @@ def cmd_arrangement(args) -> int:
 
 def _report_metric(metric, g, seed, cutoff):
     if metric == "crossings":
-        proper = crossings_mod.proper_only(crossings_mod.find_crossings(g))
-        if proper:
-            disks_mod.check_crossing_charges(g, disks_mod.build_disk_system(g), proper)
-        return len(proper)
+        return len(_checked_crossings(g)[1])
     system = disks_mod.build_disk_system(g)
     disks_mod.check_edges_are_pairs(g, system)
     if metric == "ply":

@@ -8,29 +8,29 @@ segment that would register more than m cells is instead tested against
 every segment's bounding box.  With K candidate pairs this costs
 O((m + K) log m).  Classification uses float orientation tests with an
 exact rational fallback, so the output matches an all-pairs oracle
-exactly.  Contacts are kinded: proper interior crossings, endpoint
-touches, and collinear overlaps (reported, never planarized).
+exactly.  Contacts come as one table of columns, kinded as proper interior
+crossings, endpoint touches, and collinear overlaps (never planarized).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import geometry
 from ._arrays import concat_ranges, sorted_unique
 from .errors import ConfigError, DegeneracyError, InvariantViolation
-from .geometry import COLLINEAR_OVERLAP, PROPER
+from .geometry import COLLINEAR_OVERLAP, ENDPOINT_TOUCH, PROPER
 from .graphs import GeometricGraph
 
-_EPS = geometry._ORIENT_EPS
 _PAIR_BLOCK = 1 << 22  # candidate pairs expanded at once by the grid join
 
 
-@dataclass(frozen=True)
-class CrossingRecord:
+class CrossingRecord(NamedTuple):
+    """One row of a CrossingTable."""
+
     e1: int
     e2: int
     point: tuple[float, float]
@@ -38,13 +38,57 @@ class CrossingRecord:
     kind: str
 
 
-def proper_only(records) -> list[CrossingRecord]:
-    return [r for r in records if r.kind == PROPER]
+KINDS = (PROPER, ENDPOINT_TOUCH, COLLINEAR_OVERLAP)  # kind code -> kind
 
 
-def crossing_histogram(records) -> dict[tuple[int, int], int]:
+class CrossingTable:
+    """Segment contacts as columns, one row per contact.
+
+    ``e1 < e2`` are the two edges (int64), ``(x, y)`` the contact point
+    (float64), ``level_lo <= level_hi`` the levels of the two edges (int64)
+    and ``kind`` an int8 code into ``KINDS``; they are its only attributes.
+    ``len()``, iteration and an integer index give ``CrossingRecord`` rows;
+    a mask, an index array or a slice gives a sub-table.
+    """
+
+    def __init__(self, e1, e2, x, y, level_lo, level_hi, kind):
+        self.e1, self.e2 = np.asarray(e1, np.int64), np.asarray(e2, np.int64)
+        self.x, self.y = np.asarray(x, np.float64), np.asarray(y, np.float64)
+        self.level_lo, self.level_hi = np.asarray(level_lo, np.int64), np.asarray(level_hi, np.int64)
+        self.kind = np.asarray(kind, np.int8)
+
+    def __len__(self):
+        return len(self.e1)
+
+    def __iter__(self):
+        for e1, e2, x, y, lo, hi, kind in zip(*(c.tolist() for c in vars(self).values())):
+            yield CrossingRecord(e1, e2, (x, y), (lo, hi), KINDS[kind])
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return next(iter(self[[index]]))
+        return CrossingTable(*(c[index] for c in vars(self).values()))
+
+
+def _table(crossings) -> CrossingTable:
+    """A CrossingTable as it is; an iterable of CrossingRecord rows as their table."""
+    if isinstance(crossings, CrossingTable):
+        return crossings
+    rows = [(r.e1, r.e2, *r.point, *r.level_pair, KINDS.index(r.kind)) for r in crossings]
+    return CrossingTable(*np.array(rows, dtype=object).reshape(-1, 7).T)
+
+
+def proper_only(crossings) -> CrossingTable:
+    """The proper-crossing rows of a table or of an iterable of rows."""
+    t = _table(crossings)
+    return t[t.kind == KINDS.index(PROPER)]
+
+
+def crossing_histogram(crossings) -> dict[tuple[int, int], int]:
     """Counts by unordered hierarchy-level pair; totals match the input."""
-    return dict(Counter(r.level_pair for r in records))
+    t = _table(crossings)
+    pairs, counts = np.unique(np.column_stack([t.level_lo, t.level_hi]), axis=0, return_counts=True)
+    return dict(zip(map(tuple, pairs.tolist()), counts.tolist()))
 
 
 def _cell_candidates(g: GeometricGraph):
@@ -141,138 +185,103 @@ def _same_cell_keys(cell, owner, m):
     return blocks
 
 
-def find_crossings(g: GeometricGraph) -> list[CrossingRecord]:
-    """All pairwise segment contacts, canonically ordered with e1 < e2.
+def find_crossings(g: GeometricGraph) -> CrossingTable:
+    """All pairwise segment contacts, canonically ordered by (e1, e2), e1 < e2.
 
     Proper crossings are pairs whose open segments intersect at a single
     interior point; pairs sharing a graph vertex are never proper and are
     reported only when they overlap collinearly (a data error).
     """
-    if g.m < 2:
-        return []
-    a, b = _cell_candidates(g)
+    e1, e2, kind, x, y = _contacts(g, *_cell_candidates(g))
+    lv1, lv2 = g.edge_level[e1], g.edge_level[e2]
+    return CrossingTable(e1, e2, x, y, np.minimum(lv1, lv2), np.maximum(lv1, lv2), kind)
+
+
+def _contacts(g: GeometricGraph, a, b, junctions: bool = True):
+    """Classify the candidate pairs (a[i], b[i]); return the (e1, e2, kind
+    code, x, y) arrays of those in contact, in candidate order.
+
+    Pairs sharing a graph vertex are never proper; they are kept only when
+    they overlap collinearly, and with junctions=False they are dropped
+    before the orientation tests.
+    """
     x1, y1, x2, y2 = g.segment_arrays()
     xlo, xhi = np.minimum(x1, x2), np.maximum(x1, x2)
     ylo, yhi = np.minimum(y1, y2), np.maximum(y1, y2)
-    overlap = (
-        (xhi[a] >= xlo[b]) & (xhi[b] >= xlo[a]) & (yhi[a] >= ylo[b]) & (yhi[b] >= ylo[a])
-    )
+    overlap = (xhi[a] >= xlo[b]) & (xhi[b] >= xlo[a]) & (yhi[a] >= ylo[b]) & (yhi[b] >= ylo[a])
     a, b = a[overlap], b[overlap]
-    ax, ay, bx, by = x1[a], y1[a], x2[a], y2[a]
-    cx, cy, dx, dy = x1[b], y1[b], x2[b], y2[b]
+    u, v = g.edge_u, g.edge_v
+    shared = (u[a] == u[b]) | (u[a] == v[b]) | (v[a] == u[b]) | (v[a] == v[b])
+    # At a shared vertex only a collinear overlap is a contact, and that
+    # needs the segments to overlap in more than a point.
+    keep = ~shared
+    if junctions:
+        keep |= (np.minimum(xhi[a], xhi[b]) > np.maximum(xlo[a], xlo[b])) | (
+            np.minimum(yhi[a], yhi[b]) > np.maximum(ylo[a], ylo[b])
+        )
+    a, b, shared = a[keep], b[keep], shared[keep]
+    coords = ax, ay, bx, by, cx, cy, dx, dy = x1[a], y1[a], x2[a], y2[a], x1[b], y1[b], x2[b], y2[b]
+    orient = geometry.orient_filtered
+    o1, o2 = orient(ax, ay, bx, by, cx, cy), orient(ax, ay, bx, by, dx, dy)
+    o3, o4 = orient(cx, cy, dx, dy, ax, ay), orient(cx, cy, dx, dy, bx, by)
+    ab, cd = o1 * o2, o3 * o4
+    opposite = (ab < 0) & (cd < 0)
+    # The exact test decides what the filter cannot; a shared pair goes to
+    # it only when all four orientations may be zero.
+    collinear = (o1 == 0) & (o2 == 0) & (o3 == 0) & (o4 == 0)
+    ambiguous = np.where(shared, collinear, ~(opposite | (ab > 0) | (cd > 0)))
 
-    def cross_terms(px, py, qx, qy, rx, ry):
-        t1 = (qx - px) * (ry - py)
-        t2 = (qy - py) * (rx - px)
-        return t1 - t2, _EPS * (np.abs(t1) + np.abs(t2))
-
-    d1, b1 = cross_terms(ax, ay, bx, by, cx, cy)
-    d2, b2 = cross_terms(ax, ay, bx, by, dx, dy)
-    d3, b3 = cross_terms(cx, cy, dx, dy, ax, ay)
-    d4, b4 = cross_terms(cx, cy, dx, dy, bx, by)
-
-    sure1 = np.abs(d1) > b1
-    sure2 = np.abs(d2) > b2
-    sure3 = np.abs(d3) > b3
-    sure4 = np.abs(d4) > b4
-
-    opposite_ab = sure1 & sure2 & (np.sign(d1) != np.sign(d2))
-    opposite_cd = sure3 & sure4 & (np.sign(d3) != np.sign(d4))
-    same_ab = sure1 & sure2 & (np.sign(d1) == np.sign(d2))
-    same_cd = sure3 & sure4 & (np.sign(d3) == np.sign(d4))
-
-    proper_fast = opposite_ab & opposite_cd
-    separated = same_ab | same_cd
-    ambiguous = ~(proper_fast | separated)
-
-    shared = (
-        (g.edge_u[a] == g.edge_u[b])
-        | (g.edge_u[a] == g.edge_v[b])
-        | (g.edge_v[a] == g.edge_u[b])
-        | (g.edge_v[a] == g.edge_v[b])
-    )
-    # A shared graph vertex rules out a proper crossing; only collinear
-    # overlap is still possible there.  Filter those cheaply: all four
-    # orientations must be (possibly) zero and the 1-D projections must
-    # overlap in more than a point, otherwise the pair is a plain junction.
-    proper_fast &= ~shared
-    maybe_zero = ~(sure1 | sure2 | sure3 | sure4)
-    use_x = np.abs(bx - ax) >= np.abs(by - ay)
-    p_lo = np.where(use_x, np.minimum(ax, bx), np.minimum(ay, by))
-    p_hi = np.where(use_x, np.maximum(ax, bx), np.maximum(ay, by))
-    q_lo = np.where(use_x, np.minimum(cx, dx), np.minimum(cy, dy))
-    q_hi = np.where(use_x, np.maximum(cx, dx), np.maximum(cy, dy))
-    positive_overlap = np.minimum(p_hi, q_hi) > np.maximum(p_lo, q_lo)
-    shared_suspect = shared & maybe_zero & positive_overlap
-    ambiguous = (ambiguous & ~shared) | shared_suspect
-
-    idx = np.flatnonzero(proper_fast)
-    rx = bx[idx] - ax[idx]
-    ry = by[idx] - ay[idx]
-    sx = dx[idx] - cx[idx]
-    sy = dy[idx] - cy[idx]
-    denom = rx * sy - ry * sx
-    t = ((cx[idx] - ax[idx]) * sy - (cy[idx] - ay[idx]) * sx) / denom
-    kinds = [PROPER] * len(idx)
-    points = list(zip((ax[idx] + t * rx).tolist(), (ay[idx] + t * ry).tolist()))
-
-    kept = []
+    kind = np.where(opposite & ~shared, KINDS.index(PROPER), -1).astype(np.int8)
+    x, y = np.empty(len(a)), np.empty(len(a))
+    idx = np.flatnonzero(kind >= 0)
+    x[idx], y[idx] = geometry.intersection_point(*(c[idx] for c in coords))
     for row in np.flatnonzero(ambiguous).tolist():
-        kind, point = geometry.segment_contact(
-            float(ax[row]), float(ay[row]), float(bx[row]), float(by[row]),
-            float(cx[row]), float(cy[row]), float(dx[row]), float(dy[row]),
-        )
-        if kind is None:
-            continue
-        if shared[row] and kind != COLLINEAR_OVERLAP:
-            continue  # planned junction, not a crossing
-        kept.append(row)
-        kinds.append(kind)
-        points.append(point)
-
-    # Rows are in (e1, e2) order already; merge the two sources back into it.
-    rows = np.concatenate([idx, np.array(kept, dtype=np.int64)])
-    order = np.argsort(rows, kind="stable")
-    e1, e2 = a[rows[order]], b[rows[order]]
-    lv1, lv2 = g.edge_level[e1], g.edge_level[e2]
-    return [
-        CrossingRecord(i, j, points[k], (lo, hi), kinds[k])
-        for k, i, j, lo, hi in zip(
-            order.tolist(), e1.tolist(), e2.tolist(),
-            np.minimum(lv1, lv2).tolist(), np.maximum(lv1, lv2).tolist(),
-        )
-    ]
+        found, point = geometry.segment_contact(*(float(c[row]) for c in coords))
+        if found is not None and (found == COLLINEAR_OVERLAP or not shared[row]):
+            kind[row] = KINDS.index(found)
+            x[row], y[row] = point
+    hit = np.flatnonzero(kind >= 0)
+    return a[hit], b[hit], kind[hit], x[hit], y[hit]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlanarizedGraph:
-    """Input graph with every proper crossing promoted to a degree-4 vertex."""
+    """Input graph with every proper crossing promoted to a degree-4 vertex.
+
+    ``crossing_vertices`` holds the proper crossings, row i as vertex base.n + i.
+    ``split_edges`` are offsets: base edge e became the chain of sub-edges
+    split_edges[e] .. split_edges[e + 1] - 1, running from its u to its v end.
+    """
 
     graph: GeometricGraph
     base: GeometricGraph
-    crossing_vertices: tuple
-    split_edges: dict
+    crossing_vertices: CrossingTable
+    split_edges: np.ndarray
 
 
-def planarize(g: GeometricGraph, records, verify: bool = True) -> PlanarizedGraph:
+def planarize(g: GeometricGraph, crossings, verify: bool = True) -> PlanarizedGraph:
     """Split edges at their proper crossing points.
 
-    Crossing vertices get fresh ids n, n+1, ... in record order; each split
-    edge becomes a chain of collinear sub-edges whose weights divide the
-    original weight proportionally to arc length.  Collinear overlaps are
-    unsupported degeneracies.
+    ``crossings`` is a CrossingTable or an iterable of its rows, in (e1, e2)
+    order as ``find_crossings`` gives them.  Crossing vertices get fresh ids
+    n, n+1, ... in row order; each split edge becomes a chain of collinear
+    sub-edges whose weights divide the original weight proportionally to arc
+    length.  Collinear overlaps are unsupported degeneracies.  With verify,
+    an exact crossing search on the result must find no proper crossing.
     """
-    for r in records:
-        if r.kind == COLLINEAR_OVERLAP:
-            raise DegeneracyError(
-                f"collinear overlapping edges ({r.e1}, {r.e2}) cannot be planarized"
-            )
-    proper = sorted(proper_only(records), key=lambda r: (r.e1, r.e2))
+    table = _table(crossings)
+    overlaps = np.flatnonzero(table.kind == KINDS.index(COLLINEAR_OVERLAP))
+    if len(overlaps):
+        i = overlaps[0]
+        raise DegeneracyError(
+            f"collinear overlapping edges ({table.e1[i]}, {table.e2[i]}) cannot be planarized"
+        )
+    proper = proper_only(table)
 
     n, m = g.n, g.m
-    pts = np.array([r.point for r in proper], dtype=np.float64).reshape(-1, 2)
+    pts = np.column_stack([proper.x, proper.y])
     # One cut per (crossing, edge), crossing-major: e1's cut, then e2's.
-    edge = np.array([(r.e1, r.e2) for r in proper], dtype=np.int64).ravel()
+    edge = np.column_stack([proper.e1, proper.e2]).ravel()
     vid = np.repeat(np.arange(n, n + len(proper)), 2)
     u, v = g.xy[g.edge_u[edge]], g.xy[g.edge_v[edge]]
     # Squares go through libm pow (float_power), as ``x ** 2`` on a numpy
@@ -282,9 +291,9 @@ def planarize(g: GeometricGraph, records, verify: bool = True) -> PlanarizedGrap
     t = ((np.repeat(pts, 2, axis=0) - u) * (v - u)).sum(axis=1) / ln2
     bad = np.flatnonzero(~((t > 0.0) & (t < 1.0)))
     if len(bad):
-        r = proper[bad[0] // 2]
+        i = bad[0] // 2
         raise DegeneracyError(
-            f"crossing ({r.e1}, {r.e2}) lies numerically on an endpoint"
+            f"crossing ({proper.e1[i]}, {proper.e2[i]}) lies numerically on an endpoint"
         )
 
     # Cuts along each edge by (t, crossing id); equal t is a concurrency.
@@ -294,36 +303,26 @@ def planarize(g: GeometricGraph, records, verify: bool = True) -> PlanarizedGrap
     if len(tied):
         raise DegeneracyError(f"concurrent crossings on edge {int(edge[tied[0]])}")
 
-    # Edge e becomes sub-edges first[e] .. first[e] + cuts[e]; its k-th cut
-    # ends sub-edge first[e] + k and starts the next one.
-    cuts = np.bincount(edge, minlength=m)
-    first = np.cumsum(cuts + 1) - (cuts + 1)
-    owner = np.repeat(np.arange(m), cuts + 1)
-    end = first[edge] + np.arange(len(edge)) - (np.cumsum(cuts) - cuts)[edge]
-    eu, ev = np.empty(len(owner), dtype=np.int64), np.empty(len(owner), dtype=np.int64)
-    t0, t1 = np.empty(len(owner)), np.empty(len(owner))
-    eu[first], t0[first] = g.edge_u, 0.0
-    ev[first + cuts], t1[first + cuts] = g.edge_v, 1.0
+    # Edge e becomes sub-edges off[e] .. off[e + 1] - 1; the j-th cut in
+    # this order ends sub-edge edge[j] + j and starts the next one.
+    off = np.arange(m + 1) + np.searchsorted(edge, np.arange(m + 1))
+    owner = np.repeat(np.arange(m), np.diff(off))
+    end = edge + np.arange(len(edge))
+    eu, ev = np.empty((2, off[-1]), dtype=np.int64)
+    t0, t1 = np.empty((2, off[-1]))
+    eu[off[:-1]], t0[off[:-1]] = g.edge_u, 0.0
+    ev[off[1:] - 1], t1[off[1:] - 1] = g.edge_v, 1.0
     ev[end], t1[end] = vid, t
     eu[end + 1], t0[end + 1] = vid, t
-    split_edges = {
-        e: tuple(range(s, s + k + 1))
-        for e, (s, k) in enumerate(zip(first.tolist(), cuts.tolist()))
-    }
-    crossing_vertices = tuple(
-        (n + i, r.point, r.e1, r.e2) for i, r in enumerate(proper)
-    )
 
     graph = GeometricGraph(
         np.concatenate([g.xy, pts]), eu, ev,
         g.edge_weight[owner] * (t1 - t0), g.edge_level[owner],
         meta={"planarized_from": g.meta.get("source", "graph")},
     )
-    out = PlanarizedGraph(graph, g, crossing_vertices, split_edges)
     if verify:
-        leftover = proper_only(find_crossings(graph))
+        _, _, kind, _, _ = _contacts(graph, *_cell_candidates(graph), junctions=False)
+        leftover = np.count_nonzero(kind == KINDS.index(PROPER))
         if leftover:
-            raise InvariantViolation(
-                f"planarization left {len(leftover)} proper crossings"
-            )
-    return out
+            raise InvariantViolation(f"planarization left {leftover} proper crossings")
+    return PlanarizedGraph(graph, g, proper, off)

@@ -17,6 +17,7 @@ counted over the pair index.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -225,30 +226,43 @@ def exceptional_decomposition(system: DiskSystem, k: int) -> ExceptionalSplit:
 
     c, r = system.centers, system.radii
     indptr, nbr = system.pair_adjacency()
-    deg = np.diff(indptr).astype(np.int64)
-    full_deg = deg.copy()
+    full_deg = np.diff(indptr)
+    deg = full_deg.copy()
     active = np.ones(n, dtype=bool)
+    # Live positions per ply value; top falls to the largest live ply.
+    count = np.bincount(ply)
+    top = len(count) - 1
+    # Min-heap of keys -degree * n + position, one per live position: the
+    # top is the largest degree, lowest position on ties.  A key whose
+    # degree has since fallen is re-pushed when it reaches the top.  Sorted,
+    # the initial list is a heap.
+    heap = np.sort(np.arange(n) - full_deg * n).tolist()
     removed = []
-    while True:
-        live = np.flatnonzero(active)
-        if len(live) == 0 or ply[live].max() <= k:
-            residual = int(ply[live].max()) if len(live) else 0
-            break
-        # Largest current intersection degree, lowest position on ties.
-        pick = int(live[np.argmax(deg[live])])
+    while top > k:
+        d, pick = divmod(heapq.heappop(heap), n)
+        if -d != deg[pick]:
+            heapq.heappush(heap, pick - int(deg[pick]) * n)
+            continue
         active[pick] = False
         removed.append(pick)
+        count[ply[pick]] -= 1
         neigh = nbr[indptr[pick] : indptr[pick + 1]]
         deg[neigh] -= 1
         # pick's own center leaves with it; the others it covers are its
-        # partners' centers within r_pick.
-        d = np.hypot(c[neigh, 0] - c[pick, 0], c[neigh, 1] - c[pick, 1])
-        ply[neigh[d <= r[pick]]] -= 1
+        # live partners' centers within r_pick.
+        live = neigh[active[neigh]]
+        dist = np.hypot(c[live, 0] - c[pick, 0], c[live, 1] - c[pick, 1])
+        covered = live[dist <= r[pick]]
+        np.subtract.at(count, ply[covered], 1)
+        ply[covered] -= 1
+        np.add.at(count, ply[covered], 1)
+        while count[top] == 0 and top > 0:
+            top -= 1
     removed_ids = tuple(int(system.vertices[p]) for p in removed)
     max_deg = int(full_deg[removed].max()) if removed else 0
     budget = math.ceil(math.sqrt(n))
     return ExceptionalSplit(
-        removed_ids, residual, max_deg, len(removed) <= budget
+        removed_ids, top, max_deg, len(removed) <= budget
     )
 
 
@@ -324,15 +338,13 @@ def check_crossing_charges(g: GeometricGraph, system: DiskSystem, proper) -> Non
     """Raise InvariantViolation unless every proper crossing's near
     endpoints own the same or intersecting disks.
 
-    The near endpoint of an edge is the one closer to the crossing point,
-    the lower vertex id on ties.
+    ``proper`` is a CrossingTable of proper crossings.  The near endpoint of
+    an edge is the one closer to the crossing point, the lower vertex id on
+    ties.
     """
-    if not proper:
-        return
-    edges = np.array([(r.e1, r.e2) for r in proper], dtype=np.int64)
-    px, py = np.array([r.point for r in proper], dtype=np.float64).T
+    px, py = proper.x, proper.y
     near = []
-    for e in edges.T:
+    for e in (proper.e1, proper.e2):
         u, v = g.edge_u[e], g.edge_v[e]
         # float_power is libm pow, the rounding of a scalar ``** 2``.
         du = np.float_power(g.xy[u, 0] - px, 2) + np.float_power(g.xy[u, 1] - py, 2)
@@ -340,8 +352,8 @@ def check_crossing_charges(g: GeometricGraph, system: DiskSystem, proper) -> Non
         near.append(np.where((du < dv) | ((du == dv) & (u <= v)), u, v))
     bad = np.flatnonzero(_missing_pairs(system, *near))
     if len(bad):
-        r = proper[bad[0]]
-        a, b = sorted(int(x[bad[0]]) for x in near)
+        i = bad[0]
+        a, b = sorted(int(x[i]) for x in near)
         raise InvariantViolation(
-            f"crossing ({r.e1}, {r.e2}) near-endpoint disks ({a}, {b}) do not intersect"
+            f"crossing ({proper.e1[i]}, {proper.e2[i]}) near-endpoint disks ({a}, {b}) do not intersect"
         )

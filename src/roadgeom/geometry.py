@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 # Relative error bound for a float cross-product determinant (Shewchuk-style
 # static filter: |det| above this multiple of the magnitude sum is trusted).
 _ORIENT_EPS = 8.0 * 2.0**-52
@@ -30,6 +32,16 @@ def orient(ax, ay, bx, by, cx, cy):
     if det < -bound:
         return -1
     return orient_exact(ax, ay, bx, by, cx, cy)
+
+
+def orient_filtered(ax, ay, bx, by, cx, cy):
+    """``orient`` elementwise on arrays where the float filter is sure of the
+    sign, else 0: undecided, for the exact test to settle."""
+    detleft = (bx - ax) * (cy - ay)
+    detright = (by - ay) * (cx - ax)
+    det = detleft - detright
+    sure = np.abs(det) > _ORIENT_EPS * (np.abs(detleft) + np.abs(detright))
+    return np.where(sure, np.sign(det), 0.0)
 
 
 def orient_exact(ax, ay, bx, by, cx, cy):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import roadgeom as rg
 from roadgeom import crossings as cr
-from roadgeom.errors import ConfigError, DegeneracyError
-from roadgeom.geometry import COLLINEAR_OVERLAP, ENDPOINT_TOUCH, PROPER, segment_contact
+from roadgeom.errors import ConfigError, DegeneracyError, InvariantViolation
+from roadgeom.geometry import COLLINEAR_OVERLAP, ENDPOINT_TOUCH, PROPER, orient_filtered, segment_contact
 
 import oracles
 
@@ -44,7 +44,7 @@ class TestFindCrossings:
         g = rg.GeometricGraph.build(
             [(0, 0), (1, 0), (0, 1)], [(0, 1, 1, 4), (0, 2, 1, 4)]
         )
-        assert cr.find_crossings(g) == []
+        assert len(cr.find_crossings(g)) == 0
 
     def test_t_junction_is_touch(self):
         g = rg.GeometricGraph.build(
@@ -91,6 +91,32 @@ class TestFindCrossings:
             assert side - 1 <= count <= 2 * (side - 1)
 
 
+class TestCrossingTable:
+    def test_columns_and_rows(self):
+        g = lattice_with_wide_segments()
+        t = cr.find_crossings(g)
+        assert list(vars(t)) == ["e1", "e2", "x", "y", "level_lo", "level_hi", "kind"]
+        assert [c.dtype for c in vars(t).values()] == [np.int64] * 2 + [np.float64] * 2 + [np.int64] * 2 + [np.int8]
+        rows = list(t)
+        assert len(rows) == len(t) and rows[0] == t[0] and rows[-1] == t[-1]
+        for i, r in enumerate(rows):
+            assert (r.e1, r.e2) == (t.e1[i], t.e2[i]) and r.point == (t.x[i], t.y[i])
+            assert r.level_pair == (t.level_lo[i], t.level_hi[i]) and r.kind == cr.KINDS[t.kind[i]]
+        # Rows rebuild the same table; a mask selects a sub-table.
+        again = cr._table(rows)
+        assert all(np.array_equal(u, v) and u.dtype == v.dtype for u, v in zip(vars(t).values(), vars(again).values()))
+        touch = t[t.kind == cr.KINDS.index(ENDPOINT_TOUCH)]
+        assert 0 < len(touch) < len(t) and {r.kind for r in touch} == {ENDPOINT_TOUCH}
+
+    def test_empty_inputs(self):
+        assert not cr.proper_only([]) and len(cr.proper_only([])) == 0
+        assert len(list(cr.proper_only([]))) == 0
+        g = rg.gen_gotham(6, 0, seed=0)
+        p = cr.planarize(g, [])
+        assert p.graph == g and len(p.crossing_vertices) == 0
+        assert np.array_equal(p.split_edges, np.arange(g.m + 1))
+
+
 class TestHistogram:
     def test_empty(self):
         assert cr.crossing_histogram([]) == {}
@@ -105,6 +131,7 @@ class TestHistogram:
         assert sum(hist.values()) == len(prop)
         assert set(hist) <= {(1, 4), (1, 1)}
         assert hist[(1, 4)] > 0
+        assert hist == cr.crossing_histogram(list(prop))
 
 
 class TestPlanarize:
@@ -113,7 +140,7 @@ class TestPlanarize:
         recs = cr.find_crossings(g)
         p = cr.planarize(g, recs)
         assert p.graph == g
-        assert p.crossing_vertices == ()
+        assert len(p.crossing_vertices) == 0
 
     def test_single_x(self):
         g = rg.GeometricGraph.build(
@@ -121,23 +148,51 @@ class TestPlanarize:
         )
         p = cr.planarize(g, cr.find_crossings(g))
         assert p.graph.n == 5 and p.graph.m == 4
-        assert p.crossing_vertices[0][0] == 4
+        # Crossing row 0 is vertex n + 0, at its point.
+        (row,) = p.crossing_vertices
+        assert (row.e1, row.e2) == (0, 1) and tuple(p.graph.xy[4]) == row.point == (0.5, 0.5)
         # Chains preserve weight proportionally and inherit the level.
-        chain = p.split_edges[0]
-        assert sum(p.graph.edge_weight[list(chain)]) == pytest.approx(2.0)
-        assert all(p.graph.edge_level[list(chain)] == 4)
+        chain = np.arange(p.split_edges[0], p.split_edges[1])
+        assert sum(p.graph.edge_weight[chain]) == pytest.approx(2.0)
+        assert all(p.graph.edge_level[chain] == 4)
 
     def test_gotham_self_check(self, gotham_small):
         recs = cr.find_crossings(gotham_small)
         prop = cr.proper_only(recs)
         p = cr.planarize(gotham_small, recs, verify=True)
         assert p.graph.n == gotham_small.n + len(prop)
-        assert cr.proper_only(cr.find_crossings(p.graph)) == []
+        assert len(cr.proper_only(cr.find_crossings(p.graph))) == 0
+
+    def test_leftover_crossing_is_caught(self, gotham_small):
+        recs = cr.find_crossings(gotham_small)
+        proper = np.flatnonzero(recs.kind == cr.KINDS.index(PROPER))
+        assert len(proper) > 1
+        for drop in (proper[0], proper[len(proper) // 2]):
+            planted = recs[np.arange(len(recs)) != drop]
+            with pytest.raises(InvariantViolation, match="planarization left 1 proper crossings"):
+                cr.planarize(gotham_small, planted, verify=True)
+            cr.planarize(gotham_small, planted, verify=False)
+        with pytest.raises(InvariantViolation, match=f"left {len(proper)} proper"):
+            cr.planarize(gotham_small, [], verify=True)
+
+    def test_near_crossing_is_caught(self):
+        # The second edge's top end lies one ulp above the first edge's line,
+        # where the float filter cannot decide; the exact test finds the
+        # proper crossing.
+        top = np.nextafter(1.0, 2.0)
+        g = segments_graph([((0, 0), (6, 2)), ((3, top), (3.5, 0))])
+        assert orient_filtered(*(np.array([float(v)]) for v in (0, 0, 6, 2, 3, top)))[0] == 0
+        recs = cr.find_crossings(g)
+        assert [(r.e1, r.e2, r.kind) for r in recs] == [(0, 1, PROPER)]
+        with pytest.raises(InvariantViolation, match="planarization left 1 proper crossings"):
+            cr.planarize(g, [], verify=True)
+        assert cr.planarize(g, recs, verify=True).graph.n == 5
 
     def test_chain_concatenates_geometrically(self, gotham_small):
         recs = cr.find_crossings(gotham_small)
         p = cr.planarize(gotham_small, recs)
-        for e, chain in p.split_edges.items():
+        for e in range(gotham_small.m):
+            chain = range(p.split_edges[e], p.split_edges[e + 1])
             u = int(gotham_small.edge_u[e])
             v = int(gotham_small.edge_v[e])
             assert int(p.graph.edge_u[chain[0]]) == u or int(p.graph.edge_v[chain[0]]) == u
@@ -164,19 +219,23 @@ class TestPlanarize:
             ((0, 0), (2, 2)), ((0, 2), (2, 0)), ((0, 1), (2, 1)),
             ((5, 5), (6, 6)), ((5, 6), (6, 5)),
         ])
-        recs = cr.find_crossings(g) + [cr.CrossingRecord(3, 4, (6.0, 6.0), (4, 4), PROPER)]
+        recs = list(cr.find_crossings(g)) + [cr.CrossingRecord(3, 4, (6.0, 6.0), (4, 4), PROPER)]
         with pytest.raises(DegeneracyError, match=r"crossing \(3, 4\) lies numerically on an"):
             cr.planarize(g, recs)
 
     def test_split_edges_cover_every_sub_edge_once(self, gotham_small):
         recs = cr.find_crossings(gotham_small)
         p = cr.planarize(gotham_small, recs)
-        assert sorted(p.split_edges) == list(range(gotham_small.m))
-        subs = [i for chain in p.split_edges.values() for i in chain]
-        assert subs == list(range(p.graph.m))
-        for e, chain in p.split_edges.items():
-            total = sum(p.graph.edge_weight[list(chain)])
-            assert total == pytest.approx(gotham_small.edge_weight[e])
+        off = p.split_edges
+        assert off.dtype == np.int64 and len(off) == gotham_small.m + 1
+        assert off[0] == 0 and off[-1] == p.graph.m
+        # One sub-edge per edge plus one per crossing on it.
+        prop = cr.proper_only(recs)
+        cuts = np.bincount(np.concatenate([prop.e1, prop.e2]), minlength=gotham_small.m)
+        assert np.array_equal(np.diff(off), cuts + 1) and cuts.max() > 1
+        owner = np.repeat(np.arange(gotham_small.m), np.diff(off))
+        totals = np.bincount(owner, weights=p.graph.edge_weight, minlength=gotham_small.m)
+        assert totals == pytest.approx(gotham_small.edge_weight, rel=1e-12)
 
     def test_collinear_overlap_rejected(self):
         g = rg.GeometricGraph.build(
@@ -319,7 +378,7 @@ class TestWindowedOracleAtScale:
         g, recs = big
         p = cr.planarize(g, recs, verify=True)
         assert p.graph.n == g.n + len(cr.proper_only(recs))
-        assert cr.proper_only(cr.find_crossings(p.graph)) == []
+        assert len(cr.proper_only(cr.find_crossings(p.graph))) == 0
 
 
 int_coord = st.integers(min_value=-6, max_value=6)
