@@ -3,11 +3,13 @@
 
 Reports, per network: the max hop distance between centers of intersecting
 disks with and without axis shortcuts (searches cut off at a depth budget),
-and the max component count among each disk's smaller neighbors.
+and the max component count among each disk's smaller neighbors, with the
+wall time of the hop-distance check.
 """
 
 import argparse
 import csv
+import time
 
 from roadgeom import crossings, gen_gotham
 from roadgeom.augment import clustering_check, grid_augment, neighborly_check
@@ -27,13 +29,16 @@ def main():
         w = csv.writer(handle, lineterminator="\n")
         w.writerow(
             ["network", "n", "max_hops_augmented", "max_hops_plain",
-             "plain_truncated", "max_components"]
+             "plain_truncated", "max_components", "neighborly_s"]
         )
         for side in (int(s) for s in args.sides.split(",") if s):
             g = gen_gotham(side, args.expressways, args.seed)
             system = build_disk_system(g)
             planar = crossings.planarize(g, crossings.find_crossings(g))
-            rep = neighborly_check(grid_augment(planar), system, cutoff=args.cutoff)
+            aug = grid_augment(planar)
+            start = time.perf_counter()
+            rep = neighborly_check(aug, system, cutoff=args.cutoff)
+            seconds = time.perf_counter() - start
             clus = clustering_check(system)
             w.writerow(
                 [
@@ -43,11 +48,13 @@ def main():
                     rep.max_hops_plain,
                     int(rep.plain_truncated),
                     clus.max_components,
+                    f"{seconds:.3f}",
                 ]
             )
             print(
                 f"gotham-{side}: hops aug={rep.max_hops_augmented} "
-                f"plain={rep.max_hops_plain} components={clus.max_components}"
+                f"plain={rep.max_hops_plain} components={clus.max_components} "
+                f"neighborly={seconds:.2f}s"
             )
     print(f"-> {args.out}")
 

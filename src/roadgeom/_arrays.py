@@ -63,6 +63,18 @@ def grid_join(query_xy, site_xy, cell):
     return qi, order[concat_ranges(starts.ravel(), counts.ravel())]
 
 
+def arcs_csr(n, tail, head):
+    """CSR of the directed arcs tail[k] -> head[k] on n vertices.
+
+    Returns (indptr, head, arc): each vertex lists its arcs in arc order,
+    and ``arc`` holds their indices.
+    """
+    arc = np.argsort(tail, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tail, minlength=n), out=indptr[1:])
+    return indptr, np.asarray(head)[arc], arc
+
+
 def csr(n, u, v):
     """CSR of the undirected edges (u[k], v[k]) on n vertices.
 
@@ -71,8 +83,28 @@ def csr(n, u, v):
     ``slot`` is 2k where edge k is seen from u[k] and 2k + 1 where it is
     seen from v[k], so ``slot >> 1`` is the edge index.
     """
-    ends = np.column_stack([u, v]).ravel()
-    slot = np.argsort(ends, kind="stable")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(ends, minlength=n), out=indptr[1:])
-    return indptr, np.column_stack([v, u]).ravel()[slot], slot
+    return arcs_csr(n, np.column_stack([u, v]).ravel(), np.column_stack([v, u]).ravel())
+
+
+def components(n, u, v) -> np.ndarray:
+    """Component label of each of n vertices under the undirected edges
+    (u[k], v[k]): the smallest vertex id of its component.
+
+    Each round hooks the larger label of every edge joining two labels under
+    the smaller one (labels only ever fall), then pointer jumping flattens
+    the label forest; it ends when no edge joins two labels.
+    """
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    label = np.arange(n, dtype=np.int64)
+    while True:
+        lu, lv = label[u], label[v]
+        differ = lu != lv
+        if not differ.any():
+            return label
+        lu, lv = lu[differ], lv[differ]
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped

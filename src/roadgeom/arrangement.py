@@ -15,11 +15,13 @@ ordered by signed curvature where tangent directions coincide.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .augment import ClusteringReport
+from ._arrays import components, sorted_unique
+from .augment import ClusteringReport, smaller_neighbor_components
 from .disks import DiskSystem, covering_counts
 from .errors import DegeneracyError, InvariantViolation
 from .geometry import circle_circle_points
@@ -70,20 +72,9 @@ class CircleArrangement:
 
     @property
     def component_count(self) -> int:
-        parent = {c: c for c in self.rings}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for v in self.vertices:
-            if not v.is_sentinel:
-                a, b = find(v.circles[0]), find(v.circles[1])
-                if a != b:
-                    parent[a] = b
-        return len({find(c) for c in parent})
+        joined = np.array([v.circles for v in self.vertices if not v.is_sentinel], dtype=np.int64).reshape(-1, 2)
+        label = components(len(self.radii), joined[:, 0], joined[:, 1])
+        return len(sorted_unique(label[list(self.rings)]))
 
     def angle_on(self, vid: int, circle: int) -> float:
         x, y = self.vertices[vid].point
@@ -210,16 +201,11 @@ def _add_sentinels(system, vertices, rings):
 
 
 def _sorted_ring(arr, c, ring):
-    ring.sort(key=lambda vid: arr_angle(arr, vid, c))
+    ring.sort(key=lambda vid: arr.angle_on(vid, c))
     for a, b in zip(ring, ring[1:]):
-        if arr_angle(arr, a, c) == arr_angle(arr, b, c):
+        if arr.angle_on(a, c) == arr.angle_on(b, c):
             raise DegeneracyError(f"concurrent intersection points on circle {c}")
     return ring
-
-
-def arr_angle(holder, vid, c):
-    x, y = holder.vertices[vid].point
-    return math.atan2(y - holder.centers[c, 1], x - holder.centers[c, 0])
 
 
 def build_naive(system: DiskSystem) -> CircleArrangement:
@@ -257,7 +243,6 @@ def build_inductive(
     """
     if len(clustering.component_counts) != len(system):
         raise InvariantViolation("clustering report does not match the system")
-    indptr, nbr = system.pair_adjacency()
     order = sorted(range(len(system)), key=lambda i: (system.radii[i], i))
     live = [i for i in order if system.radii[i] > 0]
     rings: dict[int, list[int]] = {c: [] for c in live}
@@ -266,11 +251,11 @@ def build_inductive(
 
     def insert(c, vid):
         ring = rings[c]
-        ang = arr_angle(holder, vid, c)
+        ang = holder.angle_on(vid, c)
         lo, hi = 0, len(ring)
         while lo < hi:
             mid = (lo + hi) // 2
-            other = arr_angle(holder, ring[mid], c)
+            other = holder.angle_on(ring[mid], c)
             if other == ang:
                 raise DegeneracyError(f"concurrent intersection points on circle {c}")
             if other < ang:
@@ -279,24 +264,20 @@ def build_inductive(
                 hi = mid
         ring.insert(lo, vid)
 
+    components_of = smaller_neighbor_components(system)
     for v in order:
-        smaller = [
-            int(w)
-            for w in nbr[indptr[v] : indptr[v + 1]]
-            if (system.radii[w], int(w)) < (system.radii[v], v)
-        ]
-        components = _components_of(smaller, indptr, nbr)
-        if len(components) != int(clustering.component_counts[v]):
+        comps = components_of[v]
+        if len(comps) != int(clustering.component_counts[v]):
             raise InvariantViolation(
                 f"clustering report claims {clustering.component_counts[v]} "
-                f"components at vertex {v}, found {len(components)}"
+                f"components at vertex {v}, found {len(comps)}"
             )
         if system.radii[v] <= 0:
             continue
         # Intersect v's circle with each component; the component's entry
         # point is its minimum-angle vertex as seen from v's center.
         spliced = []
-        for comp in components:
+        for comp in comps:
             found = []
             for w in comp:
                 if system.radii[w] <= 0:
@@ -312,9 +293,7 @@ def build_inductive(
             spliced.append((entry, found))
         spliced.sort(key=lambda item: item[0])
         for _, found in spliced:
-            tangent_pairs = {}
-            for p, w in found:
-                tangent_pairs[w] = tangent_pairs.get(w, 0) + 1
+            tangent_pairs = Counter(w for _, w in found)
             for p, w in found:
                 vid = len(vertices)
                 vertices.append(
@@ -326,28 +305,6 @@ def build_inductive(
                 insert(w, vid)
     _add_sentinels(system, vertices, rings)
     return holder
-
-
-def _components_of(members, indptr, nbr):
-    member_set = set(members)
-    seen = set()
-    comps = []
-    for start in members:
-        if start in seen:
-            continue
-        comp = []
-        stack = [start]
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in nbr[indptr[u] : indptr[u + 1]]:
-                w = int(w)
-                if w in member_set and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
 
 
 @dataclass(frozen=True)

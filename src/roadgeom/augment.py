@@ -10,11 +10,11 @@ measures, but they never participate in routing.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._arrays import arcs_csr, components, concat_ranges
 from .crossings import PlanarizedGraph
 from .disks import DiskSystem
 from .errors import ConfigError
@@ -29,15 +29,13 @@ class MixedAugmentedGraph:
     shortcuts: tuple  # (origin, target, direction)
 
     def out_neighbors(self):
-        """Per-vertex out-neighbor lists: undirected base edges plus
-        directed shortcuts."""
-        out = [[] for _ in range(self.base.n)]
-        for e in self.base.edges():
-            out[e.u].append(e.v)
-            out[e.v].append(e.u)
-        for origin, target, _ in self.shortcuts:
-            out[origin].append(target)
-        return out
+        """Directed CSR (indptr, neighbor): each vertex lists its base
+        neighbors in edge order, then its shortcut targets."""
+        g = self.base
+        arcs = np.array([(o, t) for o, t, _ in self.shortcuts], dtype=np.int64).reshape(-1, 2)
+        tail = np.concatenate([np.column_stack([g.edge_u, g.edge_v]).ravel(), arcs[:, 0]])
+        head = np.concatenate([np.column_stack([g.edge_v, g.edge_u]).ravel(), arcs[:, 1]])
+        return arcs_csr(g.n, tail, head)[:2]
 
 
 @dataclass(frozen=True)
@@ -56,26 +54,31 @@ class ClusteringReport:
 
 
 class _SlabIndex:
-    """1-D uniform slabs over an interval coordinate; an edge registers in
-    every slab its interval overlaps."""
+    """1-D uniform slabs over an interval coordinate.  An edge registers in
+    every slab its interval overlaps, unless that is more than m slabs: such
+    a wide edge is a candidate for every query instead."""
 
     def __init__(self, lo, hi):
-        self.lo = lo
-        self.hi = hi
         spans = hi - lo
         positive = spans[spans > 0]
         self.width = max(float(np.median(positive)) if len(positive) else 1.0, 1e-12)
-        self.buckets: dict[int, list[int]] = {}
-        for e in range(len(lo)):
-            for s in range(
-                int(math.floor(lo[e] / self.width)),
-                int(math.floor(hi[e] / self.width)) + 1,
-            ):
-                self.buckets.setdefault(s, []).append(e)
-        self.buckets = {k: np.asarray(v, dtype=np.int64) for k, v in self.buckets.items()}
+        first, last = np.floor(lo / self.width), np.floor(hi / self.width)
+        # Written so that NaN and inf fail the test too.
+        if not np.abs(np.concatenate([first, last])).max(initial=0.0) < 2.0**53:
+            raise ConfigError("coordinate range too large for the slab index")
+        count = last - first + 1
+        narrow = count <= len(lo)
+        self.wide = np.flatnonzero(~narrow)
+        count = count[narrow].astype(np.int64)
+        slab = concat_ranges(first[narrow].astype(np.int64), count)
+        order = np.argsort(slab, kind="stable")
+        keys, starts = np.unique(slab[order], return_index=True)
+        edges = np.repeat(np.flatnonzero(narrow), count)[order]
+        self.buckets = dict(zip(keys.tolist(), np.split(edges, starts[1:])))
 
     def candidates(self, q):
-        return self.buckets.get(int(math.floor(q / self.width)))
+        bucket = self.buckets.get(math.floor(q / self.width), self.wide[:0])
+        return np.concatenate([bucket, self.wide]) if len(self.wide) else bucket
 
 
 def _first_hit(g, xs1, ys1, xs2, ys2, slab, v, vx, vy, direction):
@@ -83,11 +86,7 @@ def _first_hit(g, xs1, ys1, xs2, ys2, slab, v, vx, vy, direction):
     (edge, hit point) or None."""
     vertical = direction in ("up", "down")
     cand = slab.candidates(vx if vertical else vy)
-    if cand is None:
-        return None
     cand = cand[(g.edge_u[cand] != v) & (g.edge_v[cand] != v)]
-    if len(cand) == 0:
-        return None
     if vertical:
         a1, a2, b1, b2, q_axis, q_ray = xs1[cand], xs2[cand], ys1[cand], ys2[cand], vx, vy
     else:
@@ -160,23 +159,41 @@ def grid_augment(p: PlanarizedGraph) -> MixedAugmentedGraph:
     return MixedAugmentedGraph(g, tuple(shortcuts))
 
 
-def _bfs_hops(out, start, goal, cutoff):
-    """Hop count of the shortest out-edge path, or None past the cutoff."""
-    if start == goal:
-        return 0
-    seen = {start}
-    frontier = deque([(start, 0)])
-    while frontier:
-        u, d = frontier.popleft()
-        if d == cutoff:
-            continue
-        for w in out[u]:
-            if w == goal:
-                return d + 1
-            if w not in seen:
-                seen.add(w)
-                frontier.append((w, d + 1))
-    return None
+def _pair_hops(indptr, nbr, start, goal, cutoff):
+    """Hop count of the shortest path start[k] -> goal[k] for every k, or -1
+    when it is longer than ``cutoff`` or there is none.
+
+    One level-synchronous BFS per distinct start answers all of its goals;
+    it stops once every goal has a hop count or at depth ``cutoff``.  Goals
+    outside the start's (weakly) connected component get no search.
+    """
+    n = len(indptr) - 1
+    label = components(n, np.repeat(np.arange(n), np.diff(indptr)), nbr)
+    hops = np.full(len(start), -1, dtype=np.int64)
+    live = np.flatnonzero(label[start] == label[goal])
+    live = live[np.argsort(start[live], kind="stable")]
+    sources, first = np.unique(start[live], return_index=True)
+    ptr, adj = indptr.tolist(), nbr.tolist()
+    seen = [-1] * n
+    for source, group in zip(sources.tolist(), np.split(live, first[1:])):
+        goals = goal[group].tolist()
+        pending, found = set(goals) - {source}, {source: 0}
+        seen[source] = source
+        frontier, depth = [source], 0
+        while pending and frontier and depth < cutoff:
+            depth += 1
+            reached = []
+            for u in frontier:
+                for x in adj[ptr[u] : ptr[u + 1]]:
+                    if seen[x] != source:
+                        seen[x] = source
+                        reached.append(x)
+                        if x in pending:
+                            found[x] = depth
+                            pending.discard(x)
+            frontier = reached
+        hops[group] = [found.get(w, -1) for w in goals]
+    return hops
 
 
 def neighborly_check(
@@ -192,67 +209,75 @@ def neighborly_check(
         raise ConfigError("cutoff must be >= 1")
     if len(s) != a.base.n:
         raise ConfigError("disk system and graph vertex sets differ")
-    out_aug = a.out_neighbors()
-    out_plain = MixedAugmentedGraph(a.base, ()).out_neighbors()
-
-    max_aug = max_plain = 0
-    trunc_aug = trunc_plain = False
-    per_pair = []
-    for i, j in s.pairs:
-        v, w = int(s.vertices[i]), int(s.vertices[j])
-        worst_pair_aug = 0
-        for start, goal in ((v, w), (w, v)):
-            hops = _bfs_hops(out_aug, start, goal, cutoff)
-            if hops is None:
-                trunc_aug = True
-                hops = cutoff
-            max_aug = max(max_aug, hops)
-            worst_pair_aug = max(worst_pair_aug, hops)
-            hops_p = _bfs_hops(out_plain, start, goal, cutoff)
-            if hops_p is None:
-                trunc_plain = True
-                hops_p = cutoff
-            max_plain = max(max_plain, hops_p)
-        per_pair.append(((v, w), worst_pair_aug))
-    per_pair.sort(key=lambda item: (-item[1], item[0]))
+    n = a.base.n
+    v, w = s.vertices[s.pairs[:, 0]], s.vertices[s.pairs[:, 1]]
+    # Each pair is searched from its endpoint of larger disk degree, in the
+    # out-graph for one direction and in its reverse for the other, so the
+    # few wide disks answer all of their pairs and the rest search locally.
+    degree = np.bincount(np.concatenate([v, w]), minlength=n)
+    swap = degree[w] > degree[v]
+    hub, other = np.where(swap, w, v), np.where(swap, v, w)
+    indptr, nbr = a.out_neighbors()
+    reverse = arcs_csr(n, nbr, np.repeat(np.arange(n), np.diff(indptr)))[:2]
+    out_hops = _pair_hops(indptr, nbr, hub, other, cutoff)
+    in_hops = _pair_hops(*reverse, hub, other, cutoff)
+    # The plain graph is undirected: one direction covers both.
+    plain = _pair_hops(*a.base.adjacency()[:2], hub, other, cutoff)
+    cut_aug, cut_plain = (out_hops < 0) | (in_hops < 0), plain < 0
+    worst = np.maximum(out_hops, in_hops)
+    worst[cut_aug] = cutoff
+    plain[cut_plain] = cutoff
+    top = np.lexsort((w, v, -worst))[:10]
     return NeighborlyReport(
-        max_aug, max_plain, trunc_aug, trunc_plain, tuple(per_pair[:10])
+        int(worst.max(initial=0)),
+        int(plain.max(initial=0)),
+        bool(cut_aug.any()),
+        bool(cut_plain.any()),
+        tuple(((int(v[k]), int(w[k])), int(worst[k])) for k in top),
     )
+
+
+def smaller_neighbor_components(s: DiskSystem) -> list:
+    """Per position v: the connected components of the intersecting
+    neighbors of v that come before v in (radius, position) order.
+
+    Each component is a sorted position list; components appear in the
+    order their first member appears in v's pair-adjacency row.
+    """
+    n = len(s)
+    indptr, nbr = s.pair_adjacency()
+    owner = np.repeat(np.arange(n), np.diff(indptr))
+    r_own, r_nbr = s.radii[owner], s.radii[nbr]
+    smaller = (r_nbr < r_own) | ((r_nbr == r_own) & (nbr < owner))
+    sub_ptr = np.searchsorted(owner[smaller], np.arange(n + 1)).tolist()
+    members_of = nbr[smaller].tolist()
+    ptr, adj = indptr.tolist(), nbr.tolist()
+    mark = [-1] * n  # v while a member of v's set is still unvisited
+    out = []
+    for v in range(n):
+        members = members_of[sub_ptr[v] : sub_ptr[v + 1]]
+        for u in members:
+            mark[u] = v
+        comps = []
+        for first in members:
+            if mark[first] != v:
+                continue
+            mark[first] = -1
+            comp, stack = [], [first]
+            while stack:
+                u = stack.pop()
+                comp.append(u)
+                for x in adj[ptr[u] : ptr[u + 1]]:
+                    if mark[x] == v:
+                        mark[x] = -1
+                        stack.append(x)
+            comps.append(sorted(comp))
+        out.append(comps)
+    return out
 
 
 def clustering_check(s: DiskSystem) -> ClusteringReport:
     """Connected components among each disk's not-larger intersecting
     neighbors, ordered by (radius, position)."""
-    n = len(s)
-    indptr, nbr = s.pair_adjacency()
-    counts = np.zeros(n, dtype=np.int64)
-    stamp = np.full(n, -1, dtype=np.int64)
-    slot = np.zeros(n, dtype=np.int64)
-    for v in range(n):
-        members = [
-            int(w)
-            for w in nbr[indptr[v] : indptr[v + 1]]
-            if (s.radii[w], int(w)) < (s.radii[v], v)
-        ]
-        if not members:
-            counts[v] = 0
-            continue
-        for pos, w in enumerate(members):
-            stamp[w] = v
-            slot[w] = pos
-        parent = list(range(len(members)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for pos, w in enumerate(members):
-            for x in nbr[indptr[w] : indptr[w + 1]]:
-                if stamp[x] == v and slot[x] > pos:
-                    ra, rb = find(pos), find(int(slot[x]))
-                    if ra != rb:
-                        parent[ra] = rb
-        counts[v] = len({find(i) for i in range(len(members))})
-    return ClusteringReport(counts, int(counts.max()) if n else 0)
+    counts = np.array([len(c) for c in smaller_neighbor_components(s)], dtype=np.int64)
+    return ClusteringReport(counts, int(counts.max()) if len(counts) else 0)

@@ -42,7 +42,6 @@ from .graphs import (
 )
 
 GENERATORS = ("gotham", "rgg", "hubspoke")
-REPORT_METRICS = ("crossings", "ply", "sqrt_ply", "disk_degree", "clustering", "neighborly", "arrangement")
 
 
 def resolve_graph(spec: str, seed):
@@ -108,6 +107,35 @@ def _checked_crossings(g):
     return table, proper
 
 
+def _checked_system(g):
+    """build_disk_system(g), checked to hold every edge as a pair."""
+    system = disks_mod.build_disk_system(g)
+    disks_mod.check_edges_are_pairs(g, system)
+    return system
+
+
+def _neighborly(g, cutoff):
+    planar = crossings_mod.planarize(g, crossings_mod.find_crossings(g))
+    aug = augment_mod.grid_augment(planar)
+    origins = np.array([o for o, _, _ in aug.shortcuts], dtype=np.int64)
+    over = np.flatnonzero(np.bincount(origins) > 4)
+    if len(over):
+        raise InvariantViolation(f"vertex {over[0]} gained more than 4 shortcuts")
+    return augment_mod.neighborly_check(aug, _checked_system(g), cutoff=cutoff)
+
+
+def _arrangement(g, inductive):
+    system = _checked_system(g)
+    if inductive:
+        arr = arrangement_mod.build_inductive(system, augment_mod.clustering_check(system))
+    else:
+        arr = arrangement_mod.build_naive(system)
+    audit = arrangement_mod.complexity_audit(arr, system)
+    if not arr.euler_check():
+        raise InvariantViolation("arrangement fails the Euler relation")
+    return arr, audit
+
+
 def cmd_crossings(args) -> int:
     g = resolve_graph(args.graph, args.seed)
     table, proper = _checked_crossings(g)
@@ -125,9 +153,7 @@ def cmd_crossings(args) -> int:
 
 def cmd_ply(args) -> int:
     g = resolve_graph(args.graph, args.seed)
-    system = disks_mod.build_disk_system(g)
-    disks_mod.check_edges_are_pairs(g, system)
-    rep = disks_mod.ply_report(system)
+    rep = disks_mod.ply_report(_checked_system(g))
     handle, w = _writer(args)
     w.writerow(["n", "max_center_ply", "sqrt_n_th_ply", "max_disk_degree"])
     w.writerow([g.n, rep.max_center_ply, rep.kth_largest_center_ply, rep.max_disk_degree])
@@ -196,11 +222,7 @@ def cmd_voronoi(args) -> int:
 
 def cmd_neighborly(args) -> int:
     g = resolve_graph(args.graph, args.seed)
-    planar = crossings_mod.planarize(g, crossings_mod.find_crossings(g))
-    aug = augment_mod.grid_augment(planar)
-    _assert_shortcut_degree(aug)
-    system = disks_mod.build_disk_system(g)
-    rep = augment_mod.neighborly_check(aug, system, cutoff=args.cutoff)
+    rep = _neighborly(g, args.cutoff)
     handle, w = _writer(args)
     w.writerow(["n", "max_hops_augmented", "max_hops_plain", "augmented_truncated", "plain_truncated"])
     w.writerow([g.n, rep.max_hops_augmented, rep.max_hops_plain, int(rep.augmented_truncated), int(rep.plain_truncated)])
@@ -208,18 +230,9 @@ def cmd_neighborly(args) -> int:
     return 0
 
 
-def _assert_shortcut_degree(aug):
-    per_vertex = {}
-    for origin, _, _ in aug.shortcuts:
-        per_vertex[origin] = per_vertex.get(origin, 0) + 1
-        if per_vertex[origin] > 4:
-            raise InvariantViolation(f"vertex {origin} gained more than 4 shortcuts")
-
-
 def cmd_clustering(args) -> int:
     g = resolve_graph(args.graph, args.seed)
-    system = disks_mod.build_disk_system(g)
-    rep = augment_mod.clustering_check(system)
+    rep = augment_mod.clustering_check(_checked_system(g))
     handle, w = _writer(args)
     w.writerow(["n", "max_components"])
     w.writerow([g.n, rep.max_components])
@@ -229,55 +242,25 @@ def cmd_clustering(args) -> int:
 
 def cmd_arrangement(args) -> int:
     g = resolve_graph(args.graph, args.seed)
-    system = disks_mod.build_disk_system(g)
-    if args.inductive:
-        arr = arrangement_mod.build_inductive(system, augment_mod.clustering_check(system))
-        mode = "inductive"
-    else:
-        arr = arrangement_mod.build_naive(system)
-        mode = "naive"
-    audit = arrangement_mod.complexity_audit(arr, system)
-    if not arr.euler_check():
-        raise InvariantViolation("arrangement fails the Euler relation")
+    arr, audit = _arrangement(g, args.inductive)
+    mode = "inductive" if args.inductive else "naive"
     handle, w = _writer(args)
     w.writerow(["V", "E", "F", "C", "ratio", "mode"])
-    w.writerow(
-        [
-            arr.vertex_count,
-            arr.edge_count,
-            arr.face_count(),
-            arr.component_count,
-            _fmt(audit.per_vertex_ratio),
-            mode,
-        ]
-    )
+    w.writerow([arr.vertex_count, arr.edge_count, arr.face_count(), arr.component_count, _fmt(audit.per_vertex_ratio), mode])
     _close(handle)
     return 0
 
 
-def _report_metric(metric, g, seed, cutoff):
-    if metric == "crossings":
-        return len(_checked_crossings(g)[1])
-    system = disks_mod.build_disk_system(g)
-    disks_mod.check_edges_are_pairs(g, system)
-    if metric == "ply":
-        return disks_mod.ply_report(system).max_center_ply
-    if metric == "sqrt_ply":
-        return disks_mod.ply_report(system).kth_largest_center_ply
-    if metric == "disk_degree":
-        return disks_mod.ply_report(system).max_disk_degree
-    if metric == "clustering":
-        return augment_mod.clustering_check(system).max_components
-    if metric == "neighborly":
-        planar = crossings_mod.planarize(g, crossings_mod.find_crossings(g))
-        aug = augment_mod.grid_augment(planar)
-        _assert_shortcut_degree(aug)
-        return augment_mod.neighborly_check(aug, system, cutoff=cutoff).max_hops_augmented
-    arr = arrangement_mod.build_naive(system)
-    audit = arrangement_mod.complexity_audit(arr, system)
-    if not arr.euler_check():
-        raise InvariantViolation("arrangement fails the Euler relation")
-    return audit.per_vertex_ratio
+# metric -> value for one graph, through the code path of its subcommand.
+REPORT_METRICS = {
+    "crossings": lambda g, args: len(_checked_crossings(g)[1]),
+    "ply": lambda g, args: disks_mod.ply_report(_checked_system(g)).max_center_ply,
+    "sqrt_ply": lambda g, args: disks_mod.ply_report(_checked_system(g)).kth_largest_center_ply,
+    "disk_degree": lambda g, args: disks_mod.ply_report(_checked_system(g)).max_disk_degree,
+    "clustering": lambda g, args: augment_mod.clustering_check(_checked_system(g)).max_components,
+    "neighborly": lambda g, args: _neighborly(g, args.cutoff).max_hops_augmented,
+    "arrangement": lambda g, args: _arrangement(g, False)[1].per_vertex_ratio,
+}
 
 
 def cmd_report(args) -> int:
@@ -288,7 +271,7 @@ def cmd_report(args) -> int:
     if not sizes:
         raise ConfigError("empty size list (--sizes)")
     if args.metric not in REPORT_METRICS:
-        raise ConfigError(f"unknown metric {args.metric!r}; choose from {REPORT_METRICS}")
+        raise ConfigError(f"unknown metric {args.metric!r}; choose from {tuple(REPORT_METRICS)}")
     if args.gen not in GENERATORS:
         raise ConfigError(f"unknown generator {args.gen!r}; choose from {GENERATORS}")
     handle, w = _writer(args)
@@ -306,7 +289,7 @@ def cmd_report(args) -> int:
             ring = max(12, round(math.sqrt(size)))
             g = gen_hub_spoke(ring, args.spokes, args.seed)
             name = f"hubspoke-{ring}"
-        value = _report_metric(args.metric, g, args.seed, args.cutoff)
+        value = REPORT_METRICS[args.metric](g, args)
         value_str = str(value) if isinstance(value, int) else _fmt(value)
         w.writerow([name, g.n, value_str, _fmt(math.sqrt(g.n))])
     _close(handle)

@@ -328,3 +328,68 @@ class UnionFind:
 
     def component_count(self):
         return len({self.find(x) for x in self.parent})
+
+
+def _hops(out, start, goal, cutoff):
+    """Hop count of the shortest out-edge path start -> goal, or None when
+    it is longer than cutoff or there is none."""
+    frontier, seen, hops = {start}, {start}, 0
+    while goal not in seen:
+        if hops == cutoff or not frontier:
+            return None
+        hops += 1
+        frontier = {w for u in frontier for w in out[u] if w not in seen}
+        seen |= frontier
+    return hops
+
+
+def neighborly(g, system, shortcuts, cutoff):
+    """The neighborly report's five fields, one BFS per ordered disk pair.
+
+    Out-lists come from the graph's edge arrays plus the (origin, target,
+    direction) shortcuts; a pair past the cutoff counts as cutoff hops and
+    sets its graph's truncation flag.
+    """
+    plain = [set() for _ in range(g.n)]
+    for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()):
+        plain[u].add(v)
+        plain[v].add(u)
+    augmented = [set(s) for s in plain]
+    for origin, target, _ in shortcuts:
+        augmented[origin].add(target)
+    worst = {"aug": 0, "plain": 0}
+    truncated = {"aug": False, "plain": False}
+    per_pair = []
+    for i, j in system.pairs.tolist():
+        v, w = int(system.vertices[i]), int(system.vertices[j])
+        pair_worst = 0
+        for name, out in (("aug", augmented), ("plain", plain)):
+            for a, b in ((v, w), (w, v)):
+                hops = _hops(out, a, b, cutoff)
+                if hops is None:
+                    truncated[name], hops = True, cutoff
+                worst[name] = max(worst[name], hops)
+                if name == "aug":
+                    pair_worst = max(pair_worst, hops)
+        per_pair.append(((v, w), pair_worst))
+    per_pair.sort(key=lambda item: (-item[1], item[0]))
+    return worst["aug"], worst["plain"], truncated["aug"], truncated["plain"], tuple(per_pair[:10])
+
+
+def smaller_neighbor_component_counts(system):
+    """Per position v: components among the intersecting neighbors that
+    come before v in (radius, position) order, by union-find over the pairs."""
+    nbrs = [set() for _ in range(len(system))]
+    for i, j in system.pairs.tolist():
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    key = [(float(r), p) for p, r in enumerate(system.radii)]
+    counts = []
+    for v in range(len(system)):
+        members = {w for w in nbrs[v] if key[w] < key[v]}
+        uf = UnionFind(members)
+        for w in members:
+            for x in nbrs[w] & members:
+                uf.union(w, x)
+        counts.append(uf.component_count())
+    return counts

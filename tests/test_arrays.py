@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import roadgeom as rg
-from roadgeom._arrays import csr, grid_join
+from roadgeom._arrays import components, csr, grid_join
 from roadgeom.disks import build_disk_system
 from roadgeom.errors import ConfigError
+
+import oracles
 
 
 def cursor_csr(n, u, v):
@@ -100,3 +102,37 @@ class TestGridJoin:
             build_disk_system(g)
         with pytest.raises(ConfigError, match="grid join"):
             grid_join([[0.0, 0.0]], [[2.0**60, 0.0]], 1.0)
+
+
+def assert_components_match(n, u, v):
+    uf = oracles.UnionFind(range(n))
+    for a, b in zip(u, v):
+        uf.union(int(a), int(b))
+    want = [min(x for x in range(n) if uf.find(x) == uf.find(y)) for y in range(n)]
+    assert components(n, u, v).tolist() == want
+
+
+class TestComponents:
+    def test_no_edges(self):
+        assert_components_match(4, [], [])
+        assert_components_match(0, [], [])
+
+    def test_isolated_vertices_and_self_loops(self):
+        assert_components_match(7, [5, 2, 6, 3], [2, 5, 6, 5])
+
+    def test_path_in_falling_order(self):
+        # Hooking builds one long label chain for pointer jumping to flatten.
+        n = 200
+        assert_components_match(n, np.arange(n - 1, 0, -1), np.arange(n - 2, -1, -1))
+
+    def test_random_multigraph(self):
+        rng = np.random.default_rng(11)
+        for edges in (10, 60, 300):
+            u = rng.integers(0, 120, size=edges)
+            v = rng.integers(0, 120, size=edges)
+            assert_components_match(130, u, v)
+
+    def test_graph_fixtures(self, rgg_medium, hub_small):
+        for g in (rgg_medium, hub_small, rg.gen_random_geometric(200, 0.06, seed=1)):
+            assert_components_match(g.n, g.edge_u, g.edge_v)
+

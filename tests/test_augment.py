@@ -1,8 +1,11 @@
+import time
+
 import numpy as np
 
 import roadgeom as rg
 from roadgeom import crossings as cr
-from roadgeom.augment import clustering_check, grid_augment, neighborly_check
+from roadgeom._arrays import components
+from roadgeom.augment import NeighborlyReport, clustering_check, grid_augment, neighborly_check
 from roadgeom.disks import DiskSystem, build_disk_system
 
 import oracles
@@ -14,6 +17,22 @@ def planarized(g):
 
 def shortcut_map(aug):
     return {(o, d): t for o, t, d in aug.shortcuts}
+
+
+def parallel_roads():
+    """Two horizontal roads, vertically close, never connected."""
+    pts = [(float(i), 0.0) for i in range(4)] + [(float(i), 0.9) for i in range(4)]
+    edges = [(i, i + 1, 1.0, 4) for i in range(3)]
+    edges += [(4 + i, 5 + i, 1.0, 4) for i in range(3)]
+    return rg.GeometricGraph.build(pts, edges)
+
+
+def one_way_shortcut():
+    """A short vertical road above a long horizontal one: the lower end's
+    down ray reaches the long road, whose up rays miss the short one."""
+    pts = [(5.5, 0.3), (5.5, 1.3)] + [(float(i), 0.0) for i in range(11)]
+    edges = [(0, 1, 1.0, 4)] + [(2 + i, 3 + i, 1.0, 4) for i in range(10)]
+    return rg.GeometricGraph.build(pts, edges)
 
 
 class TestGridAugment:
@@ -53,6 +72,21 @@ class TestGridAugment:
         aug = grid_augment(planarized(rgg_small))
         assert shortcut_map(aug) == oracles.ray_shoot_all(rgg_small)
 
+    def test_wide_edges_match_oracle_quickly(self):
+        # 200 unit edges (ten rows of 20) plus one horizontal and one
+        # vertical edge of span 1e9: registering those in every slab they
+        # span would take hours.
+        pts = [(float(x), 2.0 * row) for row in range(10) for x in range(21)]
+        edges = [(21 * row + x, 21 * row + x + 1, 1.0, 4) for row in range(10) for x in range(20)]
+        pts += [(-10.0, -5.0), (1e9, -5.0), (-20.0, -10.0), (-20.0, 1e9)]
+        edges += [(210, 211, 1e9, 1), (212, 213, 1e9, 1)]
+        g = rg.GeometricGraph.build(pts, edges)
+        p = planarized(g)
+        start = time.perf_counter()
+        aug = grid_augment(p)
+        assert time.perf_counter() - start < 1.0
+        assert shortcut_map(aug) == oracles.ray_shoot_all(g)
+
     def test_ray_through_vertex_counts_as_hit(self):
         # The up ray passes exactly through vertex (0, 1) of edge (1)-(2).
         g = rg.GeometricGraph.build(
@@ -71,12 +105,9 @@ class TestNeighborly:
         assert rep.max_hops_plain == 1
 
     def test_parallel_roads_need_shortcuts(self):
-        # Two horizontal roads, vertically close, never connected: plain
-        # search hits the cutoff, augmented search jumps across in <= 2 hops.
-        pts = [(float(i), 0.0) for i in range(4)] + [(float(i), 0.9) for i in range(4)]
-        edges = [(i, i + 1, 1.0, 4) for i in range(3)]
-        edges += [(4 + i, 5 + i, 1.0, 4) for i in range(3)]
-        g = rg.GeometricGraph.build(pts, edges)
+        # Plain search hits the cutoff, augmented search jumps across the
+        # two roads in <= 2 hops.
+        g = parallel_roads()
         s = build_disk_system(g)
         cross_pairs = [
             (int(i), int(j)) for i, j in s.pairs if (int(i) < 4) != (int(j) < 4)
@@ -88,31 +119,37 @@ class TestNeighborly:
         assert not rep.augmented_truncated
         assert rep.max_hops_augmented <= 3
 
-    def test_matches_bfs_oracle(self, gotham_small):
-        s = build_disk_system(gotham_small)
+    def test_matches_bfs_oracle(self, gotham_small, hub_small):
+        # The rgg has many components; the two roads have disk pairs whose
+        # centers the plain graph cannot connect at all; the one-way
+        # shortcut joins a pair in one direction only.
+        rgg = rg.gen_random_geometric(200, 0.06, seed=1)
+        assert len(set(components(rgg.n, rgg.edge_u, rgg.edge_v).tolist())) > 1
+        for g in (gotham_small, hub_small, rgg, parallel_roads(), one_way_shortcut()):
+            s = build_disk_system(g)
+            aug = grid_augment(planarized(g))
+            for cutoff in (1, 2, 5, 250):
+                rep = neighborly_check(aug, s, cutoff=cutoff)
+                want = oracles.neighborly(g, s, aug.shortcuts, cutoff)
+                assert rep == NeighborlyReport(*want), (g.n, cutoff)
+            if g is gotham_small:
+                # Shortcut contrast, reported only.
+                print(
+                    f"\nneighborly gotham-16x2: augmented {rep.max_hops_augmented} "
+                    f"vs plain {rep.max_hops_plain} (cutoff 250)"
+                )
+
+    def test_out_neighbors_csr(self, gotham_small):
         aug = grid_augment(planarized(gotham_small))
-        rep = neighborly_check(aug, s, cutoff=250)
-        out = aug.out_neighbors()
-        best = 0
-        for i, j in s.pairs:
-            for a, b in ((int(i), int(j)), (int(j), int(i))):
-                frontier = {a}
-                seen = {a}
-                hops = 0
-                while b not in seen and hops < 250:
-                    hops += 1
-                    frontier = {
-                        w for u in frontier for w in out[u] if w not in seen
-                    }
-                    seen |= frontier
-                best = max(best, hops)
-        assert rep.max_hops_augmented == best
-        # Shortcut contrast, reported only: augmented hops stay a small
-        # constant while the plain graph needs far longer detours.
-        print(
-            f"\nneighborly gotham-16x2: augmented {rep.max_hops_augmented} "
-            f"vs plain {rep.max_hops_plain} (cutoff 250)"
-        )
+        indptr, nbr = aug.out_neighbors()
+        want = [[] for _ in range(gotham_small.n)]
+        for u, v in zip(gotham_small.edge_u.tolist(), gotham_small.edge_v.tolist()):
+            want[u].append(v)
+            want[v].append(u)
+        for origin, target, _ in aug.shortcuts:
+            want[origin].append(target)
+        got = [nbr[indptr[v] : indptr[v + 1]].tolist() for v in range(gotham_small.n)]
+        assert got == want
 
 
 class TestClustering:
@@ -141,17 +178,4 @@ class TestClustering:
         g = rg.gen_random_geometric(150, 0.14, seed=12)
         s = build_disk_system(g)
         rep = clustering_check(s)
-        indptr, nbr = s.pair_adjacency()
-        for v in range(len(s)):
-            members = [
-                int(w)
-                for w in nbr[indptr[v] : indptr[v + 1]]
-                if (s.radii[w], int(w)) < (s.radii[v], v)
-            ]
-            uf = oracles.UnionFind(members)
-            mset = set(members)
-            for w in members:
-                for x in nbr[indptr[w] : indptr[w + 1]]:
-                    if int(x) in mset:
-                        uf.union(w, int(x))
-            assert rep.component_counts[v] == uf.component_count()
+        assert rep.component_counts.tolist() == oracles.smaller_neighbor_component_counts(s)

@@ -1,7 +1,7 @@
 import pytest
 
 import roadgeom as rg
-from roadgeom.cli import main, resolve_graph
+from roadgeom.cli import REPORT_METRICS, main, resolve_graph
 from roadgeom.errors import ConfigError
 
 
@@ -107,6 +107,36 @@ class TestSubcommands:
         lines = text.splitlines()
         assert lines[0] == "network,n,metric,sqrt_n"
         assert len(lines) == 3
+
+    def test_report_equals_subcommands(self, tmp_path):
+        # metric -> (subcommand, its CSV column); crossings reads the
+        # proper_total comment line.
+        column_of = {
+            "crossings": ("crossings", None),
+            "ply": ("ply", "max_center_ply"),
+            "sqrt_ply": ("ply", "sqrt_n_th_ply"),
+            "disk_degree": ("ply", "max_disk_degree"),
+            "clustering": ("clustering", "max_components"),
+            "neighborly": ("neighborly", "max_hops_augmented"),
+            "arrangement": ("arrangement", "ratio"),
+        }
+        assert set(column_of) == set(REPORT_METRICS)
+        for metric, (command, column) in column_of.items():
+            code, text = run(
+                tmp_path, "report", "--gen", "gotham", "--sizes", "64", "--metric", metric, "--seed", "3"
+            )
+            assert code == 0
+            assert text.splitlines()[1].startswith("gotham-8x8,")
+            reported = text.splitlines()[1].split(",")[2]
+            code, text = run(tmp_path, command, "gotham:side=8,express=4", "--seed", "3")
+            assert code == 0
+            if column is None:
+                line = next(x for x in text.splitlines() if x.startswith("# proper_total="))
+                want = line.split()[1].split("=")[1]
+            else:
+                header, row = text.splitlines()[:2]
+                want = row.split(",")[header.split(",").index(column)]
+            assert reported == want, metric
 
     def test_report_determinism(self, tmp_path):
         args = ["report", "--gen", "rgg", "--sizes", "200,400", "--metric", "ply", "--seed", "3"]

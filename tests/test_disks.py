@@ -6,6 +6,7 @@ import pytest
 
 import roadgeom as rg
 from roadgeom import crossings as cr
+from roadgeom.augment import clustering_check
 from roadgeom.disks import (
     DiskSystem,
     build_disk_system,
@@ -240,6 +241,10 @@ class TestPairIndexDerived:
         for c, r in zip(system.centers, system.radii):
             want += np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1]) <= r
         assert np.array_equal(covering_counts(system, pts), want)
+
+    def test_clustering_counts(self, system):
+        rep = clustering_check(system)
+        assert rep.component_counts.tolist() == oracles.smaller_neighbor_component_counts(system)
 
     def test_exceptional_removals(self, system):
         for k in (1, 2, 3):
