@@ -9,7 +9,6 @@ measures, but they never participate in routing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,77 +52,87 @@ class ClusteringReport:
     max_components: int
 
 
-class _SlabIndex:
-    """1-D uniform slabs over an interval coordinate.  An edge registers in
-    every slab its interval overlaps, unless that is more than m slabs: such
-    a wide edge is a candidate for every query instead."""
-
-    def __init__(self, lo, hi):
-        spans = hi - lo
-        positive = spans[spans > 0]
-        self.width = max(float(np.median(positive)) if len(positive) else 1.0, 1e-12)
-        first, last = np.floor(lo / self.width), np.floor(hi / self.width)
-        # Written so that NaN and inf fail the test too.
-        if not np.abs(np.concatenate([first, last])).max(initial=0.0) < 2.0**53:
-            raise ConfigError("coordinate range too large for the slab index")
-        count = last - first + 1
-        narrow = count <= len(lo)
-        self.wide = np.flatnonzero(~narrow)
-        count = count[narrow].astype(np.int64)
-        slab = concat_ranges(first[narrow].astype(np.int64), count)
-        order = np.argsort(slab, kind="stable")
-        keys, starts = np.unique(slab[order], return_index=True)
-        edges = np.repeat(np.flatnonzero(narrow), count)[order]
-        self.buckets = dict(zip(keys.tolist(), np.split(edges, starts[1:])))
-
-    def candidates(self, q):
-        bucket = self.buckets.get(math.floor(q / self.width), self.wide[:0])
-        return np.concatenate([bucket, self.wide]) if len(self.wide) else bucket
+# (ray, edge) candidates expanded at once: bounds the extra memory of
+# grid_augment, which would otherwise grow with n times the slab occupancy.
+_RAY_BLOCK = 2**14
 
 
-def _first_hit(g, xs1, ys1, xs2, ys2, slab, v, vx, vy, direction):
-    """First non-incident edge hit by the axis ray from v; returns
-    (edge, hit point) or None."""
-    vertical = direction in ("up", "down")
-    cand = slab.candidates(vx if vertical else vy)
-    cand = cand[(g.edge_u[cand] != v) & (g.edge_v[cand] != v)]
-    if vertical:
-        a1, a2, b1, b2, q_axis, q_ray = xs1[cand], xs2[cand], ys1[cand], ys2[cand], vx, vy
-    else:
-        a1, a2, b1, b2, q_axis, q_ray = ys1[cand], ys2[cand], xs1[cand], xs2[cand], vy, vx
-    inside = (np.minimum(a1, a2) <= q_axis) & (q_axis <= np.maximum(a1, a2))
-    cand, a1, a2, b1, b2 = cand[inside], a1[inside], a2[inside], b1[inside], b2[inside]
-    if len(cand) == 0:
-        return None
+def _axis_hits(g, a1, a2, b1, b2, qa, qr):
+    """Shortcuts of every vertex's two rays along one axis.
 
-    degenerate = a1 == a2  # edge collinear with the ray's axis line
-    with np.errstate(invalid="ignore", divide="ignore"):
-        t = (q_axis - a1) / (a2 - a1)
-    hit = b1 + t * (b2 - b1)
-    if degenerate.any():
-        fwd = direction in ("up", "right")
-        lo = np.minimum(b1, b2)
-        hi = np.maximum(b1, b2)
-        # First edge point along the ray: the origin itself if the edge
-        # straddles it, else the nearer endpoint; NaN when behind the ray.
-        straddle = (lo <= q_ray) & (q_ray <= hi)
-        along = np.where(straddle, q_ray, lo if fwd else hi)
-        along = np.where((hi < q_ray) if fwd else (lo > q_ray), np.nan, along)
-        hit = np.where(degenerate, along, hit)
-
-    if direction in ("up", "right"):
-        ok = hit >= q_ray
-    else:
-        ok = hit <= q_ray
-    ok &= np.isfinite(hit)
-    if not ok.any():
-        return None
-    cand, hit = cand[ok], hit[ok]
-    distance = np.abs(hit - q_ray)
-    order = np.lexsort((cand, distance))
-    e = int(cand[order[0]])
-    h = float(hit[order[0]])
-    return (e, (vx, h) if vertical else (h, vy))
+    Coordinate a runs across the rays and b along them: edge k spans
+    (a1[k], b1[k])-(a2[k], b2[k]) and vertex v sits at (qa[v], qr[v]).
+    Edges register in uniform slabs of a, of the median positive span; an
+    edge spanning more than m slabs is wide, a candidate of every ray.
+    Returns (origin, target) arrays for the rays of growing b, then for
+    those of falling b.
+    """
+    lo, hi = np.minimum(a1, a2), np.maximum(a1, a2)
+    spans = hi - lo
+    positive = spans[spans > 0]
+    width = max(float(np.median(positive)) if len(positive) else 1.0, 1e-12)
+    with np.errstate(over="ignore"):
+        first, last, ray_slab = np.floor(lo / width), np.floor(hi / width), np.floor(qa / width)
+    # Written so that NaN and inf fail the test too.
+    if not np.abs(np.concatenate([first, last])).max(initial=0.0) < 2.0**53:
+        raise ConfigError("coordinate range too large for the slab index")
+    count = last - first + 1
+    narrow = count <= len(lo)
+    wide = np.flatnonzero(~narrow)
+    count = count[narrow].astype(np.int64)
+    slab = concat_ranges(first[narrow].astype(np.int64), count)
+    order = np.argsort(slab, kind="stable")
+    keys, edges = slab[order].astype(np.float64), np.repeat(np.flatnonzero(narrow), count)[order]
+    # The ray's slab stays a float: a far-off vertex must miss every slab.
+    start = np.searchsorted(keys, ray_slab, "left")
+    count = np.searchsorted(keys, ray_slab, "right") - start
+    total = np.cumsum(count + len(wide))
+    found = ([(np.empty(0, np.int64),) * 2], [(np.empty(0, np.int64),) * 2])
+    v0 = 0
+    while v0 < len(qa):
+        # Whole rays, at most _RAY_BLOCK candidates unless one ray has more.
+        before = total[v0] - count[v0] - len(wide)
+        v1 = max(int(np.searchsorted(total, before + _RAY_BLOCK, "right")), v0 + 1)
+        v, c = np.arange(v0, v1), count[v0:v1]
+        ray = np.concatenate([np.repeat(v, c), np.repeat(v, len(wide))])
+        cand = np.concatenate([edges[concat_ranges(start[v0:v1], c)], np.tile(wide, len(v))])
+        # Non-incident edges whose a-interval holds the ray.
+        q = qa[ray]
+        keep = (g.edge_u[cand] != ray) & (g.edge_v[cand] != ray)
+        keep &= (lo[cand] <= q) & (q <= hi[cand])
+        ray, cand, q, at = ray[keep], cand[keep], q[keep], qr[ray[keep]]
+        e1, e2, f1, f2 = a1[cand], a2[cand], b1[cand], b2[cand]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            t = (q - e1) / (e2 - e1)
+        hit = f1 + t * (f2 - f1)
+        # An edge collinear with the ray's axis line is first met at the
+        # origin if it straddles it, else at its nearer endpoint; NaN when
+        # it lies behind the ray.
+        degenerate = e1 == e2
+        near, far = np.minimum(f1, f2), np.maximum(f1, f2)
+        straddle = (near <= at) & (at <= far)
+        for side, (entry, behind) in enumerate(((near, far < at), (far, near > at))):
+            along = np.where(behind, np.nan, np.where(straddle, at, entry))
+            h = np.where(degenerate, along, hit)
+            ok = ((h >= at) if side == 0 else (h <= at)) & np.isfinite(h)
+            r, e, h = ray[ok], cand[ok], h[ok]
+            # The nearest hit, then the lowest edge index among equals.
+            d, slot = np.abs(h - at[ok]), r - v0
+            best = np.full(len(v), np.inf)
+            np.minimum.at(best, slot, d)
+            tie = d == best[slot]
+            low = np.full(len(v), g.m)
+            np.minimum.at(low, slot[tie], e[tie])
+            win = tie & (e == low[slot])
+            r, e, h = r[win], e[win], h[win]
+            # The endpoint nearer the hit point, then the lower vertex id;
+            # float_power is the libm pow that a scalar ** 2 rounds with.
+            du = np.float_power(a1[e] - qa[r], 2) + np.float_power(b1[e] - h, 2)
+            dv = np.float_power(a2[e] - qa[r], 2) + np.float_power(b2[e] - h, 2)
+            u, w = g.edge_u[e], g.edge_v[e]
+            found[side].append((r, np.where((du < dv) | ((du == dv) & (u < w)), u, w)))
+        v0 = v1
+    return [tuple(map(np.concatenate, zip(*f))) for f in found]
 
 
 def grid_augment(p: PlanarizedGraph) -> MixedAugmentedGraph:
@@ -138,25 +147,15 @@ def grid_augment(p: PlanarizedGraph) -> MixedAugmentedGraph:
     """
     g = p.base
     xs1, ys1, xs2, ys2 = g.segment_arrays()
-    slab_x = _SlabIndex(np.minimum(xs1, xs2), np.maximum(xs1, xs2))
-    slab_y = _SlabIndex(np.minimum(ys1, ys2), np.maximum(ys1, ys2))
-    shortcuts = []
-    for v in range(g.n):
-        vx, vy = float(g.xy[v, 0]), float(g.xy[v, 1])
-        for direction in _DIRECTIONS:
-            slab = slab_x if direction in ("up", "down") else slab_y
-            found = _first_hit(g, xs1, ys1, xs2, ys2, slab, v, vx, vy, direction)
-            if found is None:
-                continue
-            e, (hx, hy) = found
-            du = (xs1[e] - hx) ** 2 + (ys1[e] - hy) ** 2
-            dv = (xs2[e] - hx) ** 2 + (ys2[e] - hy) ** 2
-            if du < dv or (du == dv and g.edge_u[e] < g.edge_v[e]):
-                target = int(g.edge_u[e])
-            else:
-                target = int(g.edge_v[e])
-            shortcuts.append((v, target, direction))
-    return MixedAugmentedGraph(g, tuple(shortcuts))
+    x, y = g.xy[:, 0], g.xy[:, 1]
+    up, down = _axis_hits(g, xs1, xs2, ys1, ys2, x, y)
+    right, left = _axis_hits(g, ys1, ys2, xs1, xs2, y, x)
+    hits = (up, down, left, right)  # in _DIRECTIONS order
+    origin, target = (np.concatenate(col) for col in zip(*hits))
+    code = np.repeat(np.arange(4), [len(o) for o, _ in hits])
+    order = np.argsort(origin * 4 + code, kind="stable")
+    names = [_DIRECTIONS[c] for c in code[order].tolist()]
+    return MixedAugmentedGraph(g, tuple(zip(origin[order].tolist(), target[order].tolist(), names)))
 
 
 def _pair_hops(indptr, nbr, start, goal, cutoff):

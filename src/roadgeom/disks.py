@@ -141,7 +141,7 @@ def _enumerate_pairs(centers, radii):
     keys = []
     # A band-b disk has radius < 2^(b + 1), so two intersecting disks of
     # bands <= b sit less than one cell (4 * 2^b) apart.
-    for b in np.unique(bands):
+    for b in sorted_unique(bands):
         lower = np.flatnonzero(bands <= b)
         band = np.flatnonzero(bands == b)
         qi, sj = grid_join(centers[lower], centers[band], 4.0 * 2.0 ** float(b))
@@ -164,7 +164,7 @@ def covering_counts(system: DiskSystem, points) -> np.ndarray:
     points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     counts = np.zeros(len(points), dtype=np.int64)
     bands = _band_index(system.radii)
-    for b in np.unique(bands):
+    for b in sorted_unique(bands):
         band = np.flatnonzero(bands == b)
         qi, sj = grid_join(points, system.centers[band], 4.0 * 2.0 ** float(b))
         d = band[sj]

@@ -1,12 +1,18 @@
 import time
+import warnings
 
 import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import roadgeom as rg
+from roadgeom import augment
 from roadgeom import crossings as cr
 from roadgeom._arrays import components
 from roadgeom.augment import NeighborlyReport, clustering_check, grid_augment, neighborly_check
 from roadgeom.disks import DiskSystem, build_disk_system
+from roadgeom.errors import ConfigError, DegeneracyError
 
 import oracles
 
@@ -17,6 +23,29 @@ def planarized(g):
 
 def shortcut_map(aug):
     return {(o, d): t for o, t, d in aug.shortcuts}
+
+
+def oracle_shortcuts(g):
+    """The oracle's shortcuts as grid_augment orders them: by origin, then
+    up, down, left, right (the order the oracle finds them in)."""
+    return tuple((v, t, d) for (v, d), t in oracles.ray_shoot_all(g).items())
+
+
+@st.composite
+def lattice_graphs(draw):
+    """Small graphs on the integer lattice 0..4, which makes collinear
+    edges, rays through vertices and distance ties common, plus at times
+    one edge 2e6 wide (a candidate of every ray)."""
+    pts = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=2, max_size=9, unique=True))
+    pairs = st.tuples(st.integers(0, len(pts) - 1), st.integers(0, len(pts) - 1))
+    edges = {(min(u, v), max(u, v)) for u, v in draw(st.lists(pairs, max_size=10)) if u != v}
+    wide = draw(st.one_of(st.none(), st.tuples(st.booleans(), st.integers(0, 4), st.integers(0, 4))))
+    if wide is not None:
+        vertical, c1, c2 = wide
+        ends = [(-1e6, c1), (1e6, c2)]
+        pts += [(b, a) for a, b in ends] if vertical else ends
+        edges.add((len(pts) - 2, len(pts) - 1))
+    return rg.GeometricGraph.build(pts, [(u, v, 1.0, 4) for u, v in sorted(edges)])
 
 
 def parallel_roads():
@@ -94,6 +123,56 @@ class TestGridAugment:
         )
         aug = grid_augment(planarized(g))
         assert shortcut_map(aug)[(0, "up")] == 1
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_candidate_blocks_match_oracle(self, monkeypatch, hub_small, block):
+        # At a block of 1 every ray's candidates overflow it.
+        monkeypatch.setattr(augment, "_RAY_BLOCK", block)
+        for g in (rg.gen_gotham(12, 2, seed=6), hub_small):
+            assert grid_augment(planarized(g)).shortcuts == oracle_shortcuts(g)
+
+    def test_far_off_isolated_vertices_miss_every_slab(self):
+        pts = [(float(x), 0.0) for x in range(6)] + [(0.5, 1e300), (1e300, 0.5), (-1e300, -1e300)]
+        g = rg.GeometricGraph.build(pts, [(x, x + 1, 1.0, 4) for x in range(5)])
+        p = planarized(g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            aug = grid_augment(p)
+        assert aug.shortcuts == oracle_shortcuts(g)
+        assert shortcut_map(aug)[(6, "down")] == 0
+
+    def test_inexact_slab_coordinates_are_config_error(self):
+        # Slab 1e17 of width 1 is past 2^53, where floats skip integers.
+        pts = [(float(x), 0.0) for x in range(4)] + [(1e17, 0.0), (1e17 + 32.0, 0.0)]
+        g = rg.GeometricGraph.build(pts, [(0, 1, 1.0, 4), (1, 2, 1.0, 4), (2, 3, 1.0, 4), (4, 5, 1.0, 4)])
+        with pytest.raises(ConfigError, match="slab index"):
+            grid_augment(cr.planarize(g, [], verify=False))
+
+    @pytest.mark.parametrize("wide_first, want", [(False, 1), (True, 3)])
+    def test_wide_and_narrow_edge_tie_goes_to_lower_edge(self, wide_first, want):
+        # Vertex 0's up ray hits the narrow edge (1)-(2) and the wide edge
+        # (3)-(4) both at (0, 1); the lower edge index wins, whichever of
+        # the two is the wide one.
+        pts = [(0.0, 0.0), (-1.0, 0.0), (1.0, 2.0), (-1e9, 1.0), (1e9, 1.0)]
+        pts += [(float(x), -5.0) for x in range(6)]
+        edges = [(1, 2, 1.0, 4), (3, 4, 1.0, 4)]
+        if wide_first:
+            edges.reverse()
+        g = rg.GeometricGraph.build(pts, edges + [(5 + x, 6 + x, 1.0, 4) for x in range(5)])
+        aug = grid_augment(planarized(g))
+        assert shortcut_map(aug)[(0, "up")] == want
+        assert aug.shortcuts == oracle_shortcuts(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(lattice_graphs())
+    def test_lattice_graphs_match_oracle(self, g):
+        # grid_augment reads only the base graph, so the planarization is
+        # not re-checked here.
+        try:
+            p = cr.planarize(g, cr.find_crossings(g), verify=False)
+        except DegeneracyError:
+            assume(False)
+        assert grid_augment(p).shortcuts == oracle_shortcuts(g)
 
 
 class TestNeighborly:
