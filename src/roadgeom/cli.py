@@ -168,11 +168,14 @@ def cmd_decompose(args) -> int:
         system, delta=args.delta, leaf_threshold=args.leaf, seed=args.seed
     )
     handle, w = _writer(args)
-    w.writerow(["node", "depth", "n", "cut", "balance"])
+    w.writerow(["node", "depth", "n", "cut", "balance", "retries"])
     for nd in tree.nodes:
-        cut = 0 if nd.is_leaf else len(nd.separator.cut)
-        balance = 0.0 if nd.is_leaf else nd.separator.balance
-        w.writerow([nd.id, nd.depth, nd.vertex_count, cut, _fmt(balance)])
+        sep = nd.separator
+        if sep is None:
+            cut, balance, retries = 0, 0.0, 0
+        else:
+            cut, balance, retries = len(sep.cut), sep.balance, sep.retries
+        w.writerow([nd.id, nd.depth, nd.vertex_count, cut, _fmt(balance), retries])
     _close(handle)
     return 0
 

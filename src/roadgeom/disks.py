@@ -88,7 +88,7 @@ class DiskSystem:
 
     def subset(self, positions) -> "DiskSystem":
         """Sub-system induced by the given positions (pairs filtered)."""
-        positions = np.asarray(sorted(positions), dtype=np.int64)
+        positions = np.sort(np.asarray(positions, dtype=np.int64))
         remap = np.full(len(self), -1, dtype=np.int64)
         remap[positions] = np.arange(len(positions))
         if len(self.pairs):

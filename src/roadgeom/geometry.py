@@ -166,19 +166,26 @@ def circle_circle_points(q1x, q1y, r1, q2x, q2y, r2):
     return [(bx + ox, by + oy), (bx - ox, by - oy)]
 
 
-def circumcircle(ax, ay, bx, by, cx, cy):
-    """Center and radius of the circle through three points, or None if
-    the points are (numerically) collinear."""
-    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    scale = max(abs(ax), abs(ay), abs(bx), abs(by), abs(cx), abs(cy), 1.0)
-    if abs(d) < 1e-12 * scale * scale:
-        return None
-    a2 = ax * ax + ay * ay
-    b2 = bx * bx + by * by
-    c2 = cx * cx + cy * cy
-    ux = (a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d
-    uy = (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d
-    r = math.hypot(ax - ux, ay - uy)
-    if not (math.isfinite(ux) and math.isfinite(uy) and math.isfinite(r)):
-        return None
-    return (ux, uy), r
+def circumcircles(pts):
+    """Circles through the three points of each row of ``pts`` (k, 3, 2).
+
+    Rows whose points are (numerically) collinear, or whose circle is not
+    finite, are dropped.  Returns (ux, uy, r) arrays for the kept rows in
+    row order.  The radius is ``math.hypot`` per row: ``np.hypot`` rounds a
+    few of them differently.
+    """
+    (ax, ay), (bx, by), (cx, cy) = pts.transpose(1, 2, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+        scale = np.maximum(np.abs(pts).max(axis=(1, 2)), 1.0)
+        keep = ~(np.abs(d) < 1e-12 * scale * scale)
+        ax, ay, bx, by, cx, cy, d = (a[keep] for a in (ax, ay, bx, by, cx, cy, d))
+        a2 = ax * ax + ay * ay
+        b2 = bx * bx + by * by
+        c2 = cx * cx + cy * cy
+        ux = (a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d
+        uy = (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d
+        dx, dy = (ax - ux).tolist(), (ay - uy).tolist()
+    r = np.array([math.hypot(x, y) for x, y in zip(dx, dy)], dtype=np.float64)
+    finite = np.isfinite(ux) & np.isfinite(uy) & np.isfinite(r)
+    return ux[finite], uy[finite], r[finite]

@@ -20,7 +20,7 @@ import numpy as np
 
 from .disks import DiskSystem, exceptional_decomposition
 from .errors import ConfigError, SeparatorFailure, ValidationError
-from .geometry import circumcircle
+from .geometry import circumcircles
 
 
 @dataclass(frozen=True)
@@ -98,20 +98,45 @@ def _centerpoint(points3: np.ndarray, rng) -> np.ndarray:
     return pts.mean(axis=0)
 
 
-def _singleton_candidates(system: DiskSystem, positions: np.ndarray):
+def _singleton_candidates(system: DiskSystem):
     """Circles isolating one disk each; a deterministic fallback for tiny
-    systems where random great circles converge slowly."""
-    out = []
+    systems where random great circles converge slowly.  Returns (qx, qy, r)
+    arrays, one circle per disk with a positive gap to its nearest other."""
     c = system.centers
     r = system.radii
-    for i in positions:
-        d = np.hypot(c[:, 0] - c[i, 0], c[:, 1] - c[i, 1]) - r - r[i]
-        d[i] = np.inf
-        others = d[positions]
-        gap = float(others.min()) if len(others) > 1 else 1.0
-        if gap > 0:
-            out.append(((float(c[i, 0]), float(c[i, 1])), float(r[i] + 0.5 * gap)))
-    return out
+    # gaps[i, j] = hypot(c_j - c_i) - r_j - r_i, subtracted in that order.
+    gaps = np.hypot(c[:, 0] - c[:, 0, None], c[:, 1] - c[:, 1, None]) - r - r[:, None]
+    np.fill_diagonal(gaps, np.inf)
+    gap = gaps.min(axis=1)
+    ok = gap > 0
+    return c[ok, 0], c[ok, 1], r[ok] + 0.5 * gap[ok]
+
+
+def _great_circle_images(u, alpha, rot, scale, centroid):
+    """Plane circles of one round's random great circles.
+
+    Row i of ``u`` (k, 3) is the normal of a great circle; three points on
+    it are pulled back through the conformal re-centering (``alpha``,
+    ``rot``) and the normalisation (``scale``, ``centroid``).  Rows that
+    give a zero normal, a point at the pole or collinear points are
+    dropped.  Returns (qx, qy, r) for the rest in row order.  Every step is
+    the per-row expression of a one-circle-at-a-time evaluation, so the
+    circles are bit-identical to it: in particular ``sqrt(vecdot)`` rounds
+    like the 1-D ``np.linalg.norm``, where ``(u * u).sum(1)`` does not.
+    """
+    nu = np.sqrt(np.vecdot(u, u))
+    keep = ~(nu < 1e-12)
+    u = u[keep] / nu[keep, None]
+    v = np.cross(u, np.eye(3)[np.argmin(np.abs(u), axis=1)])
+    v /= np.sqrt(np.vecdot(v, v))[:, None]
+    w = np.cross(u, v)
+    tri = np.stack([v, w, -v], axis=1)  # (k, 3, 3): three points per circle
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        plane = _sphere_to_plane(tri)
+        plane = plane[np.isfinite(plane).all(axis=(1, 2))]
+        flat = _sphere_to_plane(_plane_to_sphere(plane / alpha) @ rot)  # rot.T rowwise
+    flat = flat[np.isfinite(flat).all(axis=(1, 2))]
+    return circumcircles(flat * scale + centroid)
 
 
 def find_separator(
@@ -160,8 +185,8 @@ def find_separator(
         scale = 1.0
     lifted_all = _lift_to_sphere((res_pts - centroid) / scale)
 
-    best = None  # (cut_size, separator)
-    best_unbalanced = None  # (max_side, separator)
+    free = ~forced
+    best_unbalanced = None  # (max_side, circle), carried across rounds
     limit_in = delta * n
     for attempt in range(max_retries + 1):
         sample_n = min(1000, len(lifted_all))
@@ -175,49 +200,29 @@ def find_separator(
         rot = _rotation_to_south(z)
         alpha = math.sqrt((1.0 + h) / (1.0 - h))
 
-        circles = []
-        for _ in range(candidates_per_round):
-            u = rng.normal(size=3)
-            nu = np.linalg.norm(u)
-            if nu < 1e-12:
-                continue
-            u /= nu
-            axis = np.eye(3)[int(np.argmin(np.abs(u)))]
-            v = np.cross(u, axis)
-            v /= np.linalg.norm(v)
-            w = np.cross(u, v)
-            tri = np.vstack([v, w, -v])  # three points on the great circle
-            plane = _sphere_to_plane(tri)
-            if not np.all(np.isfinite(plane)):
-                continue
-            back = _plane_to_sphere(plane / alpha) @ rot  # rot.T applied rowwise
-            flat = _sphere_to_plane(back)
-            if not np.all(np.isfinite(flat)):
-                continue
-            flat = flat * scale + centroid
-            cc = circumcircle(*flat[0], *flat[1], *flat[2])
-            if cc is None:
-                continue
-            circles.append(cc)
+        qx, qy, rad = _great_circle_images(
+            rng.normal(size=(max(candidates_per_round, 0), 3)), alpha, rot, scale, centroid
+        )
         if attempt == 0 and n <= 8:
-            circles.extend(_singleton_candidates(system, np.arange(n)))
+            qx, qy, rad = (
+                np.concatenate(pair) for pair in zip((qx, qy, rad), _singleton_candidates(system))
+            )
 
-        for (qx, qy), rad in circles:
-            d = np.hypot(centers[:, 0] - qx, centers[:, 1] - qy)
-            inside = (d + radii < rad) & ~forced
-            outside = (d - radii > rad) & ~forced
-            n_in = int(inside.sum())
-            n_out = int(outside.sum())
-            cut_size = n - n_in - n_out
-            side = max(n_in, n_out)
-            if side <= limit_in:
-                if best is None or cut_size < best[0]:
-                    best = (cut_size, ((qx, qy), rad))
-            elif best_unbalanced is None or side < best_unbalanced[0]:
-                best_unbalanced = (side, ((qx, qy), rad))
-        if best is not None:
-            (qx, qy), rad = best[1]
-            return _build_result(system, (qx, qy), rad, forced, retries=attempt)
+        # Score every candidate at once: (k, n) distances from each circle's
+        # center, the same expressions a per-circle pass evaluates.
+        d = np.hypot(centers[:, 0] - qx[:, None], centers[:, 1] - qy[:, None])
+        n_in = ((d + radii < rad[:, None]) & free).sum(axis=1)
+        n_out = ((d - radii > rad[:, None]) & free).sum(axis=1)
+        side = np.maximum(n_in, n_out)
+        balanced = np.flatnonzero(side <= limit_in)
+        if len(balanced):
+            # First circle with the smallest cut among the balanced ones.
+            i = balanced[np.argmin(n - n_in[balanced] - n_out[balanced])]
+            return _build_result(system, (qx[i], qy[i]), rad[i], forced, retries=attempt)
+        if len(side):
+            i = int(np.argmin(side))
+            if best_unbalanced is None or side[i] < best_unbalanced[0]:
+                best_unbalanced = (side[i], ((qx[i], qy[i]), rad[i]))
 
     fallback = None
     if best_unbalanced is not None:
@@ -238,10 +243,10 @@ def _build_result(system, center, radius, forced, retries) -> CircleSeparator:
     return CircleSeparator(
         (float(center[0]), float(center[1])),
         float(radius),
-        tuple(int(v) for v in ids[cut]),
-        tuple(int(v) for v in ids[inside]),
-        tuple(int(v) for v in ids[outside]),
-        tuple(int(v) for v in ids[forced]),
+        tuple(ids[cut].tolist()),
+        tuple(ids[inside].tolist()),
+        tuple(ids[outside].tolist()),
+        tuple(ids[forced].tolist()),
         retries,
     )
 
@@ -315,6 +320,9 @@ def build_decomposition(
     n = len(system)
     label_size = int(system.vertices.max()) + 1 if n else 0
     label = np.full(label_size, -1, dtype=np.int64)
+    # position_of[v]: position of vertex id v in the node being split; each
+    # node writes its own vertices before reading its children's positions.
+    position_of = np.empty(label_size, dtype=np.int64)
     nodes: list[TreeNode] = []
 
     def recurse(sub: DiskSystem, parent, depth, ss) -> int:
@@ -322,7 +330,7 @@ def build_decomposition(
         node = TreeNode(node_id, parent, depth, len(sub))
         nodes.append(node)
         if len(sub) <= leaf_threshold:
-            node.leaf_vertices = tuple(int(v) for v in sub.vertices)
+            node.leaf_vertices = tuple(sub.vertices.tolist())
             label[sub.vertices] = node_id
             return node_id
         ss_sep, ss_in, ss_out = ss.spawn(3)
@@ -335,13 +343,13 @@ def build_decomposition(
             ) from exc
         node.separator = sep
         label[np.asarray(sep.cut, dtype=np.int64)] = node_id
-        pos_of = {int(v): i for i, v in enumerate(sub.vertices)}
-        if sep.inside:
-            inner = sub.subset([pos_of[v] for v in sep.inside])
-            node.interior = recurse(inner, node_id, depth + 1, ss_in)
-        if sep.outside:
-            outer = sub.subset([pos_of[v] for v in sep.outside])
-            node.exterior = recurse(outer, node_id, depth + 1, ss_out)
+        position_of[sub.vertices] = np.arange(len(sub))
+        inner = position_of[np.asarray(sep.inside, dtype=np.int64)]
+        outer = position_of[np.asarray(sep.outside, dtype=np.int64)]
+        if len(inner):
+            node.interior = recurse(sub.subset(inner), node_id, depth + 1, ss_in)
+        if len(outer):
+            node.exterior = recurse(sub.subset(outer), node_id, depth + 1, ss_out)
         return node_id
 
     recurse(system, None, 0, np.random.SeedSequence(seed))

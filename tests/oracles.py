@@ -2,9 +2,13 @@
 
 Everything here is deliberately written from the definitions, with exact
 rational arithmetic where float rounding could matter, and no reuse of the
-package's candidate-generation or classification paths.
+package's candidate-generation or classification paths.  The exception is
+``scalar_find_separator``: the separator search with one candidate circle
+at a time, which shares the package's lift and centerpoint helpers and must
+match the batched search bit for bit.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -393,3 +397,155 @@ def smaller_neighbor_component_counts(system):
                 uf.union(w, x)
         counts.append(uf.component_count())
     return counts
+
+
+def _scalar_circumcircle(ax, ay, bx, by, cx, cy):
+    """Center and radius of the circle through three points, or None if
+    the points are (numerically) collinear."""
+    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+    scale = max(abs(ax), abs(ay), abs(bx), abs(by), abs(cx), abs(cy), 1.0)
+    if abs(d) < 1e-12 * scale * scale:
+        return None
+    a2 = ax * ax + ay * ay
+    b2 = bx * bx + by * by
+    c2 = cx * cx + cy * cy
+    ux = (a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d
+    uy = (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d
+    r = math.hypot(ax - ux, ay - uy)
+    if not (math.isfinite(ux) and math.isfinite(uy) and math.isfinite(r)):
+        return None
+    return (ux, uy), r
+
+
+def scalar_great_circle(u, alpha, rot, scale, centroid):
+    """The plane circle ((ux, uy), r) of the great circle with normal u,
+    pulled back through the re-centering and normalisation of a separator
+    round, or None where the round skips it."""
+    from roadgeom.separators import _plane_to_sphere, _sphere_to_plane
+
+    nu = np.linalg.norm(u)
+    if nu < 1e-12:
+        return None
+    u = u / nu
+    axis = np.eye(3)[int(np.argmin(np.abs(u)))]
+    v = np.cross(u, axis)
+    v /= np.linalg.norm(v)
+    w = np.cross(u, v)
+    tri = np.vstack([v, w, -v])  # three points on the great circle
+    plane = _sphere_to_plane(tri)
+    if not np.all(np.isfinite(plane)):
+        return None
+    back = _plane_to_sphere(plane / alpha) @ rot
+    flat = _sphere_to_plane(back)
+    if not np.all(np.isfinite(flat)):
+        return None
+    flat = flat * scale + centroid
+    return _scalar_circumcircle(*flat[0], *flat[1], *flat[2])
+
+
+def _scalar_singleton_candidates(system):
+    out = []
+    c = system.centers
+    r = system.radii
+    for i in range(len(system)):
+        d = np.hypot(c[:, 0] - c[i, 0], c[:, 1] - c[i, 1]) - r - r[i]
+        d[i] = np.inf
+        gap = float(d.min()) if len(d) > 1 else 1.0
+        if gap > 0:
+            out.append(((float(c[i, 0]), float(c[i, 1])), float(r[i] + 0.5 * gap)))
+    return out
+
+
+def scalar_find_separator(
+    system, delta=0.75, exceptional_k=8, seed=0, candidates_per_round=12, max_retries=24
+):
+    """``separators.find_separator`` with one candidate circle at a time.
+
+    Each round draws, lifts and maps back its great circles one by one,
+    builds each plane circle with the scalar circumcircle, and scores each
+    circle in its own pass over the disks.  It shares the library's lift,
+    centerpoint, rotation and result helpers, which are not part of a
+    round, and must return exactly the library's separator (or failure).
+    """
+    from roadgeom.disks import exceptional_decomposition
+    from roadgeom.errors import ConfigError, SeparatorFailure, ValidationError
+    from roadgeom.separators import (
+        _build_result,
+        _centerpoint,
+        _lift_to_sphere,
+        _rotation_to_south,
+    )
+
+    n = len(system)
+    if n < 2:
+        raise ValidationError("separator needs at least 2 disks")
+    if not 2.0 / 3.0 <= delta <= 0.75:
+        raise ConfigError("delta must be in [2/3, 3/4]")
+
+    rng = np.random.default_rng(seed)
+    split = exceptional_decomposition(system, exceptional_k)
+    if split.removed:
+        forced = np.isin(system.vertices, np.asarray(split.removed, dtype=np.int64))
+    else:
+        forced = np.zeros(n, dtype=bool)
+    residual = np.flatnonzero(~forced)
+    centers = system.centers
+    radii = system.radii
+
+    if len(residual) == 0:
+        return _build_result(system, (0.0, 0.0), 1.0, forced, retries=0)
+
+    res_pts = centers[residual]
+    centroid = res_pts.mean(axis=0)
+    spread = np.hypot(*(res_pts - centroid).T)
+    scale = float(np.median(spread))
+    if scale <= 0:
+        scale = 1.0
+    lifted_all = _lift_to_sphere((res_pts - centroid) / scale)
+
+    best = None  # (cut_size, circle)
+    best_unbalanced = None  # (max_side, circle)
+    limit_in = delta * n
+    for attempt in range(max_retries + 1):
+        sample_n = min(1000, len(lifted_all))
+        sample_idx = (
+            rng.choice(len(lifted_all), size=sample_n, replace=False)
+            if sample_n < len(lifted_all)
+            else np.arange(len(lifted_all))
+        )
+        z = _centerpoint(lifted_all[sample_idx], rng)
+        h = min(float(np.linalg.norm(z)), 1.0 - 1e-9)
+        rot = _rotation_to_south(z)
+        alpha = math.sqrt((1.0 + h) / (1.0 - h))
+
+        circles = []
+        for _ in range(candidates_per_round):
+            cc = scalar_great_circle(rng.normal(size=3), alpha, rot, scale, centroid)
+            if cc is not None:
+                circles.append(cc)
+        if attempt == 0 and n <= 8:
+            circles.extend(_scalar_singleton_candidates(system))
+
+        for (qx, qy), rad in circles:
+            d = np.hypot(centers[:, 0] - qx, centers[:, 1] - qy)
+            inside = (d + radii < rad) & ~forced
+            outside = (d - radii > rad) & ~forced
+            n_in = int(inside.sum())
+            n_out = int(outside.sum())
+            cut_size = n - n_in - n_out
+            side = max(n_in, n_out)
+            if side <= limit_in:
+                if best is None or cut_size < best[0]:
+                    best = (cut_size, ((qx, qy), rad))
+            elif best_unbalanced is None or side < best_unbalanced[0]:
+                best_unbalanced = (side, ((qx, qy), rad))
+        if best is not None:
+            return _build_result(system, *best[1], forced, retries=attempt)
+
+    fallback = None
+    if best_unbalanced is not None:
+        fallback = _build_result(system, *best_unbalanced[1], forced, retries=max_retries)
+    raise SeparatorFailure(
+        f"no balanced separator within {max_retries} retries (n={n})",
+        best_candidate=fallback,
+    )

@@ -58,9 +58,11 @@ class TestSubcommands:
         )
         assert code == 0
         lines = text.splitlines()
-        assert lines[0] == "node,depth,n,cut,balance"
+        assert lines[0] == "node,depth,n,cut,balance,retries"
         root = lines[1].split(",")
         assert root[0] == "0" and int(root[2]) == 144
+        retries = [row.split(",")[5] for row in lines[1:]]
+        assert all(r.isdigit() for r in retries)  # non-negative integers
 
     def test_sssp_csv(self, tmp_path):
         code, text = run(tmp_path, "sssp", "gotham:side=4,express=0", "--source", "0")
