@@ -2,7 +2,8 @@
 """Ply statistics across generated road-like families.
 
 For each network: max center ply, the floor(sqrt(n))-th largest center ply,
-and the max disk-intersection degree.  Hub-and-spoke families show the
+the max disk-intersection degree, and the system ply (the deepest point of
+the plane, not only of the centers).  Hub-and-spoke families show the
 characteristic gap (a few very deep centers while the sqrt(n)-th statistic
 stays a small constant).
 """
@@ -11,6 +12,7 @@ import argparse
 import csv
 
 from roadgeom import gen_gotham, gen_hub_spoke, gen_random_geometric
+from roadgeom.arrangement import system_ply
 from roadgeom.disks import build_disk_system, ply_report
 
 FAMILIES = {
@@ -30,10 +32,14 @@ def main():
 
     with open(args.out, "w", newline="") as handle:
         w = csv.writer(handle, lineterminator="\n")
-        w.writerow(["network", "n", "max_center_ply", "sqrt_n_th_ply", "max_disk_degree"])
+        w.writerow(
+            ["network", "n", "max_center_ply", "sqrt_n_th_ply", "max_disk_degree", "system_ply"]
+        )
         for size in (int(s) for s in args.sizes.split(",") if s):
             g = FAMILIES[args.family](size, args.seed)
-            rep = ply_report(build_disk_system(g))
+            system = build_disk_system(g)
+            rep = ply_report(system)
+            ply = system_ply(system)
             w.writerow(
                 [
                     f"{args.family}-{size}",
@@ -41,11 +47,13 @@ def main():
                     rep.max_center_ply,
                     rep.kth_largest_center_ply,
                     rep.max_disk_degree,
+                    ply,
                 ]
             )
             print(
                 f"{args.family}-{size}: n={g.n} max_ply={rep.max_center_ply} "
-                f"sqrt_n_th={rep.kth_largest_center_ply} degree={rep.max_disk_degree}"
+                f"sqrt_n_th={rep.kth_largest_center_ply} degree={rep.max_disk_degree} "
+                f"system_ply={ply}"
             )
     print(f"-> {args.out}")
 

@@ -1,30 +1,33 @@
 """Circle arrangements over disk systems.
 
-Two builders with one output contract: ``build_naive`` intersects every
-recorded disk pair directly, ``build_inductive`` splices circles one at a
-time in increasing (radius, id) order through the subarrangements of each
-circle's smaller neighbor components, taken in radial order.  Both produce
-per-circle cyclic vertex sequences; circles without vertices get a sentinel
-vertex so the cell complex stays well formed (V - E + F = 1 + C).
+Both builders derive one vertex table from the system: the intersection
+points of every recorded pair of positive-radius disks, in pair order, from
+one ``geometry.circle_pair_points`` call, then a sentinel vertex for every
+circle without points, so the cell complex stays well formed
+(V - E + F = 1 + C).  ``build_naive`` numbers the vertices in table order;
+``build_inductive`` numbers them in the order the inductive construction
+splices them in: circles in increasing (radius, id) order, each through the
+components of its smaller intersecting neighbors, taken in radial order.
+Each circle's ring is its vertices sorted by angle about its center.
 
 Zero-radius disks are points, not curves, and stay out of arrangements.
-Faces are traced on demand from the rotation system; tangent contacts are
-ordered by signed curvature where tangent directions coincide.
+Faces are the orbits of the rotation system on half-edges; tangent contacts
+are ordered by signed curvature where tangent directions coincide.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._arrays import components, sorted_unique
-from .augment import ClusteringReport, smaller_neighbor_components
+from .augment import ClusteringReport
 from .disks import DiskSystem, covering_counts
 from .errors import DegeneracyError, InvariantViolation
-from .geometry import circle_circle_points
+from .geometry import circle_pair_points
 
 
 @dataclass(frozen=True)
@@ -38,129 +41,153 @@ class ArrangementVertex:
         return self.circles[1] == -1
 
 
+@dataclass(frozen=True, eq=False)
+class VertexTable:
+    """One row per arrangement vertex: its point (x, y), its circles (i, j),
+    j = -1 for a sentinel, and whether it is a tangent contact."""
+
+    x: np.ndarray
+    y: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    tangent: np.ndarray
+
+
+class _VertexView(Sequence):
+    """``ArrangementVertex`` per table row, built on access."""
+
+    def __init__(self, table: VertexTable):
+        self._table = table
+
+    def __len__(self):
+        return len(self._table.x)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[t] for t in range(*k.indices(len(self)))]
+        t = self._table
+        return ArrangementVertex(
+            (float(t.x[k]), float(t.y[k])), (int(t.i[k]), int(t.j[k])), bool(t.tangent[k])
+        )
+
+
 class CircleArrangement:
     """Cyclic arc structure of a set of circles.
 
-    ``rings[c]`` lists vertex ids on circle ``c`` sorted by angle about its
-    center; every circle contributes as many arcs as it has vertices (one
-    full loop for a lone sentinel).
+    ``circles`` lists the circles of the arrangement; circle ``c``'s ring is
+    ``ring_vertices[ring_ptr[c]:ring_ptr[c + 1]]``, its vertex ids sorted by
+    angle about its center, and ``rings`` holds the same as a dict of lists
+    keyed in ``circles`` order.  Every circle contributes as many arcs as it
+    has vertices (one full loop for a lone sentinel).  ``vertices[v]`` reads
+    row v of ``table``.
     """
 
-    def __init__(self, centers, radii, vertices, rings):
+    def __init__(self, centers, radii, table: VertexTable, circles, ring_ptr, ring_vertices):
         self.centers = np.asarray(centers, dtype=np.float64)
         self.radii = np.asarray(radii, dtype=np.float64)
-        self.vertices: list[ArrangementVertex] = vertices
-        self.rings: dict[int, list[int]] = rings
+        self.table = table
+        self.vertices = _VertexView(table)
+        self.circles = circles
+        self.ring_ptr = ring_ptr
+        self.ring_vertices = ring_vertices
+        self._rings = None
         self._faces = None
 
     @property
+    def rings(self) -> dict[int, list[int]]:
+        if self._rings is None:
+            ids, ptr = self.ring_vertices.tolist(), self.ring_ptr.tolist()
+            self._rings = {c: ids[ptr[c] : ptr[c + 1]] for c in self.circles.tolist()}
+        return self._rings
+
+    @property
     def circle_count(self) -> int:
-        return len(self.rings)
+        return len(self.circles)
 
     @property
     def vertex_count(self) -> int:
         """All vertices, sentinels included (the Euler V)."""
-        return len(self.vertices)
+        return len(self.table.x)
 
     @property
     def intersection_vertex_count(self) -> int:
-        return sum(1 for v in self.vertices if not v.is_sentinel)
+        return int(np.count_nonzero(self.table.j >= 0))
 
     @property
     def edge_count(self) -> int:
-        return sum(len(r) for r in self.rings.values())
+        return len(self.ring_vertices)
 
     @property
     def component_count(self) -> int:
-        joined = np.array([v.circles for v in self.vertices if not v.is_sentinel], dtype=np.int64).reshape(-1, 2)
-        label = components(len(self.radii), joined[:, 0], joined[:, 1])
-        return len(sorted_unique(label[list(self.rings)]))
+        joined = self.table.j >= 0
+        label = components(len(self.radii), self.table.i[joined], self.table.j[joined])
+        return len(sorted_unique(label[self.circles]))
 
     def angle_on(self, vid: int, circle: int) -> float:
-        x, y = self.vertices[vid].point
-        return math.atan2(y - self.centers[circle, 1], x - self.centers[circle, 0])
+        return math.atan2(
+            self.table.y[vid] - self.centers[circle, 1], self.table.x[vid] - self.centers[circle, 0]
+        )
 
     def face_count(self) -> int:
-        """Faces of the embedded complex, traced from the rotation system."""
+        """Faces of the embedded complex: the cycles of the face permutation
+        on half-edges, with the components sharing one outer face.
+
+        Half-edges 2a and 2a + 1 run along arc a of a ring (from ring
+        position a to the next), forward (counterclockwise) and back.
+        About each vertex the outgoing half-edges are sorted by direction;
+        directions within ``tol`` of their predecessor (tangential
+        contacts) form one group, ordered by signed curvature, and the
+        -pi/pi wrap is handled by starting each vertex's order at its first
+        genuine angular gap.  The face after h is the half-edge preceding
+        h's twin in the order about h's head.
+        """
         if self._faces is not None:
             return self._faces
-        arcs = []  # (circle, v_from, v_to)
-        for c, ring in self.rings.items():
-            k = len(ring)
-            for t in range(k):
-                arcs.append((c, ring[t], ring[(t + 1) % k]))
+        tail, lens = self.ring_vertices, np.diff(self.ring_ptr)
+        first = np.repeat(self.ring_ptr[:-1], lens)
+        circle = np.repeat(np.arange(len(lens)), 2 * lens)
+        succ = np.arange(1, len(tail) + 1)
+        succ = np.where(succ == first + np.repeat(lens, lens), first, succ)
+        origin = np.column_stack([tail, tail[succ]]).ravel()
+        sign = np.tile([1.0, -1.0], len(tail))
+        px, py = self.table.x[origin], self.table.y[origin]
+        cx, cy = self.centers[circle, 0], self.centers[circle, 1]
+        dx, dy = sign * -(py - cy), sign * (px - cx)
+        # The center side seen from the outgoing direction fixes the sign.
+        curv = np.copysign(1.0, dx * (cy - py) - dy * (cx - px)) / self.radii[circle]
+        ang = _atan2(dy, dx)
 
-        def ccw_tangent(vid, c):
-            px, py = self.vertices[vid].point
-            dx = px - self.centers[c, 0]
-            dy = py - self.centers[c, 1]
-            return (-dy, dx)
-
-        # Outgoing incidences: (vertex, angle, signed curvature, halfedge).
-        incid: dict[int, list] = {}
-        head = {}
-        for a, (c, v_from, v_to) in enumerate(arcs):
-            r = float(self.radii[c])
-            for h, origin, sign in ((2 * a, v_from, 1.0), (2 * a + 1, v_to, -1.0)):
-                tx, ty = ccw_tangent(origin, c)
-                dx, dy = sign * tx, sign * ty
-                # Center side seen from the outgoing direction fixes the
-                # curvature sign; ties in direction sort by curvature.
-                px, py = self.vertices[origin].point
-                side = math.copysign(
-                    1.0, dx * (self.centers[c, 1] - py) - dy * (self.centers[c, 0] - px)
-                )
-                incid.setdefault(origin, []).append(
-                    (math.atan2(dy, dx), side / r, h)
-                )
-                head[h] = v_to if h % 2 == 0 else v_from
-        pos = {}
-        order = {}
+        # Outgoing half-edges by (origin, direction, curvature, id).
+        by = np.lexsort((curv, ang, origin))
+        vert, ang, curv = origin[by], ang[by], curv[by]
+        ptr = np.searchsorted(vert, np.arange(len(self.table.x) + 1))
+        seg, k = ptr[vert], np.diff(ptr)[vert]
+        idx = np.arange(len(by)) - seg
+        prev = np.empty_like(ang)
+        prev[1:] = ang[:-1]
+        wrap = idx == 0
+        prev[wrap] = ang[seg[wrap] + k[wrap] - 1] + (-2.0 * math.pi)
         tol = 1e-9
-        for v, items in incid.items():
-            items.sort()
-            # Directions equal up to float noise (tangential contacts) form
-            # one group ordered by signed curvature; handle the -pi/pi wrap
-            # by rotating the list to start at a genuine angular gap.
-            k = len(items)
-            start = 0
-            for idx in range(k):
-                prev = items[idx - 1][0] + (0.0 if idx else -2.0 * math.pi)
-                if items[idx][0] - prev > tol:
-                    start = idx
-                    break
-            rotated = items[start:] + items[:start]
-            groups = []
-            for item in rotated:
-                if groups and item[0] - groups[-1][-1][0] <= tol:
-                    groups[-1].append(item)
-                else:
-                    groups.append([item])
-            flat = []
-            for grp in groups:
-                grp.sort(key=lambda it: it[1])
-                flat.extend(grp)
-            order[v] = [h for _, _, h in flat]
-            for idx, h in enumerate(order[v]):
-                pos[h] = idx
+        gap = ang - prev > tol
+        # Rotate each vertex's order to its first gap (else keep it), then
+        # chain directions into groups and sort each group by curvature.
+        gaps = np.append(np.flatnonzero(gap), len(gap))
+        start = gaps[np.searchsorted(gaps, ptr[:-1])]
+        start = np.where(start < ptr[1:], start, ptr[:-1])
+        rot = (idx - (start - ptr[:-1])[vert]) % k
+        rotated = np.empty_like(by)
+        rotated[seg + rot] = np.arange(len(by))
+        opens = (gap & (idx > 0) & (rot > 0)) | (rot == 0)
+        group = np.cumsum(opens[rotated])
+        around = by[rotated[np.lexsort((curv[rotated], group))]]
 
-        def next_halfedge(h):
-            twin = h ^ 1
-            v = head[h]
-            ring = order[v]
-            return ring[(pos[twin] - 1) % len(ring)]
-
-        seen = set()
-        orbits = 0
-        for h in range(2 * len(arcs)):
-            if h in seen:
-                continue
-            orbits += 1
-            cur = h
-            while cur not in seen:
-                seen.add(cur)
-                cur = next_halfedge(cur)
-        # Components share the single outer face.
+        at = np.empty_like(around)
+        at[around] = np.arange(len(around))
+        twin = np.arange(len(around)) ^ 1
+        v = origin[twin]
+        nxt = around[ptr[v] + (at[twin] - ptr[v] - 1) % (ptr[v + 1] - ptr[v])]
+        label = components(len(nxt), np.arange(len(nxt)), nxt)
+        orbits = int(np.count_nonzero(label == np.arange(len(nxt))))
         self._faces = orbits - (self.component_count - 1)
         return self._faces
 
@@ -171,140 +198,110 @@ class CircleArrangement:
         return v - e + f == 1 + self.component_count
 
 
-def _pair_points(system, i, j):
-    """Circle intersection points for a disk pair, rejecting duplicates."""
+def _atan2(y, x) -> np.ndarray:
+    """``math.atan2`` elementwise; ``np.arctan2`` rounds some angles
+    differently, which would reorder rings."""
+    return np.fromiter(map(math.atan2, y.tolist(), x.tolist()), np.float64, len(y))
+
+
+def _intersections(system: DiskSystem):
+    """(x, y, i, j, tangent) of the intersection vertices of every recorded
+    pair of positive-radius disks, in pair order."""
+    i, j = system.pairs[:, 0], system.pairs[:, 1]
+    live = (system.radii[i] > 0) & (system.radii[j] > 0)
+    i, j = i[live], j[live]
+    c, r = system.centers, system.radii
     try:
-        pts = circle_circle_points(
-            system.centers[i, 0],
-            system.centers[i, 1],
-            float(system.radii[i]),
-            system.centers[j, 0],
-            system.centers[j, 1],
-            float(system.radii[j]),
-        )
-    except ValueError:
-        raise DegeneracyError(f"duplicate circles ({i}, {j})") from None
-    return pts
+        row, x, y = circle_pair_points(c[i, 0], c[i, 1], r[i], c[j, 0], c[j, 1], r[j])
+    except ValueError as exc:
+        k = exc.args[1]
+        raise DegeneracyError(f"duplicate circles ({i[k]}, {j[k]})") from None
+    tangent = np.ones(len(row), dtype=bool)
+    paired = row[1:] == row[:-1]
+    tangent[1:] &= ~paired
+    tangent[:-1] &= ~paired
+    return x, y, i[row], j[row], tangent
 
 
-def _add_sentinels(system, vertices, rings):
-    for c, ring in rings.items():
-        if not ring:
-            vid = len(vertices)
-            vertices.append(
-                ArrangementVertex(
-                    (float(system.centers[c, 0] + system.radii[c]), float(system.centers[c, 1])),
-                    (c, -1),
-                )
-            )
-            ring.append(vid)
+def _angles(system, x, y, i, j):
+    """Angles of each row's point about the centers of its circles: row 0
+    about i, row 1 about j."""
+    c = np.concatenate([i, j])
+    dy, dx = np.tile(y, 2) - system.centers[c, 1], np.tile(x, 2) - system.centers[c, 0]
+    return _atan2(dy, dx).reshape(2, -1)
 
 
-def _sorted_ring(arr, c, ring):
-    ring.sort(key=lambda vid: arr.angle_on(vid, c))
-    for a, b in zip(ring, ring[1:]):
-        if arr.angle_on(a, c) == arr.angle_on(b, c):
-            raise DegeneracyError(f"concurrent intersection points on circle {c}")
-    return ring
+def _arrangement(system, x, y, i, j, tangent, angle, circles) -> CircleArrangement:
+    """The arrangement of the intersection vertices given by rows (ids in
+    row order; ``angle`` holds each row's angles about i and about j) over
+    ``circles``, keyed in that order.  Each circle without a vertex gets a
+    sentinel, numbered after the vertices in that order."""
+    count = np.bincount(np.concatenate([i, j]), minlength=len(system))
+    empty = circles[count[circles] == 0]
+    vid = np.concatenate([np.tile(np.arange(len(x)), 2), np.arange(len(x), len(x) + len(empty))])
+    circ = np.concatenate([i, j, empty])
+    ang = np.concatenate([angle.ravel(), np.zeros(len(empty))])
+    order = np.lexsort((vid, ang, circ))
+    vid, circ, ang = vid[order], circ[order], ang[order]
+    tie = np.flatnonzero((circ[1:] == circ[:-1]) & (ang[1:] == ang[:-1]))
+    if len(tie):
+        raise DegeneracyError(f"concurrent intersection points on circle {circ[tie[0]]}")
+    table = VertexTable(
+        np.concatenate([x, system.centers[empty, 0] + system.radii[empty]]),
+        np.concatenate([y, system.centers[empty, 1]]),
+        np.concatenate([i, empty]),
+        np.concatenate([j, np.full(len(empty), -1, dtype=np.int64)]),
+        np.concatenate([tangent, np.zeros(len(empty), dtype=bool)]),
+    )
+    ptr = np.searchsorted(circ, np.arange(len(system) + 1))
+    return CircleArrangement(system.centers, system.radii, table, circles, ptr, vid)
 
 
 def build_naive(system: DiskSystem) -> CircleArrangement:
-    """Reference arrangement builder: intersect every recorded pair."""
-    live = [i for i in range(len(system)) if system.radii[i] > 0]
-    rings: dict[int, list[int]] = {c: [] for c in live}
-    vertices: list[ArrangementVertex] = []
-    holder = CircleArrangement(system.centers, system.radii, vertices, rings)
-    for i, j in system.pairs:
-        i, j = int(i), int(j)
-        if system.radii[i] <= 0 or system.radii[j] <= 0:
-            continue
-        pts = _pair_points(system, i, j)
-        for p in pts:
-            vid = len(vertices)
-            vertices.append(ArrangementVertex(p, (i, j), tangent=len(pts) == 1))
-            rings[i].append(vid)
-            rings[j].append(vid)
-    for c in live:
-        _sorted_ring(holder, c, rings[c])
-    _add_sentinels(system, vertices, rings)
-    return holder
+    """Reference arrangement builder: the vertices in pair order."""
+    x, y, i, j, tangent = _intersections(system)
+    angle = _angles(system, x, y, i, j)
+    return _arrangement(system, x, y, i, j, tangent, angle, np.flatnonzero(system.radii > 0))
 
 
-def build_inductive(
-    system: DiskSystem, clustering: ClusteringReport
-) -> CircleArrangement:
+def build_inductive(system: DiskSystem, clustering: ClusteringReport) -> CircleArrangement:
     """Splice circles in increasing (radius, id) order.
 
-    Each circle gathers the subarrangements built for the connected
-    components of its smaller intersecting neighbors, sorts those components
-    radially about its center (entry point: the minimum-angle new vertex),
-    and splices itself through them in that order.  The output matches the
-    naive builder structurally.
+    Each circle v gathers the components of its smaller intersecting
+    neighbors, sorts those with points on v radially about v's center (entry
+    point: the minimum-angle new vertex, ties in component order), and
+    splices itself through them in that order, each component's members in
+    increasing id.  The vertices are numbered in that splice order; the
+    rings equal the naive builder's up to those ids.
     """
-    if len(clustering.component_counts) != len(system):
+    n = len(system)
+    if len(clustering.component_counts) != n:
         raise InvariantViolation("clustering report does not match the system")
-    order = sorted(range(len(system)), key=lambda i: (system.radii[i], i))
-    live = [i for i in order if system.radii[i] > 0]
-    rings: dict[int, list[int]] = {c: [] for c in live}
-    vertices: list[ArrangementVertex] = []
-    holder = CircleArrangement(system.centers, system.radii, vertices, rings)
-
-    def insert(c, vid):
-        ring = rings[c]
-        ang = holder.angle_on(vid, c)
-        lo, hi = 0, len(ring)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            other = holder.angle_on(ring[mid], c)
-            if other == ang:
-                raise DegeneracyError(f"concurrent intersection points on circle {c}")
-            if other < ang:
-                lo = mid + 1
-            else:
-                hi = mid
-        ring.insert(lo, vid)
-
-    components_of = smaller_neighbor_components(system)
-    for v in order:
-        comps = components_of[v]
-        if len(comps) != int(clustering.component_counts[v]):
-            raise InvariantViolation(
-                f"clustering report claims {clustering.component_counts[v]} "
-                f"components at vertex {v}, found {len(comps)}"
-            )
-        if system.radii[v] <= 0:
-            continue
-        # Intersect v's circle with each component; the component's entry
-        # point is its minimum-angle vertex as seen from v's center.
-        spliced = []
-        for comp in comps:
-            found = []
-            for w in comp:
-                if system.radii[w] <= 0:
-                    continue
-                for p in _pair_points(system, min(v, w), max(v, w)):
-                    found.append((p, w))
-            if not found:
-                continue  # nested or detached component: nothing to splice
-            entry = min(
-                math.atan2(p[1] - system.centers[v, 1], p[0] - system.centers[v, 0])
-                for p, _ in found
-            )
-            spliced.append((entry, found))
-        spliced.sort(key=lambda item: item[0])
-        for _, found in spliced:
-            tangent_pairs = Counter(w for _, w in found)
-            for p, w in found:
-                vid = len(vertices)
-                vertices.append(
-                    ArrangementVertex(
-                        p, (min(v, w), max(v, w)), tangent=tangent_pairs[w] == 1
-                    )
-                )
-                insert(v, vid)
-                insert(w, vid)
-    _add_sentinels(system, vertices, rings)
-    return holder
+    order = np.lexsort((np.arange(n), system.radii))
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    owner, member, comp = system.smaller_components()
+    found = np.bincount(owner[comp == np.arange(len(comp))], minlength=n)
+    bad = np.flatnonzero(found != clustering.component_counts)
+    if len(bad):
+        v = bad[np.argmin(rank[bad])]
+        raise InvariantViolation(
+            f"clustering report claims {clustering.component_counts[v]} "
+            f"components at vertex {v}, found {found[v]}"
+        )
+    x, y, i, j, tangent = _intersections(system)
+    angle = _angles(system, x, y, i, j)
+    # v splices the vertex into the ring of w, which came before it.
+    later = rank[j] > rank[i]
+    v, w = np.where(later, j, i), np.where(later, i, j)
+    slots = owner * np.int64(n) + member
+    by_key = np.argsort(slots, kind="stable")
+    part = comp[by_key[np.searchsorted(slots[by_key], v * np.int64(n) + w)]]
+    entry = np.full(len(comp), np.inf)
+    np.minimum.at(entry, part, np.where(later, angle[1], angle[0]))
+    splice = np.lexsort((np.arange(len(x)), w, part, entry[part], rank[v]))
+    cols = (c[splice] for c in (x, y, i, j, tangent))
+    return _arrangement(system, *cols, angle[:, splice], order[system.radii[order] > 0])
 
 
 @dataclass(frozen=True)
@@ -327,8 +324,7 @@ def complexity_audit(arr: CircleArrangement, system: DiskSystem) -> ComplexityAu
 
 def vertex_depths(arr: CircleArrangement, system: DiskSystem) -> np.ndarray:
     """Disk-coverage depth at every arrangement vertex."""
-    pts = np.asarray([v.point for v in arr.vertices], dtype=np.float64).reshape(-1, 2)
-    return covering_counts(system, pts)
+    return covering_counts(system, np.column_stack([arr.table.x, arr.table.y]))
 
 
 def system_ply(system: DiskSystem) -> int:
@@ -337,12 +333,6 @@ def system_ply(system: DiskSystem) -> int:
     The maximum closed-disk depth is attained at a circle-circle crossing
     or at a disk center, so those candidates suffice.
     """
-    pts = [system.centers]
-    for i, j in system.pairs:
-        i, j = int(i), int(j)
-        if system.radii[i] > 0 and system.radii[j] > 0:
-            got = _pair_points(system, i, j)
-            if got:
-                pts.append(np.asarray(got, dtype=np.float64))
-    depths = covering_counts(system, np.vstack(pts))
+    x, y = _intersections(system)[:2]
+    depths = covering_counts(system, np.vstack([system.centers, np.column_stack([x, y])]))
     return int(depths.max()) if len(depths) else 0

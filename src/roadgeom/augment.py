@@ -236,47 +236,9 @@ def neighborly_check(
     )
 
 
-def smaller_neighbor_components(s: DiskSystem) -> list:
-    """Per position v: the connected components of the intersecting
-    neighbors of v that come before v in (radius, position) order.
-
-    Each component is a sorted position list; components appear in the
-    order their first member appears in v's pair-adjacency row.
-    """
-    n = len(s)
-    indptr, nbr = s.pair_adjacency()
-    owner = np.repeat(np.arange(n), np.diff(indptr))
-    r_own, r_nbr = s.radii[owner], s.radii[nbr]
-    smaller = (r_nbr < r_own) | ((r_nbr == r_own) & (nbr < owner))
-    sub_ptr = np.searchsorted(owner[smaller], np.arange(n + 1)).tolist()
-    members_of = nbr[smaller].tolist()
-    ptr, adj = indptr.tolist(), nbr.tolist()
-    mark = [-1] * n  # v while a member of v's set is still unvisited
-    out = []
-    for v in range(n):
-        members = members_of[sub_ptr[v] : sub_ptr[v + 1]]
-        for u in members:
-            mark[u] = v
-        comps = []
-        for first in members:
-            if mark[first] != v:
-                continue
-            mark[first] = -1
-            comp, stack = [], [first]
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for x in adj[ptr[u] : ptr[u + 1]]:
-                    if mark[x] == v:
-                        mark[x] = -1
-                        stack.append(x)
-            comps.append(sorted(comp))
-        out.append(comps)
-    return out
-
-
 def clustering_check(s: DiskSystem) -> ClusteringReport:
     """Connected components among each disk's not-larger intersecting
     neighbors, ordered by (radius, position)."""
-    counts = np.array([len(c) for c in smaller_neighbor_components(s)], dtype=np.int64)
+    owner, _, comp = s.smaller_components()
+    counts = np.bincount(owner[comp == np.arange(len(comp))], minlength=len(s))
     return ClusteringReport(counts, int(counts.max()) if len(counts) else 0)

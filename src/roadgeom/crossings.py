@@ -321,8 +321,26 @@ def planarize(g: GeometricGraph, crossings, verify: bool = True) -> PlanarizedGr
         meta={"planarized_from": g.meta.get("source", "graph")},
     )
     if verify:
-        _, _, kind, _, _ = _contacts(graph, *_cell_candidates(graph), junctions=False)
-        leftover = np.count_nonzero(kind == KINDS.index(PROPER))
-        if leftover:
-            raise InvariantViolation(f"planarization left {leftover} proper crossings")
+        a, b, kind, _, _ = _contacts(graph, *_cell_candidates(graph), junctions=False)
+        left = kind == KINDS.index(PROPER)
+        if left.any():
+            raise _leftover_error(g, owner[a[left]], owner[b[left]])
     return PlanarizedGraph(graph, g, proper, off)
+
+
+def _leftover_error(g: GeometricGraph, a, b):
+    """The error for proper crossings left between sub-edges of the base
+    edges a[k], b[k].  When no such base pair properly crosses, judged
+    exactly, rounded crossing vertices bent a sub-edge across an edge it
+    only touched: a DegeneracyError naming the first pair.  Otherwise a
+    crossing was missed: an InvariantViolation."""
+    x1, y1, x2, y2 = g.segment_arrays()
+    pairs = list(zip(a.tolist(), b.tolist()))
+    for e, f in pairs:
+        kind, _ = geometry.segment_contact(x1[e], y1[e], x2[e], y2[e], x1[f], y1[f], x2[f], y2[f])
+        if kind == PROPER:
+            return InvariantViolation(f"planarization left {len(pairs)} proper crossings")
+    e, f = sorted(pairs[0])
+    return DegeneracyError(
+        f"rounded crossing vertices make edges ({e}, {f}) cross after planarization"
+    )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import csr, grid_join, sorted_unique
+from ._arrays import components, concat_ranges, csr, grid_join, sorted_unique
 from .errors import ConfigError, InvariantViolation, ValidationError
 from .graphs import GeometricGraph
 
@@ -49,6 +49,7 @@ class DiskSystem:
             a.setflags(write=False)
         self._adjacency = None
         self._center_ply = None
+        self._smaller_components = None
 
     def __len__(self):
         return len(self.radii)
@@ -85,6 +86,40 @@ class DiskSystem:
         if len(self) == 0:
             return 0
         return int(self.center_ply().max())
+
+    def smaller_components(self):
+        """The intersecting neighbors of each position v that come before v
+        in (radius, position) order, grouped into connected components.
+
+        Returns (owner, member, comp) over slots in pair-adjacency order:
+        slot k holds neighbor member[k] of owner[k], and comp[k] is the
+        first slot of its component among owner[k]'s slots, so components
+        are named in the order their first member appears in v's row.  Two
+        members u, x of v's set are joined when they intersect; each such
+        triangle is found once, from the later of u and x.
+        """
+        if self._smaller_components is None:
+            n = len(self)
+            indptr, nbr = self.pair_adjacency()
+            owner = np.repeat(np.arange(n), np.diff(indptr))
+            r_own, r_nbr = self.radii[owner], self.radii[nbr]
+            smaller = (r_nbr < r_own) | ((r_nbr == r_own) & (nbr < owner))
+            owner, member = owner[smaller], nbr[smaller]
+            ptr = np.searchsorted(owner, np.arange(n + 1))
+            size = np.diff(ptr)[member]
+            slot = np.repeat(np.arange(len(member)), size)
+            other = member[concat_ranges(ptr[member], size)]
+            keys = owner * np.int64(n) + member
+            by_key = np.argsort(keys, kind="stable")
+            keys = keys[by_key]
+            query = owner[slot] * np.int64(n) + other
+            at = np.minimum(np.searchsorted(keys, query), max(len(keys) - 1, 0))
+            joined = keys[at] == query if len(keys) else np.zeros(0, dtype=bool)
+            comp = components(len(member), slot[joined], by_key[at[joined]])
+            for a in (owner, member, comp):
+                a.setflags(write=False)
+            self._smaller_components = owner, member, comp
+        return self._smaller_components
 
     def subset(self, positions) -> "DiskSystem":
         """Sub-system induced by the given positions (pairs filtered)."""
@@ -162,15 +197,17 @@ def _pair_distances(system: DiskSystem) -> np.ndarray:
 def covering_counts(system: DiskSystem, points) -> np.ndarray:
     """Number of system disks covering each query point (closed disks)."""
     points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    px, py = points[:, 0].copy(), points[:, 1].copy()
     counts = np.zeros(len(points), dtype=np.int64)
     bands = _band_index(system.radii)
     for b in sorted_unique(bands):
         band = np.flatnonzero(bands == b)
-        qi, sj = grid_join(points, system.centers[band], 4.0 * 2.0 ** float(b))
-        d = band[sj]
-        inside = np.hypot(
-            points[qi, 0] - system.centers[d, 0], points[qi, 1] - system.centers[d, 1]
-        ) <= system.radii[d]
+        cx, cy, r = system.centers[band, 0], system.centers[band, 1], system.radii[band]
+        # A band-b radius is below the cell side 2^(b + 1), and hypot is at
+        # least the larger coordinate gap, so a covered point lies in a cell
+        # at most one away from the center's (both quotients exact).
+        qi, sj = grid_join(points, system.centers[band], 2.0 ** float(b + 1))
+        inside = np.hypot(px[qi] - cx[sj], py[qi] - cy[sj]) <= r[sj]
         counts += np.bincount(qi[inside], minlength=len(points))
     return counts
 

@@ -134,36 +134,51 @@ def intersection_point(ax, ay, bx, by, cx, cy, dx, dy):
     return ax + t * rx, ay + t * ry
 
 
-def circle_circle_points(q1x, q1y, r1, q2x, q2y, r2):
-    """Intersection points of two circles.
+def circle_pair_points(q1x, q1y, r1, q2x, q2y, r2):
+    """Intersection points of the circle pairs given as equal-length arrays.
 
-    Returns a list of 0, 1 (tangent) or 2 points.  Tangency is detected by
-    exact float comparison of squared distances, which is reliable for the
-    lattice-derived systems this package builds.  Identical circles raise
-    ValueError.
+    Returns (row, x, y): the points in row order, ``row`` naming the pair of
+    each; a crossing pair gives two points, a tangent pair one.  Tangency is
+    detected by exact float comparison of squared distances, which is
+    reliable for the lattice-derived systems this package builds.  Every
+    point is computed by the scalar expressions in their scalar order
+    (``np.sqrt`` rounds as ``math.sqrt`` does), so a pair's points do not
+    depend on the other rows.  Identical circles raise ValueError, with the
+    first such row as its second argument.
     """
+    q1x, q1y, r1, q2x, q2y, r2 = (
+        np.asarray(a, dtype=np.float64) for a in (q1x, q1y, r1, q2x, q2y, r2)
+    )
     dx = q2x - q1x
     dy = q2y - q1y
     d2 = dx * dx + dy * dy
     rsum = r1 + r2
     rdiff = r1 - r2
-    if d2 == 0.0 and r1 == r2:
-        raise ValueError("identical circles")
-    if d2 > rsum * rsum or d2 < rdiff * rdiff:
-        return []
-    d = math.sqrt(d2)
-    a = (d2 + r1 * r1 - r2 * r2) / (2.0 * d)
-    bx = q1x + a * dx / d
-    by = q1y + a * dy / d
-    if d2 == rsum * rsum or d2 == rdiff * rdiff:
-        return [(bx, by)]
-    h2 = r1 * r1 - a * a
-    if h2 <= 0.0:
-        return [(bx, by)]
-    h = math.sqrt(h2)
-    ox = -dy * h / d
-    oy = dx * h / d
-    return [(bx + ox, by + oy), (bx - ox, by - oy)]
+    same = np.flatnonzero((d2 == 0.0) & (r1 == r2))
+    if len(same):
+        raise ValueError("identical circles", int(same[0]))
+    hit = np.flatnonzero(~((d2 > rsum * rsum) | (d2 < rdiff * rdiff)))
+    q1x, q1y, r1, r2, dx, dy, d2, rsum, rdiff = (
+        a[hit] for a in (q1x, q1y, r1, r2, dx, dy, d2, rsum, rdiff)
+    )
+    with np.errstate(all="ignore"):
+        d = np.sqrt(d2)
+        a = (d2 + r1 * r1 - r2 * r2) / (2.0 * d)
+        bx = q1x + a * dx / d
+        by = q1y + a * dy / d
+        h2 = r1 * r1 - a * a
+        two = ~((d2 == rsum * rsum) | (d2 == rdiff * rdiff) | (h2 <= 0.0))
+        h = np.sqrt(h2[two])
+        ox = -dy[two] * h / d[two]
+        oy = dx[two] * h / d[two]
+    count = 1 + two
+    first = np.cumsum(count) - count
+    row = np.repeat(hit, count)
+    x, y = np.repeat(bx, count), np.repeat(by, count)
+    lead, trail = first[two], first[two] + 1
+    x[lead], y[lead] = bx[two] + ox, by[two] + oy
+    x[trail], y[trail] = bx[two] - ox, by[two] - oy
+    return row, x, y
 
 
 def circumcircles(pts):

@@ -5,7 +5,9 @@ rational arithmetic where float rounding could matter, and no reuse of the
 package's candidate-generation or classification paths.  The exception is
 ``scalar_find_separator``: the separator search with one candidate circle
 at a time, which shares the package's lift and centerpoint helpers and must
-match the batched search bit for bit.
+match the batched search bit for bit.  Likewise the one-pair-at-a-time
+arrangement builders and the dict face tracer, which the vertex-table
+arrangement must match exactly.
 """
 
 import math
@@ -549,3 +551,230 @@ def scalar_find_separator(
         f"no balanced separator within {max_retries} retries (n={n})",
         best_candidate=fallback,
     )
+
+
+# -- circle arrangements, one pair and one vertex at a time ---------------------
+
+
+def circle_circle_points(q1x, q1y, r1, q2x, q2y, r2):
+    """Intersection points of two circles: a list of 0, 1 (tangent) or 2
+    points, tangency by exact float comparison of squared distances.
+    Identical circles raise ValueError."""
+    dx = q2x - q1x
+    dy = q2y - q1y
+    d2 = dx * dx + dy * dy
+    rsum = r1 + r2
+    rdiff = r1 - r2
+    if d2 == 0.0 and r1 == r2:
+        raise ValueError("identical circles")
+    if d2 > rsum * rsum or d2 < rdiff * rdiff:
+        return []
+    d = math.sqrt(d2)
+    a = (d2 + r1 * r1 - r2 * r2) / (2.0 * d)
+    bx = q1x + a * dx / d
+    by = q1y + a * dy / d
+    if d2 == rsum * rsum or d2 == rdiff * rdiff:
+        return [(bx, by)]
+    h2 = r1 * r1 - a * a
+    if h2 <= 0.0:
+        return [(bx, by)]
+    h = math.sqrt(h2)
+    ox = -dy * h / d
+    oy = dx * h / d
+    return [(bx + ox, by + oy), (bx - ox, by - oy)]
+
+
+def smaller_neighbor_component_lists(system):
+    """Per position v: the components of v's intersecting neighbors that
+    come before v in (radius, position) order, each a sorted position list,
+    in the order their first member appears in v's pair-adjacency row."""
+    indptr, nbr = system.pair_adjacency()
+    ptr, adj = indptr.tolist(), nbr.tolist()
+    key = [(float(r), p) for p, r in enumerate(system.radii)]
+    out = []
+    for v in range(len(system)):
+        row = adj[ptr[v] : ptr[v + 1]]
+        members = [u for u in row if key[u] < key[v]]
+        unvisited = set(members)
+        comps = []
+        for first in members:
+            if first not in unvisited:
+                continue
+            unvisited.discard(first)
+            comp, stack = [], [first]
+            while stack:
+                u = stack.pop()
+                comp.append(u)
+                for x in adj[ptr[u] : ptr[u + 1]]:
+                    if x in unvisited:
+                        unvisited.discard(x)
+                        stack.append(x)
+            comps.append(sorted(comp))
+        out.append(comps)
+    return out
+
+
+class ListArrangement:
+    """An arrangement as a list of ``ArrangementVertex`` plus rings."""
+
+    def __init__(self, centers, radii, vertices, rings):
+        self.centers, self.radii = centers, radii
+        self.vertices, self.rings = vertices, rings
+
+
+def _pair_points(system, i, j):
+    from roadgeom.errors import DegeneracyError
+
+    c, r = system.centers, system.radii
+    try:
+        return circle_circle_points(c[i, 0], c[i, 1], float(r[i]), c[j, 0], c[j, 1], float(r[j]))
+    except ValueError:
+        raise DegeneracyError(f"duplicate circles ({i}, {j})") from None
+
+
+def _angle_on(system, point, c):
+    return math.atan2(point[1] - system.centers[c, 1], point[0] - system.centers[c, 0])
+
+
+def _add_sentinels(system, vertices, rings):
+    from roadgeom.arrangement import ArrangementVertex
+
+    for c, ring in rings.items():
+        if not ring:
+            ring.append(len(vertices))
+            point = (float(system.centers[c, 0] + system.radii[c]), float(system.centers[c, 1]))
+            vertices.append(ArrangementVertex(point, (c, -1)))
+
+
+def naive_arrangement(system):
+    """Every recorded pair intersected in pair order; rings sorted by angle."""
+    from roadgeom.arrangement import ArrangementVertex
+    from roadgeom.errors import DegeneracyError
+
+    rings = {i: [] for i in range(len(system)) if system.radii[i] > 0}
+    vertices = []
+    for i, j in system.pairs.tolist():
+        if system.radii[i] <= 0 or system.radii[j] <= 0:
+            continue
+        pts = _pair_points(system, i, j)
+        for p in pts:
+            rings[i].append(len(vertices))
+            rings[j].append(len(vertices))
+            vertices.append(ArrangementVertex(p, (i, j), tangent=len(pts) == 1))
+    for c, ring in rings.items():
+        ring.sort(key=lambda vid: _angle_on(system, vertices[vid].point, c))
+        for a, b in zip(ring, ring[1:]):
+            if _angle_on(system, vertices[a].point, c) == _angle_on(system, vertices[b].point, c):
+                raise DegeneracyError(f"concurrent intersection points on circle {c}")
+    _add_sentinels(system, vertices, rings)
+    return ListArrangement(system.centers, system.radii, vertices, rings)
+
+
+def inductive_arrangement(system, clustering):
+    """Circles spliced one at a time in increasing (radius, id) order, each
+    through its smaller neighbors' components sorted by entry angle, every
+    new vertex inserted into two rings by binary search."""
+    from roadgeom.arrangement import ArrangementVertex
+    from roadgeom.errors import DegeneracyError, InvariantViolation
+
+    if len(clustering.component_counts) != len(system):
+        raise InvariantViolation("clustering report does not match the system")
+    order = sorted(range(len(system)), key=lambda i: (system.radii[i], i))
+    rings = {i: [] for i in order if system.radii[i] > 0}
+    vertices = []
+
+    def insert(c, vid):
+        ring, ang = rings[c], _angle_on(system, vertices[vid].point, c)
+        lo, hi = 0, len(ring)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            other = _angle_on(system, vertices[ring[mid]].point, c)
+            if other == ang:
+                raise DegeneracyError(f"concurrent intersection points on circle {c}")
+            if other < ang:
+                lo = mid + 1
+            else:
+                hi = mid
+        ring.insert(lo, vid)
+
+    components_of = smaller_neighbor_component_lists(system)
+    for v in order:
+        comps = components_of[v]
+        if len(comps) != int(clustering.component_counts[v]):
+            raise InvariantViolation(
+                f"clustering report claims {clustering.component_counts[v]} "
+                f"components at vertex {v}, found {len(comps)}"
+            )
+        if system.radii[v] <= 0:
+            continue
+        spliced = []
+        for comp in comps:
+            found = [
+                (p, w)
+                for w in comp
+                if system.radii[w] > 0
+                for p in _pair_points(system, min(v, w), max(v, w))
+            ]
+            if found:
+                spliced.append((min(_angle_on(system, p, v) for p, _ in found), found))
+        spliced.sort(key=lambda item: item[0])
+        for _, found in spliced:
+            for p, w in found:
+                vid = len(vertices)
+                single = sum(1 for _, x in found if x == w) == 1
+                vertices.append(ArrangementVertex(p, (min(v, w), max(v, w)), tangent=single))
+                insert(v, vid)
+                insert(w, vid)
+    _add_sentinels(system, vertices, rings)
+    return ListArrangement(system.centers, system.radii, vertices, rings)
+
+
+def traced_face_count(arr):
+    """Faces of an arrangement traced half-edge by half-edge through dicts of
+    its rotation system (any object with centers, radii, vertices, rings)."""
+    arcs = [
+        (c, ring[t], ring[(t + 1) % len(ring)]) for c, ring in arr.rings.items() for t in range(len(ring))
+    ]
+    incid, head = {}, {}
+    for a, (c, v_from, v_to) in enumerate(arcs):
+        r = float(arr.radii[c])
+        for h, origin, sign in ((2 * a, v_from, 1.0), (2 * a + 1, v_to, -1.0)):
+            px, py = arr.vertices[origin].point
+            tx, ty = -(py - arr.centers[c, 1]), px - arr.centers[c, 0]
+            dx, dy = sign * tx, sign * ty
+            side = math.copysign(1.0, dx * (arr.centers[c, 1] - py) - dy * (arr.centers[c, 0] - px))
+            incid.setdefault(origin, []).append((math.atan2(dy, dx), side / r, h))
+            head[h] = v_to if h % 2 == 0 else v_from
+    pos, order, tol = {}, {}, 1e-9
+    for v, items in incid.items():
+        items.sort()
+        start = 0
+        for idx in range(len(items)):
+            prev = items[idx - 1][0] + (0.0 if idx else -2.0 * math.pi)
+            if items[idx][0] - prev > tol:
+                start = idx
+                break
+        groups = []
+        for item in items[start:] + items[:start]:
+            if groups and item[0] - groups[-1][-1][0] <= tol:
+                groups[-1].append(item)
+            else:
+                groups.append([item])
+        order[v] = [h for grp in groups for _, _, h in sorted(grp, key=lambda it: it[1])]
+        for idx, h in enumerate(order[v]):
+            pos[h] = idx
+    seen, orbits = set(), 0
+    for h in range(2 * len(arcs)):
+        if h in seen:
+            continue
+        orbits += 1
+        while h not in seen:
+            seen.add(h)
+            ring = order[head[h]]
+            h = ring[(pos[h ^ 1] - 1) % len(ring)]
+    circles = [c for c in arr.rings]
+    uf = UnionFind(circles)
+    for v in arr.vertices:
+        if v.circles[1] != -1:
+            uf.union(*v.circles)
+    return orbits - (uf.component_count() - 1)

@@ -14,6 +14,7 @@ from roadgeom.arrangement import (
 from roadgeom.augment import clustering_check
 from roadgeom.disks import DiskSystem, build_disk_system
 from roadgeom.errors import DegeneracyError, InvariantViolation
+from roadgeom.geometry import circle_pair_points
 
 import oracles
 
@@ -182,3 +183,153 @@ class TestDepths:
     def test_system_ply_at_least_center_ply(self, hub_small):
         s = build_disk_system(hub_small)
         assert system_ply(s) >= s.max_center_ply()
+
+
+def assert_same_as_oracle(arr, want):
+    """Vertex by vertex and ring by ring, ids and dict order included."""
+    assert list(arr.vertices) == want.vertices
+    assert list(arr.rings.items()) == list(want.rings.items())
+
+
+def oracle_corpus():
+    yield system_from([(0.0, 0.0), (1.0, 0.0), (0.5, 0.8), (5.0, 5.0)], [1.0, 1.0, 0.6, 0.5])
+    yield system_from([(0.0, 0.0), (2.0, 0.0), (1.0, 0.0), (1.0, 0.5)], [1.0, 1.0, 0.0, 3.0])
+    for seed in (0, 3, 8):
+        yield build_disk_system(rg.gen_random_geometric(100, 0.14, seed=seed))
+    for seed in (1, 2):
+        yield build_disk_system(rg.gen_gotham(64, 8, seed=seed))
+        yield build_disk_system(rg.gen_hub_spoke(64, 21, seed=seed))
+        yield build_disk_system(rg.gen_random_geometric(2000, 1.5 / 2000**0.5, seed=seed))
+
+
+class TestVertexTableMatchesOracles:
+    def test_builders_and_faces(self):
+        for s in oracle_corpus():
+            clustering = clustering_check(s)
+            naive, inductive = build_naive(s), build_inductive(s, clustering)
+            assert_same_as_oracle(naive, oracles.naive_arrangement(s))
+            assert_same_as_oracle(inductive, oracles.inductive_arrangement(s, clustering))
+            assert naive.face_count() == oracles.traced_face_count(naive)
+            assert inductive.face_count() == naive.face_count()
+            assert naive.component_count == inductive.component_count
+            assert naive.euler_check() and inductive.euler_check()
+            assert np.array_equal(naive.table.tangent, [v.tangent for v in naive.vertices])
+
+    def test_depths_match_brute_force(self):
+        for seed in (2, 7):
+            s = build_disk_system(rg.gen_random_geometric(60, 0.2, seed=seed))
+            arr = oracles.naive_arrangement(s)
+            pts = np.array([v.point for v in arr.vertices]).reshape(-1, 2)
+            want = [int(np.sum(np.hypot(*(p - s.centers).T) <= s.radii)) for p in pts]
+            assert vertex_depths(build_naive(s), s).tolist() == want
+
+    def test_smaller_components_match_oracle(self):
+        for s in oracle_corpus():
+            owner, member, comp = s.smaller_components()
+            got = [[] for _ in range(len(s))]
+            for k in np.flatnonzero(comp == np.arange(len(comp))):
+                got[owner[k]].append(sorted(member[comp == k].tolist()))
+            assert got == oracles.smaller_neighbor_component_lists(s)
+
+    def test_vertex_view(self):
+        arr = build_naive(system_from([(0.0, 0.0), (1.0, 0.0), (5.0, 0.0)], [1.0, 1.0, 1.0]))
+        v = arr.vertices
+        assert len(v) == 3 and v[-1] == v[2] and v[1:] == [v[1], v[2]]
+        assert v[2].is_sentinel and v[2].point == (6.0, 0.0)
+        assert all(type(c) is float for c in v[0].point)
+        assert all(type(c) is int for c in v[0].circles)
+        with pytest.raises(IndexError):
+            v[3]
+        # The view holds no public state: digests of an arrangement's public
+        # fields must not recurse back into it.
+        assert not {k for k in vars(v) if not k.startswith("_")}
+
+
+class TestTangencies:
+    # Unit circle at the origin and a partner touching it at each compass
+    # point, from outside (radius 1) and from inside (radius 0.5).  At (0, 1)
+    # from outside, the lower circle leaves the contact counterclockwise at
+    # +pi and the upper one clockwise at -pi: one direction across the wrap.
+    @pytest.mark.parametrize("dx, dy", [(1, 0), (0, 1), (-1, 0), (0, -1)])
+    @pytest.mark.parametrize("r", [1.0, 0.5])
+    def test_compass_tangency(self, dx, dy, r):
+        d = 1.0 + r if r == 1.0 else 1.0 - r
+        s = system_from([(0.0, 0.0), (d * dx, d * dy)], [1.0, r])
+        arr = build_naive(s)
+        assert arr.vertices[0].point == (dx, dy)
+        assert arr.vertex_count == 1 and arr.table.tangent.tolist() == [True]
+        assert arr.face_count() == oracles.traced_face_count(arr) == 3
+        assert arr.euler_check()
+
+    def test_flower_of_tangencies(self):
+        centers = [(0.0, 0.0), (2.0, 0.0), (0.0, 2.0), (-2.0, 0.0), (0.0, -0.5)]
+        s = system_from(centers, [1.0, 1.0, 1.0, 1.0, 0.5])
+        for arr in (build_naive(s), build_inductive(s, clustering_check(s))):
+            assert arr.face_count() == oracles.traced_face_count(arr)
+            assert arr.euler_check()
+
+
+class TestDegeneracies:
+    def builders(self, s):
+        return (lambda: build_naive(s), lambda: build_inductive(s, clustering_check(s)))
+
+    def test_duplicate_circles(self):
+        s = system_from([(0.0, 0.0), (1.0, 0.0), (0.0, 0.0)], [1.0, 1.0, 1.0])
+        for build in self.builders(s):
+            with pytest.raises(DegeneracyError, match=r"duplicate circles \(0, 2\)"):
+                build()
+
+    def test_concurrent_points_on_a_circle(self):
+        # Three circles touching at (1, 0): two vertices at one angle.
+        s = system_from([(0.0, 0.0), (2.0, 0.0), (3.0, 0.0)], [1.0, 1.0, 2.0])
+        for build in self.builders(s):
+            with pytest.raises(DegeneracyError, match="concurrent intersection points on circle 0"):
+                build()
+
+
+class TestCirclePairPoints:
+    def pairs(self):
+        rng = np.random.default_rng(5)
+        k = 4000
+        q = rng.integers(-6, 7, size=(k, 4)).astype(np.float64) / rng.choice([1.0, 2.0, 3.0], size=(k, 1))
+        r = rng.integers(0, 7, size=(k, 2)) / rng.choice([1.0, 2.0, 7.0], size=(k, 1))
+        lattice = np.column_stack([q[:, 0], q[:, 1], r[:, 0], q[:, 2], q[:, 3], r[:, 1]])
+        real = np.column_stack(
+            [rng.normal(size=(k, 2)), rng.uniform(0.1, 2, k), rng.normal(size=(k, 2)), rng.uniform(0.1, 2, k)]
+        )
+        rows = np.vstack([lattice, real])
+        same = (rows[:, 0] == rows[:, 3]) & (rows[:, 1] == rows[:, 4]) & (rows[:, 2] == rows[:, 5])
+        return rows[~same]
+
+    def test_matches_scalar_bit_for_bit(self):
+        rows = self.pairs()
+        row, x, y = circle_pair_points(*rows.T)
+        want = [
+            (k, p) for k, args in enumerate(rows) for p in oracles.circle_circle_points(*args.tolist())
+        ]
+        assert row.tolist() == [k for k, _ in want]
+        got = np.column_stack([x, y])
+        expect = np.array([p for _, p in want], dtype=np.float64)
+        assert got.tobytes() == expect.tobytes()
+        assert 0 < np.count_nonzero(np.bincount(row) == 1) < len(set(row.tolist()))
+
+    def test_identical_circles_name_the_first_row(self):
+        rows = np.array([[0, 0, 1, 3, 0, 1], [1, 1, 2, 1, 1, 2], [0, 0, 1, 0, 0, 1]], dtype=np.float64)
+        with pytest.raises(ValueError) as caught:
+            circle_pair_points(*rows.T)
+        assert caught.value.args == ("identical circles", 1)
+
+    def test_numpy_facts_the_table_rests_on(self):
+        # np.sqrt rounds as math.sqrt on the table's radicands, d^2 and h^2.
+        rows = self.pairs()
+        q1x, q1y, r1, q2x, q2y, r2 = rows.T
+        d2 = (q2x - q1x) ** 2 + (q2y - q1y) ** 2
+        keep = d2 > 0
+        d2, r1, r2 = d2[keep], r1[keep], r2[keep]
+        a = (d2 + r1 * r1 - r2 * r2) / (2.0 * np.sqrt(d2))
+        for radicand in (d2, r1 * r1 - a * a):
+            radicand = radicand[np.isfinite(radicand) & (radicand > 0)]
+            assert np.sqrt(radicand).tolist() == [math.sqrt(v) for v in radicand.tolist()]
+        # np.arctan2 does not round as math.atan2, so angles use math.atan2.
+        y, x = np.random.default_rng(0).normal(size=(2, 20000))
+        assert np.arctan2(y, x).tolist() != [math.atan2(a, b) for a, b in zip(y.tolist(), x.tolist())]

@@ -188,6 +188,23 @@ class TestPlanarize:
             cr.planarize(g, [], verify=True)
         assert cr.planarize(g, recs, verify=True).graph.n == 5
 
+    def test_rounded_crossing_vertex_is_a_named_degeneracy(self):
+        # Edges (1,3)-(3,2) and (2,2)-(4,4) cross at (7/3, 7/3), which rounds;
+        # the rounded vertex moves the sub-edge towards (4, 4) off (3, 3),
+        # where edge (0,4)-(3,3) only touched its parent, and now they cross.
+        g = rg.GeometricGraph.build(
+            [(0, 4), (1, 3), (2, 2), (3, 2), (3, 3), (4, 4)],
+            [(0, 4, 1.0, 4), (1, 3, 1.0, 4), (2, 5, 1.0, 4)],
+        )
+        recs = cr.find_crossings(g)
+        assert [(r.e1, r.e2, r.kind) for r in recs] == [(0, 2, ENDPOINT_TOUCH), (1, 2, PROPER)]
+        with pytest.raises(DegeneracyError, match=r"edges \(0, 2\) cross after planarization"):
+            cr.planarize(g, recs, verify=True)
+        assert cr.planarize(g, recs, verify=False).graph.n == 7
+        # A missed crossing is still a library fault.
+        with pytest.raises(InvariantViolation, match="planarization left 1 proper crossings"):
+            cr.planarize(g, recs[np.arange(len(recs)) != 1], verify=True)
+
     def test_chain_concatenates_geometrically(self, gotham_small):
         recs = cr.find_crossings(gotham_small)
         p = cr.planarize(gotham_small, recs)

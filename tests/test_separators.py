@@ -377,3 +377,22 @@ def test_decomposition_ignores_vertex_id_order():
             assert getattr(sa, field) == rename(getattr(sb, field))
     assert np.array_equal(got.label[ids], want.label)
     assert np.count_nonzero(got.label >= 0) == len(s)
+
+
+def test_written_out_cross_is_np_cross_bit_for_bit():
+    """The separator lift writes np.cross out; it must round identically,
+    signed zeros and non-finite rows included."""
+    rng = np.random.default_rng(3)
+    for k in (1, 7, 5000):
+        a = rng.normal(size=(k, 3)) * np.logspace(-150, 150, k)[:, None]
+        b = rng.normal(size=(k, 3))
+        b[::3] = np.eye(3)[rng.integers(0, 3, size=len(b[::3]))]
+        a[::5, 1] = -0.0
+        if k > 10:
+            a[3] = [np.inf, 1.0, np.nan]
+        with np.errstate(invalid="ignore"):
+            for x, y in ((a, b), (b, a), (a, a)):
+                assert separators._cross(x, y).tobytes() == np.cross(x, y).tobytes()
+    south = np.array([0.0, 0.0, -1.0])
+    for z in rng.normal(size=(200, 3)):
+        assert separators._cross(z, south).tobytes() == np.cross(z, south).tobytes()
