@@ -6,6 +6,9 @@ Graphs are given either as generator specs (``gotham:side=32,express=4``,
 native CSV interchange pair.  All outputs are deterministic CSV for a fixed
 seed.  Exit codes: 0 ok, 1 usage or configuration, 2 data error,
 3 violated invariant.
+
+Each ``cmd_*`` computes its result and returns ``(header, rows, notes)``;
+``_run`` resolves the graph and writes every CSV.
 """
 
 from __future__ import annotations
@@ -33,40 +36,35 @@ from .errors import (
     SeparatorFailure,
     ValidationError,
 )
-from .graphs import (
-    gen_gotham,
-    gen_hub_spoke,
-    gen_random_geometric,
-    load_csv,
-    load_dimacs,
-)
+from .graphs import gen_gotham, gen_hub_spoke, gen_random_geometric, load_csv, load_dimacs
 
-GENERATORS = ("gotham", "rgg", "hubspoke")
+# kind -> (generator, ((key, type, default or None if required), ...)); the
+# keys are the generator's leading arguments, in order, before the seed.
+GENERATORS = {
+    "gotham": (gen_gotham, (("side", int, None), ("express", int, 4))),
+    "rgg": (gen_random_geometric, (("n", int, None), ("radius", float, None))),
+    "hubspoke": (gen_hub_spoke, (("ring", int, None), ("spokes", int, 21))),
+}
 
 
 def resolve_graph(spec: str, seed):
     """Build or load the graph named by a CLI graph spec."""
     kind, _, rest = spec.partition(":")
     if kind in GENERATORS:
-        allowed = {
-            "gotham": {"side", "express"},
-            "rgg": {"n", "radius"},
-            "hubspoke": {"ring", "spokes"},
-        }[kind]
-        params = {}
+        generator, params = GENERATORS[kind]
+        given = {}
         for item in filter(None, rest.split(",")):
             key, _, value = item.partition("=")
-            if not value or key not in allowed:
+            if not value or key not in {p[0] for p in params}:
                 raise ConfigError(f"bad generator parameter {item!r} in {spec!r}")
-            params[key] = value
+            given[key] = value
         try:
-            if kind == "gotham":
-                return gen_gotham(int(params["side"]), int(params.get("express", 4)), seed)
-            if kind == "rgg":
-                return gen_random_geometric(int(params["n"]), float(params["radius"]), seed)
-            return gen_hub_spoke(int(params["ring"]), int(params.get("spokes", 21)), seed)
-        except KeyError as exc:
-            raise ConfigError(f"{spec!r} is missing parameter {exc}") from None
+            values = []
+            for key, cast, default in params:
+                if key not in given and default is None:
+                    raise ConfigError(f"{spec!r} is missing parameter {key!r}")
+                values.append(cast(given[key]) if key in given else default)
+            return generator(*values, seed)
         except ValueError as exc:
             raise ConfigError(f"bad value in {spec!r}: {exc}") from None
     path = Path(spec)
@@ -81,21 +79,8 @@ def resolve_graph(spec: str, seed):
     raise ConfigError(f"cannot interpret graph spec {spec!r}")
 
 
-def _writer(args):
-    if args.out:
-        handle = open(args.out, "w", newline="", encoding="utf-8")
-    else:
-        handle = sys.stdout
-    return handle, csv.writer(handle, lineterminator="\n")
-
-
-def _close(handle):
-    if handle is not sys.stdout:
-        handle.close()
-
-
 def _fmt(x: float) -> str:
-    return repr(float(x))
+    return repr(float(x))  # "inf" for unreachable distances
 
 
 def _checked_crossings(g):
@@ -136,122 +121,83 @@ def _arrangement(g, inductive):
     return arr, audit
 
 
-def cmd_crossings(args) -> int:
-    g = resolve_graph(args.graph, args.seed)
+def cmd_crossings(args, g):
     table, proper = _checked_crossings(g)
-    handle, w = _writer(args)
-    w.writerow(["e1", "e2", "x", "y", "level1", "level2", "kind"])
-    for r in table:
-        w.writerow([r.e1, r.e2, _fmt(r.point[0]), _fmt(r.point[1]), r.level_pair[0], r.level_pair[1], r.kind])
+    x, y = map(_fmt, table.x.tolist()), map(_fmt, table.y.tolist())
+    kind = (crossings_mod.KINDS[code] for code in table.kind.tolist())
+    rows = zip(table.e1.tolist(), table.e2.tolist(), x, y, table.level_lo.tolist(), table.level_hi.tolist(), kind)
     hist = crossings_mod.crossing_histogram(proper)
-    handle.write(f"# proper_total={len(proper)} degenerate_total={len(table) - len(proper)}\n")
-    for (l1, l2), count in sorted(hist.items()):
-        handle.write(f"# level_pair_{l1}_{l2}={count}\n")
-    _close(handle)
-    return 0
+    notes = [f"proper_total={len(proper)} degenerate_total={len(table) - len(proper)}"]
+    notes += [f"level_pair_{l1}_{l2}={count}" for (l1, l2), count in sorted(hist.items())]
+    return ["e1", "e2", "x", "y", "level1", "level2", "kind"], rows, notes
 
 
-def cmd_ply(args) -> int:
-    g = resolve_graph(args.graph, args.seed)
+def cmd_ply(args, g):
     rep = disks_mod.ply_report(_checked_system(g))
-    handle, w = _writer(args)
-    w.writerow(["n", "max_center_ply", "sqrt_n_th_ply", "max_disk_degree"])
-    w.writerow([g.n, rep.max_center_ply, rep.kth_largest_center_ply, rep.max_disk_degree])
-    _close(handle)
-    return 0
+    row = [g.n, rep.max_center_ply, rep.kth_largest_center_ply, rep.max_disk_degree]
+    return ["n", "max_center_ply", "sqrt_n_th_ply", "max_disk_degree"], [row], []
 
 
-def cmd_decompose(args) -> int:
-    g = resolve_graph(args.graph, args.seed)
+def cmd_decompose(args, g):
     system = disks_mod.build_disk_system(g)
     tree = separators_mod.build_decomposition(
         system, delta=args.delta, leaf_threshold=args.leaf, seed=args.seed
     )
-    handle, w = _writer(args)
-    w.writerow(["node", "depth", "n", "cut", "balance", "retries"])
+    rows = []
     for nd in tree.nodes:
         sep = nd.separator
         if sep is None:
             cut, balance, retries = 0, 0.0, 0
         else:
             cut, balance, retries = len(sep.cut), sep.balance, sep.retries
-        w.writerow([nd.id, nd.depth, nd.vertex_count, cut, _fmt(balance), retries])
-    _close(handle)
-    return 0
+        rows.append([nd.id, nd.depth, nd.vertex_count, cut, _fmt(balance), retries])
+    return ["node", "depth", "n", "cut", "balance", "retries"], rows, []
 
 
-def cmd_sssp(args) -> int:
-    g = resolve_graph(args.graph, args.seed)
+def cmd_sssp(args, g):
     result = routing_mod.sssp(g, args.source)
-    handle, w = _writer(args)
-    w.writerow(["vertex", "dist", "parent"])
-    for v in range(g.n):
-        d = result.dist[v]
-        w.writerow([v, "inf" if np.isinf(d) else _fmt(d), int(result.parent[v])])
-    _close(handle)
-    return 0
+    rows = zip(range(g.n), map(_fmt, result.dist.tolist()), result.parent.tolist())
+    return ["vertex", "dist", "parent"], rows, []
 
 
-def _parse_sites(spec, g, seed):
-    if spec.startswith("random:"):
-        k = int(spec.split(":", 1)[1])
-        if not 1 <= k <= g.n:
-            raise ConfigError(f"random site count {k} out of range 1..{g.n}")
-        rng = np.random.default_rng(seed)
-        return sorted(int(s) for s in rng.choice(g.n, size=k, replace=False))
+def cmd_voronoi(args, g):
     try:
-        return [int(tok) for tok in spec.split(",") if tok]
+        if args.sites.startswith("random:"):
+            k = int(args.sites.split(":", 1)[1])
+            if not 1 <= k <= g.n:
+                raise ConfigError(f"random site count {k} out of range 1..{g.n}")
+            rng = np.random.default_rng(args.seed)
+            sites = sorted(int(s) for s in rng.choice(g.n, size=k, replace=False))
+        else:
+            sites = [int(tok) for tok in args.sites.split(",") if tok]
     except ValueError:
-        raise ConfigError(f"bad site list {spec!r}") from None
-
-
-def cmd_voronoi(args) -> int:
-    g = resolve_graph(args.graph, args.seed)
-    sites = _parse_sites(args.sites, g, args.seed)
+        raise ConfigError(f"bad site list {args.sites!r}") from None
     direct = routing_mod.voronoi_direct(g, sites)
     system = disks_mod.build_disk_system(g)
     tree = separators_mod.build_decomposition(system, leaf_threshold=args.leaf, seed=args.seed)
     via = routing_mod.voronoi_via_tree(g, tree, sites)
     if not (np.array_equal(via.dist, direct.dist) and np.array_equal(via.label, direct.label)):
         raise InvariantViolation("tree-based and direct Voronoi labelings disagree")
-    handle, w = _writer(args)
-    w.writerow(["vertex", "label", "dist"])
-    for v in range(g.n):
-        d = via.dist[v]
-        w.writerow([v, int(via.label[v]), "inf" if np.isinf(d) else _fmt(d)])
-    _close(handle)
-    return 0
+    rows = zip(range(g.n), via.label.tolist(), map(_fmt, via.dist.tolist()))
+    return ["vertex", "label", "dist"], rows, []
 
 
-def cmd_neighborly(args) -> int:
-    g = resolve_graph(args.graph, args.seed)
+def cmd_neighborly(args, g):
     rep = _neighborly(g, args.cutoff)
-    handle, w = _writer(args)
-    w.writerow(["n", "max_hops_augmented", "max_hops_plain", "augmented_truncated", "plain_truncated"])
-    w.writerow([g.n, rep.max_hops_augmented, rep.max_hops_plain, int(rep.augmented_truncated), int(rep.plain_truncated)])
-    _close(handle)
-    return 0
+    row = [g.n, rep.max_hops_augmented, rep.max_hops_plain, int(rep.augmented_truncated), int(rep.plain_truncated)]
+    return ["n", "max_hops_augmented", "max_hops_plain", "augmented_truncated", "plain_truncated"], [row], []
 
 
-def cmd_clustering(args) -> int:
-    g = resolve_graph(args.graph, args.seed)
+def cmd_clustering(args, g):
     rep = augment_mod.clustering_check(_checked_system(g))
-    handle, w = _writer(args)
-    w.writerow(["n", "max_components"])
-    w.writerow([g.n, rep.max_components])
-    _close(handle)
-    return 0
+    return ["n", "max_components"], [[g.n, rep.max_components]], []
 
 
-def cmd_arrangement(args) -> int:
-    g = resolve_graph(args.graph, args.seed)
+def cmd_arrangement(args, g):
     arr, audit = _arrangement(g, args.inductive)
     mode = "inductive" if args.inductive else "naive"
-    handle, w = _writer(args)
-    w.writerow(["V", "E", "F", "C", "ratio", "mode"])
-    w.writerow([arr.vertex_count, arr.edge_count, arr.face_count(), arr.component_count, _fmt(audit.per_vertex_ratio), mode])
-    _close(handle)
-    return 0
+    row = [arr.vertex_count, arr.edge_count, arr.face_count(), arr.component_count, _fmt(audit.per_vertex_ratio), mode]
+    return ["V", "E", "F", "C", "ratio", "mode"], [row], []
 
 
 # metric -> value for one graph, through the code path of its subcommand.
@@ -266,19 +212,20 @@ REPORT_METRICS = {
 }
 
 
-def cmd_report(args) -> int:
+def cmd_report(args):
     try:
         sizes = [int(tok) for tok in args.sizes.split(",") if tok]
     except ValueError:
         raise ConfigError(f"bad size list {args.sizes!r} (--sizes)") from None
     if not sizes:
         raise ConfigError("empty size list (--sizes)")
+    if min(sizes) < 1:
+        raise ConfigError(f"sizes must be positive in {args.sizes!r} (--sizes)")
     if args.metric not in REPORT_METRICS:
         raise ConfigError(f"unknown metric {args.metric!r}; choose from {tuple(REPORT_METRICS)}")
     if args.gen not in GENERATORS:
-        raise ConfigError(f"unknown generator {args.gen!r}; choose from {GENERATORS}")
-    handle, w = _writer(args)
-    w.writerow(["network", "n", "metric", "sqrt_n"])
+        raise ConfigError(f"unknown generator {args.gen!r}; choose from {tuple(GENERATORS)}")
+    rows = []
     for size in sizes:
         if args.gen == "gotham":
             side = max(2, round(math.sqrt(size)))
@@ -294,8 +241,28 @@ def cmd_report(args) -> int:
             name = f"hubspoke-{ring}"
         value = REPORT_METRICS[args.metric](g, args)
         value_str = str(value) if isinstance(value, int) else _fmt(value)
-        w.writerow([name, g.n, value_str, _fmt(math.sqrt(g.n))])
-    _close(handle)
+        rows.append([name, g.n, value_str, _fmt(math.sqrt(g.n))])
+    return ["network", "n", "metric", "sqrt_n"], rows, []
+
+
+def _run(args) -> int:
+    """Resolve the graph, run the command, write its CSV and ``# `` notes.
+
+    ``--out`` is opened only after the command returns: a failed run writes no file.
+    """
+    if "graph" in vars(args):
+        header, rows, notes = args.func(args, resolve_graph(args.graph, args.seed))
+    else:
+        header, rows, notes = args.func(args)
+    handle = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
+    try:
+        w = csv.writer(handle, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+        handle.writelines(f"# {note}\n" for note in notes)
+    finally:
+        if handle is not sys.stdout:
+            handle.close()
     return 0
 
 
@@ -306,60 +273,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0, help="rng seed (generators and randomized algorithms)")
-        p.add_argument("--out", default=None, help="output CSV path (default stdout)")
+    def command(name, func, help, graph=True):
+        p = sub.add_parser(name, help=help)
+        if graph:
+            p.add_argument("graph")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("crossings", help="detect and classify edge crossings")
-    p.add_argument("graph")
-    common(p)
-    p.set_defaults(func=cmd_crossings)
+    command("crossings", cmd_crossings, "detect and classify edge crossings")
+    command("ply", cmd_ply, "disk-system ply statistics")
 
-    p = sub.add_parser("ply", help="disk-system ply statistics")
-    p.add_argument("graph")
-    common(p)
-    p.set_defaults(func=cmd_ply)
-
-    p = sub.add_parser("decompose", help="recursive circle-separator decomposition")
-    p.add_argument("graph")
+    p = command("decompose", cmd_decompose, "recursive circle-separator decomposition")
     p.add_argument("--delta", type=float, default=2.0 / 3.0)
     p.add_argument("--leaf", type=int, default=32)
-    common(p)
-    p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("sssp", help="single-source shortest paths")
-    p.add_argument("graph")
+    p = command("sssp", cmd_sssp, "single-source shortest paths")
     p.add_argument("--source", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_sssp)
 
-    p = sub.add_parser("voronoi", help="graph Voronoi labeling via the separator tree")
-    p.add_argument("graph")
+    p = command("voronoi", cmd_voronoi, "graph Voronoi labeling via the separator tree")
     p.add_argument("--sites", required=True, help="comma list of vertex ids or random:<k>")
     p.add_argument("--leaf", type=int, default=32)
-    common(p)
-    p.set_defaults(func=cmd_voronoi)
 
-    p = sub.add_parser("neighborly", help="hop distances between intersecting disk centers")
-    p.add_argument("graph")
+    p = command("neighborly", cmd_neighborly, "hop distances between intersecting disk centers")
     p.add_argument("--cutoff", type=int, default=250)
-    common(p)
-    p.set_defaults(func=cmd_neighborly)
 
-    p = sub.add_parser("clustering", help="components among smaller intersecting neighbors")
-    p.add_argument("graph")
-    common(p)
-    p.set_defaults(func=cmd_clustering)
+    command("clustering", cmd_clustering, "components among smaller intersecting neighbors")
 
-    p = sub.add_parser("arrangement", help="circle arrangement statistics")
-    p.add_argument("graph")
+    p = command("arrangement", cmd_arrangement, "circle arrangement statistics")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--naive", action="store_true")
     mode.add_argument("--inductive", action="store_true")
-    common(p)
-    p.set_defaults(func=cmd_arrangement)
 
-    p = sub.add_parser("report", help="multi-size metric sweep over a generator family")
+    p = command("report", cmd_report, "multi-size metric sweep over a generator family", graph=False)
     p.add_argument("--gen", required=True)
     p.add_argument("--sizes", required=True, help="comma list of target vertex counts")
     p.add_argument("--metric", required=True)
@@ -367,20 +312,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spokes", type=int, default=21)
     p.add_argument("--radius", type=float, default=None)
     p.add_argument("--cutoff", type=int, default=250)
-    common(p)
-    p.set_defaults(func=cmd_report)
 
+    # Shared options come last, so each usage line lists them after the command's own.
+    for p in sub.choices.values():
+        p.add_argument("--seed", type=int, default=0, help="rng seed (generators and randomized algorithms)")
+        p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
-        return args.func(args)
+        return _run(args)
     except ConfigError as exc:
         print(f"roadgeom: configuration error: {exc}", file=sys.stderr)
         return 1

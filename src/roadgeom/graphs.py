@@ -135,10 +135,14 @@ class GeometricGraph:
         _, inverse, counts = np.unique(
             self.xy, axis=0, return_inverse=True, return_counts=True
         )
-        groups = []
-        for g in np.flatnonzero(counts > 1):
-            groups.append(tuple(int(i) for i in np.flatnonzero(inverse == g)))
-        return groups
+        inverse = inverse.ravel()
+        # Ids of the vertices in a group of two or more, ascending; a stable
+        # sort by group keeps them ascending within each group.
+        shared = np.flatnonzero(counts[inverse] > 1)
+        order = shared[np.argsort(inverse[shared], kind="stable")].tolist()
+        sizes = counts[counts > 1].tolist()
+        ends = np.cumsum(sizes).tolist()
+        return [tuple(order[e - c : e]) for e, c in zip(ends, sizes)]
 
     def __eq__(self, other):
         if not isinstance(other, GeometricGraph):

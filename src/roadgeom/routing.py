@@ -14,6 +14,7 @@ agree exactly and deterministically.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,28 +43,17 @@ class VoronoiLabeling:
 
 
 def sssp(g: GeometricGraph, source: int) -> ShortestPathResult:
-    """Exact single-source shortest paths; pops tie-broken by vertex id."""
+    """Exact single-source shortest paths; pops tie-broken by vertex id.
+
+    One constant label makes the lexicographic run a plain Dijkstra: a pop
+    is stale iff its distance was improved, and only a strictly shorter
+    distance relaxes a vertex.
+    """
     if not 0 <= source < g.n:
         raise ValidationError(f"unknown source vertex {source}")
     indptr, nbr, _, wt = g.adjacency()
-    n = g.n
-    dist = np.full(n, np.inf)
-    parent = np.full(n, -1, dtype=np.int64)
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    done = np.zeros(n, dtype=bool)
-    while heap:
-        d, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        for k in range(indptr[u], indptr[u + 1]):
-            v = int(nbr[k])
-            nd = d + wt[k]
-            if nd < dist[v]:
-                dist[v] = nd
-                parent[v] = u
-                heapq.heappush(heap, (nd, v))
+    rule = np.full(len(nbr), -2, dtype=np.int64)
+    dist, _, parent = _lex_dijkstra(g.n, indptr, nbr, wt, rule, [(0.0, 0, source)])
     return ShortestPathResult(source, dist, parent)
 
 
@@ -74,9 +64,12 @@ def _lex_dijkstra(n, indptr, nbr, wt, rule, seeds):
     current label, any other value overwrites it.  ``seeds`` are
     (dist, label, vertex) start states.
     """
-    dist = np.full(n, np.inf)
-    label = np.full(n, _NO_SITE, dtype=np.int64)
-    parent = np.full(n, -1, dtype=np.int64)
+    # Python lists and floats: the same IEEE additions and comparisons as
+    # numpy scalars, without their per-element boxing.
+    indptr, nbr, wt, rule = indptr.tolist(), nbr.tolist(), wt.tolist(), rule.tolist()
+    dist = [math.inf] * n
+    label = [_NO_SITE] * n
+    parent = [-1] * n
     heap = []
     for d, l, v in seeds:
         if d < dist[v] or (d == dist[v] and l < label[v]):
@@ -89,15 +82,15 @@ def _lex_dijkstra(n, indptr, nbr, wt, rule, seeds):
         if d > dist[u] or (d == dist[u] and l > label[u]):
             continue
         for k in range(indptr[u], indptr[u + 1]):
-            v = int(nbr[k])
+            v = nbr[k]
             nd = d + wt[k]
-            nl = l if rule[k] == -2 else int(rule[k])
+            nl = l if rule[k] == -2 else rule[k]
             if nd < dist[v] or (nd == dist[v] and nl < label[v]):
                 dist[v] = nd
                 label[v] = nl
                 parent[v] = u
                 heapq.heappush(heap, (nd, nl, v))
-    return dist, label, parent
+    return np.array(dist), np.array(label, dtype=np.int64), np.array(parent, dtype=np.int64)
 
 
 def _check_sites(g, sites):

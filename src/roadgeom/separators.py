@@ -325,6 +325,8 @@ def build_decomposition(
     """
     if leaf_threshold < 2:
         raise ConfigError("leaf_threshold must be >= 2")
+    if not 2.0 / 3.0 <= delta <= 0.75:
+        raise ConfigError("delta must be in [2/3, 3/4]")
     n = len(system)
     label_size = int(system.vertices.max()) + 1 if n else 0
     label = np.full(label_size, -1, dtype=np.int64)

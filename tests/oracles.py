@@ -10,6 +10,7 @@ arrangement builders and the dict face tracer, which the vertex-table
 arrangement must match exactly.
 """
 
+import heapq
 import math
 from fractions import Fraction
 
@@ -230,6 +231,29 @@ def bellman_ford(g, source):
         if np.array_equal(before, dist):
             break
     return dist
+
+
+def heap_sssp(g, source):
+    """Textbook binary-heap Dijkstra, (dist, vertex) pops: (dist, parent)."""
+    indptr, nbr, _, wt = g.adjacency()
+    dist = np.full(g.n, np.inf)
+    parent = np.full(g.n, -1, dtype=np.int64)
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    done = np.zeros(g.n, dtype=bool)
+    while heap:
+        d, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        for k in range(indptr[u], indptr[u + 1]):
+            v = int(nbr[k])
+            nd = d + wt[k]
+            if nd < dist[v]:
+                dist[v] = nd
+                parent[v] = u
+                heapq.heappush(heap, (nd, v))
+    return dist, parent
 
 
 def multi_source_dist(g, sites):

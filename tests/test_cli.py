@@ -1,7 +1,9 @@
+import hashlib
+
 import pytest
 
 import roadgeom as rg
-from roadgeom.cli import REPORT_METRICS, main, resolve_graph
+from roadgeom.cli import GENERATORS, REPORT_METRICS, main, resolve_graph
 from roadgeom.errors import ConfigError
 
 
@@ -147,6 +149,57 @@ class TestSubcommands:
         assert first == second
 
 
+# SHA-256 of the CSV each invocation writes, recorded before the CLI's
+# output moved into one writer; every subcommand and report family is here.
+GOLDEN = [
+    (("crossings", "gotham:side=12,express=2", "--seed", "3"),
+     "20adbef1477b0d9cdb85de0d575b30e706c5682a855e98681e2d9978e92ac2a4"),
+    (("ply", "gotham:side=8,express=1", "--seed", "5"),
+     "a5d7d210473cffee77a90bc1d4f2d00cd77ce3cff7c69d1d76c782391fa72e0e"),
+    (("decompose", "gotham:side=12,express=0", "--leaf", "16", "--seed", "2"),
+     "73da841f8c412490c98dec67d3f258cdff68eaff44b33675142064fe3e3cd388"),
+    (("sssp", "gotham:side=4,express=0", "--source", "0"),
+     "109be096df309c8be79243eb4e7b4ee1bb9d79e469cf70e726a4863e67a6a518"),
+    # Disconnected: unreachable vertices print dist "inf".
+    (("sssp", "rgg:n=40,radius=0.1", "--source", "0", "--seed", "1"),
+     "eaeb062fc59990dbf9916a287751e4ff0d62d2f3ad9981084baca1c941dca3cf"),
+    (("voronoi", "gotham:side=8,express=0", "--sites", "random:3", "--seed", "7"),
+     "d0a4145de45e7908cef09046e6f5b6a08afbc9fb915547ca620314c8e183634b"),
+    (("voronoi", "rgg:n=40,radius=0.1", "--sites", "0,5", "--seed", "1"),
+     "e767012b6cbbc19847e9c9db2fa55fe5a9a8ab52940423b693776ce43d6293b4"),
+    (("neighborly", "gotham:side=6,express=0", "--cutoff", "50"),
+     "625cd25b062354368c4c8897aa78dfd226b4b7f3f8fc491479208c15a23610b5"),
+    (("clustering", "gotham:side=6,express=0"),
+     "43449560fd8c667c26c688b00a760644e0d75b311aaa8344d3c713186fb3e2ae"),
+    (("arrangement", "rgg:n=40,radius=0.25", "--seed", "1"),
+     "0a682daaac40e94716a06c0643c2581ef1b18122369c353715fdd5fccefb887a"),
+    (("arrangement", "rgg:n=40,radius=0.25", "--seed", "1", "--inductive"),
+     "bf23428924451b69da1aa13496cc9f5b77ae86466114fdd6563974b9e75499f4"),
+    (("report", "--gen", "gotham", "--sizes", "256,1024", "--metric", "crossings", "--seed", "9"),
+     "ce1a4afc80e89cd830938b390d4d68024ccd7d9dbcf27ceceb890ee096f3f805"),
+    (("report", "--gen", "rgg", "--sizes", "200,400", "--metric", "ply", "--seed", "3"),
+     "a70664080ce98c737851f951182717eb4465fd4f050c2c1f32255bc6daec1471"),
+    (("report", "--gen", "hubspoke", "--sizes", "144", "--metric", "arrangement", "--seed", "3"),
+     "ce034a5e15e8ece67b391e6d7e4c73fe3c761d572bae745e1f4a0a77c22f3e7d"),
+]
+
+
+def test_golden_output(tmp_path, capsys):
+    assert {argv[0] for argv, _ in GOLDEN} == {
+        "crossings", "ply", "decompose", "sssp", "voronoi", "neighborly", "clustering",
+        "arrangement", "report",
+    }
+    assert {argv[2] for argv, _ in GOLDEN if argv[0] == "report"} == set(GENERATORS)
+    for argv, digest in GOLDEN:
+        code, text = run(tmp_path, *argv)
+        assert code == 0, argv
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, argv
+        # Without --out the same bytes go to stdout.
+        capsys.readouterr()
+        assert main(list(argv)) == 0
+        assert capsys.readouterr().out == text, argv
+
+
 class TestExitCodes:
     def test_usage_error(self, capsys):
         assert main(["no-such-command"]) == 1
@@ -178,3 +231,44 @@ class TestExitCodes:
         code = main(["ply", str(tmp_path / "bad.gr")])
         assert code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["report", "--gen", "rgg", "--sizes", "100,0", "--metric", "ply"],
+             "configuration error: sizes must be positive in '100,0' (--sizes)"),
+            (["report", "--gen", "gotham", "--sizes", "-4", "--metric", "ply"],
+             "configuration error: sizes must be positive in '-4' (--sizes)"),
+            (["voronoi", "gotham:side=6", "--sites", "random:x"],
+             "configuration error: bad site list 'random:x'"),
+            (["report", "--gen", "bogus", "--sizes", "64", "--metric", "ply"],
+             "configuration error: unknown generator 'bogus'; choose from ('gotham', 'rgg', 'hubspoke')"),
+            (["ply", "gotham:express=2"],
+             "configuration error: 'gotham:express=2' is missing parameter 'side'"),
+            (["ply", "rgg:n=10,radius=x"],
+             "configuration error: bad value in 'rgg:n=10,radius=x': could not convert string to float: 'x'"),
+            (["decompose", "gotham:side=4,express=0", "--delta", "0.9"],
+             "configuration error: delta must be in [2/3, 3/4]"),
+        ],
+    )
+    def test_bad_input_is_config_error_and_writes_no_file(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"roadgeom: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_failed_report_after_rows_writes_no_file(self, tmp_path, capsys, monkeypatch):
+        # The second size fails after the first row is computed.
+        def fail_on_second(g, args):
+            if g.n > 100:
+                raise ConfigError("planted failure")
+            return 1
+
+        monkeypatch.setitem(REPORT_METRICS, "ply", fail_on_second)
+        out = tmp_path / "out.csv"
+        argv = ["report", "--gen", "gotham", "--sizes", "64,1024", "--metric", "ply"]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert "planted failure" in capsys.readouterr().err
+        assert not out.exists()

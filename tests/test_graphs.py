@@ -70,6 +70,23 @@ class TestDimacs:
         assert g.meta["duplicate_coordinate_vertices"] == [(0, 1)]
 
 
+def test_duplicate_coordinate_groups_match_per_group_scan():
+    def per_group_scan(g):  # the O(n x groups) expression the grouping replaced
+        _, inverse, counts = np.unique(g.xy, axis=0, return_inverse=True, return_counts=True)
+        return [tuple(int(i) for i in np.flatnonzero(inverse == k)) for k in np.flatnonzero(counts > 1)]
+
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 7, 50, 400):
+        xy = rng.integers(0, 4, size=(n, 2)).astype(float) if n < 50 else rng.random((n, 2))
+        planted = rng.integers(0, n, size=(n // 5, 2))
+        xy[planted[:, 0]] = xy[planted[:, 1]]
+        g = rg.GeometricGraph.build(xy, [])
+        groups = g.duplicate_coordinate_groups()
+        assert groups == per_group_scan(g)
+        assert all(type(v) is int for group in groups for v in group)
+    assert rg.GeometricGraph.build([], []).duplicate_coordinate_groups() == []
+
+
 class TestCsv:
     def test_round_trip(self, tmp_path, gotham_small):
         rg.save_csv(gotham_small, tmp_path / "vertices.csv", tmp_path / "edges.csv")

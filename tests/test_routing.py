@@ -58,6 +58,18 @@ class TestSssp:
             r = sssp(g, source)
             assert np.array_equal(r.dist, oracles.bellman_ford(g, source))
 
+    def test_matches_heap_oracle_exactly(self, gotham_small):
+        # A third of the random graphs' weights are 0.0, so many relaxations
+        # tie the current distance and must leave the parent alone.
+        graphs = [random_weighted_graph(150, 120, seed) for seed in range(10)]
+        graphs.append(gotham_small)
+        for i, g in enumerate(graphs):
+            for source in {0, (7 * i) % g.n, g.n - 1}:
+                r = sssp(g, source)
+                dist, parent = oracles.heap_sssp(g, source)
+                assert np.array_equal(r.dist, dist) and np.array_equal(r.parent, parent)
+                assert r.parent.dtype == parent.dtype
+
     def test_relaxation_and_telescoping(self):
         g = random_weighted_graph(60, 80, 3)
         r = sssp(g, 0)

@@ -160,6 +160,15 @@ class TestDecomposition:
         with pytest.raises(ConfigError):
             build_decomposition(s, leaf_threshold=1, seed=0)
 
+    def test_delta_validated_before_any_split(self):
+        # 16 disks fit under the leaf threshold, so no separator is searched.
+        s = build_disk_system(rg.gen_gotham(4, 0, seed=0))
+        for delta in (5.0, 0.9, 0.6, float("nan")):
+            with pytest.raises(ConfigError, match=r"delta must be in \[2/3, 3/4\]"):
+                build_decomposition(s, delta=delta, seed=0)
+        for delta in (2.0 / 3.0, 0.7, 0.75):
+            assert build_decomposition(s, delta=delta, seed=0).delta == delta
+
     def test_random_geometric_tree(self):
         g = rg.gen_random_geometric(300, 0.08, seed=2)
         s = build_disk_system(g)
