@@ -228,7 +228,8 @@ def cmd_report(args):
     rows = []
     for size in sizes:
         if args.gen == "gotham":
-            side = max(2, round(math.sqrt(size)))
+            # Expressway chords need a side of 4, as spokes need a ring of 12.
+            side = max(4 if args.expressways > 0 else 2, round(math.sqrt(size)))
             g = gen_gotham(side, args.expressways, args.seed)
             name = f"gotham-{side}x{side}"
         elif args.gen == "rgg":

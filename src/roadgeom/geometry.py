@@ -185,9 +185,9 @@ def circumcircles(pts):
     """Circles through the three points of each row of ``pts`` (k, 3, 2).
 
     Rows whose points are (numerically) collinear, or whose circle is not
-    finite, are dropped.  Returns (ux, uy, r) arrays for the kept rows in
-    row order.  The radius is ``math.hypot`` per row: ``np.hypot`` rounds a
-    few of them differently.
+    finite, are dropped.  Returns (ux, uy, r, rows): the circles of the kept
+    rows and their row indices, in row order.  The radius is ``math.hypot``
+    per row: ``np.hypot`` rounds a few of them differently.
     """
     (ax, ay), (bx, by), (cx, cy) = pts.transpose(1, 2, 0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -203,4 +203,4 @@ def circumcircles(pts):
         dx, dy = (ax - ux).tolist(), (ay - uy).tolist()
     r = np.array([math.hypot(x, y) for x, y in zip(dx, dy)], dtype=np.float64)
     finite = np.isfinite(ux) & np.isfinite(uy) & np.isfinite(r)
-    return ux[finite], uy[finite], r[finite]
+    return ux[finite], uy[finite], r[finite], np.flatnonzero(keep)[finite]

@@ -132,17 +132,18 @@ class GeometricGraph:
         """Groups of vertex ids sharing exactly equal coordinates."""
         if self.n == 0:
             return []
-        _, inverse, counts = np.unique(
-            self.xy, axis=0, return_inverse=True, return_counts=True
-        )
-        inverse = inverse.ravel()
-        # Ids of the vertices in a group of two or more, ascending; a stable
-        # sort by group keeps them ascending within each group.
-        shared = np.flatnonzero(counts[inverse] > 1)
-        order = shared[np.argsort(inverse[shared], kind="stable")].tolist()
-        sizes = counts[counts > 1].tolist()
-        ends = np.cumsum(sizes).tolist()
-        return [tuple(order[e - c : e]) for e, c in zip(ends, sizes)]
+        # Sorted by x, then y, then id; -0.0 and 0.0 compare equal, as in
+        # np.unique.  A group starts wherever a coordinate changes.
+        x, y = self.xy[:, 0], self.xy[:, 1]
+        order = np.lexsort((y, x))
+        x, y = x[order], y[order]
+        starts = np.flatnonzero(np.concatenate([[True], (x[1:] != x[:-1]) | (y[1:] != y[:-1])]))
+        sizes = np.diff(np.append(starts, self.n))
+        shared = sizes > 1
+        order = order.tolist()
+        return [
+            tuple(order[a : a + c]) for a, c in zip(starts[shared].tolist(), sizes[shared].tolist())
+        ]
 
     def __eq__(self, other):
         if not isinstance(other, GeometricGraph):

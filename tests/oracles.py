@@ -5,7 +5,9 @@ rational arithmetic where float rounding could matter, and no reuse of the
 package's candidate-generation or classification paths.  The exception is
 ``scalar_find_separator``: the separator search with one candidate circle
 at a time, which shares the package's lift and centerpoint helpers and must
-match the batched search bit for bit.  Likewise the one-pair-at-a-time
+match the batched search bit for bit, and ``recursive_decomposition``, the
+node-by-node separator tree the depth-by-depth builder must equal.
+Likewise the one-pair-at-a-time
 arrangement builders and the dict face tracer, which the vertex-table
 arrangement must match exactly.
 """
@@ -482,6 +484,36 @@ def _scalar_singleton_candidates(system):
     return out
 
 
+def scalar_rotation_to_south(z):
+    """Rotation matrix taking direction z to (0, 0, -1), one vector at a time."""
+    norm = np.linalg.norm(z)
+    if norm < 1e-12:
+        return np.eye(3)
+    a = z / norm
+    b = np.array([0.0, 0.0, -1.0])
+    v = np.cross(a, b)
+    c = float(a @ b)
+    if c < -1.0 + 1e-12:
+        return np.diag([1.0, -1.0, -1.0])
+    vx = np.array([[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]])
+    return np.eye(3) + vx + vx @ vx / (1.0 + c)
+
+
+def scalar_centerpoint(points3, rng):
+    """Iterated Radon reduction of one point set: permute, replace each
+    full group of five by its Radon point, keep the rest, until fewer than
+    five points are left; their mean."""
+    from roadgeom.separators import _radon_points
+
+    pts = points3.copy()
+    while len(pts) >= 5:
+        pts = pts[rng.permutation(len(pts))]
+        g = len(pts) // 5
+        reduced = _radon_points(pts[: 5 * g].reshape(g, 5, 3))
+        pts = np.vstack([reduced, pts[5 * g :]])
+    return pts.mean(axis=0)
+
+
 def scalar_find_separator(
     system, delta=0.75, exceptional_k=8, seed=0, candidates_per_round=12, max_retries=24
 ):
@@ -575,6 +607,58 @@ def scalar_find_separator(
         f"no balanced separator within {max_retries} retries (n={n})",
         best_candidate=fallback,
     )
+
+
+def recursive_decomposition(
+    system, delta=2.0 / 3.0, leaf_threshold=32, seed=0, exceptional_k=8, find=None
+):
+    """``separators.build_decomposition`` as a recursion: one ``find`` call
+    (default ``find_separator``) and one ``DiskSystem.subset`` per child,
+    node ids assigned as nodes are created (preorder, interior first), and
+    the first failing node raises at once."""
+    from roadgeom.errors import ConfigError, SeparatorFailure
+    from roadgeom.separators import SeparatorTree, TreeNode, find_separator
+
+    find = find or find_separator
+    if leaf_threshold < 2:
+        raise ConfigError("leaf_threshold must be >= 2")
+    if not 2.0 / 3.0 <= delta <= 0.75:
+        raise ConfigError("delta must be in [2/3, 3/4]")
+    n = len(system)
+    label_size = int(system.vertices.max()) + 1 if n else 0
+    label = np.full(label_size, -1, dtype=np.int64)
+    position_of = np.empty(label_size, dtype=np.int64)
+    nodes = []
+
+    def recurse(sub, parent, depth, ss):
+        node_id = len(nodes)
+        node = TreeNode(node_id, parent, depth, len(sub))
+        nodes.append(node)
+        if len(sub) <= leaf_threshold:
+            node.leaf_vertices = tuple(sub.vertices.tolist())
+            label[sub.vertices] = node_id
+            return node_id
+        ss_sep, ss_in, ss_out = ss.spawn(3)
+        try:
+            sep = find(sub, delta=delta, exceptional_k=exceptional_k, seed=ss_sep)
+        except SeparatorFailure as exc:
+            raise SeparatorFailure(
+                f"decomposition failed at node {node_id} (depth {depth}): {exc}",
+                best_candidate=exc.best_candidate,
+            ) from exc
+        node.separator = sep
+        label[np.asarray(sep.cut, dtype=np.int64)] = node_id
+        position_of[sub.vertices] = np.arange(len(sub))
+        inner = position_of[np.asarray(sep.inside, dtype=np.int64)]
+        outer = position_of[np.asarray(sep.outside, dtype=np.int64)]
+        if len(inner):
+            node.interior = recurse(sub.subset(inner), node_id, depth + 1, ss_in)
+        if len(outer):
+            node.exterior = recurse(sub.subset(outer), node_id, depth + 1, ss_out)
+        return node_id
+
+    recurse(system, None, 0, np.random.SeedSequence(seed))
+    return SeparatorTree(nodes, label, leaf_threshold, delta)
 
 
 # -- circle arrangements, one pair and one vertex at a time ---------------------

@@ -112,6 +112,17 @@ class TestSubcommands:
         assert lines[0] == "network,n,metric,sqrt_n"
         assert len(lines) == 3
 
+    def test_report_gotham_floors_the_side_for_expressways(self, tmp_path):
+        # Chords need side >= 4, so small sizes round up to a 4 x 4 city.
+        code, text = run(tmp_path, "report", "--gen", "gotham", "--sizes", "1,12,13", "--metric", "ply")
+        assert code == 0
+        assert [row.split(",")[:2] for row in text.splitlines()[1:]] == [["gotham-4x4", "24"]] * 3
+        code, text = run(
+            tmp_path, "report", "--gen", "gotham", "--sizes", "1", "--metric", "ply", "--expressways", "0"
+        )
+        assert code == 0
+        assert text.splitlines()[1].startswith("gotham-2x2,4,")
+
     def test_report_equals_subcommands(self, tmp_path):
         # metric -> (subcommand, its CSV column); crossings reads the
         # proper_total comment line.

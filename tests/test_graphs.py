@@ -87,6 +87,13 @@ def test_duplicate_coordinate_groups_match_per_group_scan():
     assert rg.GeometricGraph.build([], []).duplicate_coordinate_groups() == []
 
 
+def test_duplicate_coordinate_groups_treat_signed_zeros_as_equal():
+    # np.unique(axis=0) groups -0.0 with 0.0; the sorted scan must as well.
+    xy = [(0.0, 1.0), (-0.0, 1.0), (2.0, -0.0), (1.0, 1.0), (2.0, 0.0), (-0.0, -0.0), (0.0, 0.0)]
+    g = rg.GeometricGraph.build(xy, [])
+    assert g.duplicate_coordinate_groups() == [(5, 6), (0, 1), (2, 4)]
+
+
 class TestCsv:
     def test_round_trip(self, tmp_path, gotham_small):
         rg.save_csv(gotham_small, tmp_path / "vertices.csv", tmp_path / "edges.csv")

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -279,7 +280,7 @@ class TestBatchedRoundMatchesScalar:
                     np.full(n, 1.0),
                     np.empty((0, 2), int),
                 )
-                qx, qy, r = separators._singleton_candidates(s)
+                qx, qy, r = separators._singleton_candidates(s.centers, s.radii)
                 want = oracles._scalar_singleton_candidates(s)
                 assert [((x, y), rr) for x, y, rr in zip(qx, qy, r)] == want
                 for seed in range(4):
@@ -312,7 +313,7 @@ class TestBatchedRoundMatchesScalar:
         u = np.vstack([planted, np.random.default_rng(4).normal(size=(200, 3))])
         rot = separators._rotation_to_south(np.array([0.3, -0.5, 0.2]))
         for args in ((1.0, np.eye(3), 1.0, np.zeros(2)), (3.7, rot, 2.5, np.array([1.0, -2.0]))):
-            qx, qy, r = separators._great_circle_images(u, *args)
+            qx, qy, r, _ = separators._great_circle_images(u, *args)
             want = [oracles.scalar_great_circle(row, *args) for row in u]
             want = [c for c in want if c is not None]
             assert len(want) < len(u)
@@ -339,15 +340,108 @@ class TestBatchedRoundMatchesScalar:
             _both_ways(system, exceptional_k=20, seed=0)
             assert kept[0] == (12, 12 - dropped)
 
-    def test_tree_with_oracle_patched_in(self, monkeypatch):
+    def test_tree_with_oracle_patched_in(self):
         system = build_disk_system(rg.gen_gotham(64, 8, seed=1))
         got = build_decomposition(system, seed=1)
-        monkeypatch.setattr(separators, "find_separator", oracles.scalar_find_separator)
-        want = build_decomposition(system, seed=1)
-        assert len(got) == len(want)
-        for a, b in zip(got.nodes, want.nodes):
-            assert vars(a) == vars(b)
-        assert np.array_equal(got.label, want.label)
+        want = oracles.recursive_decomposition(system, seed=1, find=oracles.scalar_find_separator)
+        _same_tree(got, want)
+
+
+def _same_tree(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got.nodes, want.nodes):
+        assert vars(a) == vars(b)
+    assert np.array_equal(got.label, want.label)
+
+
+class TestLevelPassMatchesRecursion:
+    """build_decomposition splits a whole depth per pass; it must build the
+    node-by-node recursion's tree exactly, and fail where it fails."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda seed: rg.gen_gotham(64, 8, seed=seed),
+            lambda seed: rg.gen_random_geometric(8192, 1.5 / 8192**0.5, seed=seed),
+            lambda seed: rg.gen_hub_spoke(64, 21, seed=seed),
+        ],
+        ids=["gotham", "rgg", "hubspoke"],
+    )
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_workload_graphs(self, make, seed):
+        system = build_disk_system(make(seed))
+        got = build_decomposition(system, seed=seed)
+        _same_tree(got, oracles.recursive_decomposition(system, seed=seed))
+
+    def test_gotham_65k(self):
+        system = build_disk_system(rg.gen_gotham(256, 8, seed=1))
+        got = build_decomposition(system, seed=1)
+        _same_tree(got, oracles.recursive_decomposition(system, seed=1))
+
+    def test_retry_rounds(self, monkeypatch):
+        # With one circle per round some nodes need several rounds, while
+        # the rest of their depth is done after the first.
+        monkeypatch.setattr(separators, "_PER_ROUND", 1)
+        find = functools.partial(find_separator, candidates_per_round=1)
+        for make, leaf, k in (
+            (lambda: rg.gen_gotham(32, 0, seed=3), 16, 8),
+            (lambda: rg.gen_random_geometric(1500, 0.05, seed=1), 4, 2),
+        ):
+            system = build_disk_system(make())
+            got = build_decomposition(system, leaf_threshold=leaf, seed=4, exceptional_k=k)
+            want = oracles.recursive_decomposition(
+                system, leaf_threshold=leaf, seed=4, exceptional_k=k, find=find
+            )
+            _same_tree(got, want)
+            assert sum(nd.separator.retries > 0 for nd in got.internal_nodes()) >= 2
+
+    def test_only_the_root_has_disks_above_the_exceptional_ply(self):
+        # build_decomposition runs the greedy split on the root alone: every
+        # deeper node is a subset of a residual the split left at ply <= k.
+        for make in (lambda: rg.gen_gotham(32, 6, seed=1), lambda: rg.gen_hub_spoke(16, 9, seed=2)):
+            system = build_disk_system(make())
+            for k in (1, 2, 8):
+                tree = build_decomposition(system, leaf_threshold=8, seed=k, exceptional_k=k)
+                assert bool(tree.root.separator.exceptional) == (system.max_center_ply() > k)
+                for nd in tree.nodes[1:]:
+                    members = nd.leaf_vertices or nd.separator.cut + nd.separator.inside + nd.separator.outside
+                    assert system.subset(sorted(members)).max_center_ply() <= k
+                    assert nd.is_leaf or nd.separator.exceptional == ()
+
+    def test_small_leaves_and_singleton_rounds(self):
+        # Nodes of 3 to 8 disks also try the singleton circles.
+        for make in (lambda: rg.gen_gotham(8, 0, seed=2), lambda: rg.gen_random_geometric(60, 0.2, seed=4)):
+            system = build_disk_system(make())
+            for seed in range(3):
+                got = build_decomposition(system, leaf_threshold=2, seed=seed, delta=0.75)
+                _same_tree(got, oracles.recursive_decomposition(system, leaf_threshold=2, seed=seed, delta=0.75))
+
+    def test_failure_below_the_root(self, monkeypatch):
+        # With one circle and no retry per node, seed 5 fails at a depth-2
+        # node and, earlier in preorder, at a depth-4 node: the recursion
+        # meets the deeper one first, so that is the node to name.
+        monkeypatch.setattr(separators, "_PER_ROUND", 1)
+        monkeypatch.setattr(separators, "_MAX_RETRIES", 0)
+        failed_at = []
+        split = separators._split_level
+
+        def spy(*args):
+            out = split(*args)
+            failed_at.append(int((~out[2]).sum()))
+            return out
+
+        monkeypatch.setattr(separators, "_split_level", spy)
+        system = build_disk_system(rg.gen_gotham(16, 2, seed=1))
+        with pytest.raises(SeparatorFailure) as got:
+            build_decomposition(system, leaf_threshold=8, seed=5)
+        find = functools.partial(find_separator, candidates_per_round=1, max_retries=0)
+        with pytest.raises(SeparatorFailure) as want:
+            oracles.recursive_decomposition(system, leaf_threshold=8, seed=5, find=find)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("decomposition failed at node 9 (depth 4): no balanced")
+        assert str(got.value.__cause__) == str(want.value.__cause__)
+        assert got.value.best_candidate == want.value.best_candidate is not None
+        assert failed_at[2] == failed_at[4] == 1
 
 
 def test_numpy_facts_the_batched_round_rests_on():
@@ -361,6 +455,96 @@ def test_numpy_facts_the_batched_round_rests_on():
     rows = np.random.default_rng(7).normal(size=(20000, 3)) * np.logspace(-5, 5, 20000)[:, None]
     norms = np.sqrt(np.vecdot(rows, rows))
     assert np.array_equal(norms, np.array([np.linalg.norm(r) for r in rows]))
+
+
+def test_numpy_facts_the_level_pass_rests_on():
+    """The level pass stacks per-node work; each stacked or segmented form
+    must round exactly as the per-node call it replaces.  If a numpy or
+    LAPACK release breaks one, level-pass trees stop matching the recursion."""
+    rng = np.random.default_rng(11)
+    # A stacked SVD returns each matrix's own factors.
+    for size in (1, 2, 7, 60, 200):
+        m = np.concatenate([rng.normal(size=(size, 3, 5)), np.ones((size, 1, 5))], axis=1)
+        vt = np.linalg.svd(m)[2]
+        for i in range(size):
+            assert np.array_equal(vt[i], np.linalg.svd(m[i])[2])
+    # Lock-step Radon reduction is per-set reduction: many sets, one SVD a step.
+    sizes = [1, 4, 5, 6, 24, 25, 26, 130, 999, 1000]
+    sets = [separators._lift_to_sphere(rng.normal(size=(k, 2))) for k in sizes]
+    seeds = [rng.integers(1 << 30) for _ in sizes]
+    perms = [separators._radon_permutations(np.random.default_rng(s), k) for s, k in zip(seeds, sizes)]
+    got = separators._centerpoints(np.concatenate(sets), np.array(sizes), perms)
+    for z, pts, s in zip(got, sets, seeds):
+        assert np.array_equal(z, oracles.scalar_centerpoint(pts, np.random.default_rng(s)))
+    # Run means of 1 to 4 rows and run medians are mean(axis=0) and np.median.
+    counts = rng.integers(1, 5, size=300)
+    pts = rng.normal(size=(counts.sum(), 3)) * 10.0 ** rng.integers(-8, 9, size=(counts.sum(), 1))
+    start = np.cumsum(counts) - counts
+    means = separators._small_means(pts, start, counts)
+    for mean, a, c in zip(means, start, counts):
+        assert np.array_equal(mean, pts[a : a + c].mean(axis=0))
+    counts = rng.integers(1, 40, size=300)
+    values = np.abs(rng.normal(size=counts.sum())).round(rng.integers(0, 3))
+    values[::7] = 0.0
+    start = np.cumsum(counts) - counts
+    medians = separators._segment_medians(values, counts)
+    for med, a, c in zip(medians, start, counts):
+        assert med == np.median(values[a : a + c])
+    # Stacked rotations are the one-vector rotation, and ``@`` with a
+    # per-row rotation is ``@`` with the one rotation.
+    z = rng.normal(size=(400, 3)) * np.logspace(-14, 2, 400)[:, None]
+    z[:3] = [(0.0, 0.0, 0.0), (0.0, 0.0, 0.7), (1e-9, -1e-9, 0.9)]
+    rot = separators._rotation_to_south(z)
+    for r, zi in zip(rot, z):
+        assert np.array_equal(r, oracles.scalar_rotation_to_south(zi))
+        assert np.array_equal(separators._rotation_to_south(zi), r)
+    left = rng.normal(size=(len(rot), 3, 3))
+    for i in range(0, len(rot), 5):
+        block = left[i : i + 5]
+        assert np.array_equal(block @ np.repeat(rot[i : i + 1], len(block), axis=0), block @ rot[i])
+    # A node's SeedSequence, built from its spawn key, is the one that
+    # spawn(3) calls down its path hand out.
+    for seed in (0, 12345):
+        node = np.random.SeedSequence(seed)
+        for i in (1, 2, 2, 1, 0):
+            node = node.spawn(3)[i]
+        built = separators._spawned(np.random.SeedSequence(seed), (1, 2, 2, 1, 0))
+        assert np.array_equal(built.generate_state(8), node.generate_state(8))
+
+
+def test_sides_decide_as_hypot_does():
+    """_sides takes sqrt of the squared distance and calls hypot only near
+    a threshold; its masks must be the hypot ones, ties, ulp neighbours,
+    extreme magnitudes and non-finite values included."""
+    rng = np.random.default_rng(5)
+    k = 60000
+    scale = 10.0 ** rng.integers(-170, 171, size=k)
+    x, y, qx, qy = (rng.normal(size=k) * scale for _ in range(4))
+    qx[::4], qy[::4] = x[::4], y[::4]  # coincident centers
+    x[1::9] += 1e-300 * rng.normal(size=len(x[1::9]))
+    radii = np.abs(rng.normal(size=k)) * scale * rng.integers(0, 2, size=k)
+    d = np.hypot(x - qx, y - qy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rad = np.where(rng.random(k) < 0.5, d + radii, d - radii)
+        rad = rad * (1.0 + rng.integers(-3, 4, size=k) * np.finfo(float).eps)
+        rad[::7] = np.abs(rng.normal(size=len(rad[::7]))) * scale[::7]
+        rad[5::11] = np.nextafter(d[5::11] + radii[5::11], np.inf)
+        rad[6::11] = np.nextafter(d[6::11] - radii[6::11], -np.inf)
+    x[::997], rad[3::1009], qy[7::1013], rad[9::101] = np.inf, np.nan, np.nan, np.inf
+    free = rng.random(k) < 0.9
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.hypot(x - qx, y - qy)
+        want = ((d + radii < rad) & free, (d - radii > rad) & free)
+        got = separators._sides(x, y, radii, free, qx, qy, rad)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert want[0].sum() > k // 10 and want[1].sum() > k // 10
+    # The same on a (circles, disks) grid, as a round scores it.
+    q = rng.normal(size=(3, 12, 500)) * [[[50.0]], [[50.0]], [[30.0]]]
+    c, r = rng.normal(size=(2, 500)) * 40.0, np.abs(rng.normal(size=500))
+    got = separators._sides(c[0], c[1], r, free[:500], *q)
+    d = np.hypot(c[0] - q[0], c[1] - q[1])
+    assert np.array_equal(got[0], (d + r < q[2]) & free[:500])
+    assert np.array_equal(got[1], (d - r > q[2]) & free[:500])
 
 
 def test_decomposition_ignores_vertex_id_order():
