@@ -257,48 +257,45 @@ def exceptional_decomposition(system: DiskSystem, k: int) -> ExceptionalSplit:
     n = len(system)
     if n == 0:
         return ExceptionalSplit((), 0, 0, True)
-    ply = system.center_ply()
+    ply = system.center_ply().copy()
     if ply.max() <= k:
         return ExceptionalSplit((), int(ply.max()) if n else 0, 0, True)
 
     c, r = system.centers, system.radii
     indptr, nbr = system.pair_adjacency()
     full_deg = np.diff(indptr)
-    row = np.repeat(np.arange(n), full_deg)
-    # covers[s]: the center of slot s's partner lies in the row's own disk.
-    covers = np.hypot(c[nbr, 0] - c[row, 0], c[nbr, 1] - c[row, 1]) <= r[row]
+    deg = full_deg.copy()
+    active = np.ones(n, dtype=bool)
     # Live positions per ply value; top falls to the largest live ply.
-    count = np.bincount(ply).tolist()
+    count = np.bincount(ply)
     top = len(count) - 1
     # Min-heap of keys -degree * n + position, one per live position: the
     # top is the largest degree, lowest position on ties.  A key whose
     # degree has since fallen is re-pushed when it reaches the top.  Sorted,
     # the initial list is a heap.
     heap = np.sort(np.arange(n) - full_deg * n).tolist()
-    ptr, deg, ply = indptr.tolist(), full_deg.tolist(), ply.tolist()
-    active = [True] * n
     removed = []
     while top > k:
-        d, pick = divmod(heap[0], n)
+        d, pick = divmod(heapq.heappop(heap), n)
         if -d != deg[pick]:
-            heapq.heapreplace(heap, pick - deg[pick] * n)
+            heapq.heappush(heap, pick - int(deg[pick]) * n)
             continue
-        heapq.heappop(heap)
         active[pick] = False
         removed.append(pick)
         count[ply[pick]] -= 1
-        row = slice(ptr[pick], ptr[pick + 1])
-        for q, cover in zip(nbr[row].tolist(), covers[row].tolist()):
-            deg[q] -= 1
-            # pick's own center leaves with it; the others it covers are its
-            # live partners' centers within r_pick.
-            if cover and active[q]:
-                count[ply[q]] -= 1
-                ply[q] -= 1
-                count[ply[q]] += 1
+        neigh = nbr[indptr[pick] : indptr[pick + 1]]
+        deg[neigh] -= 1
+        # pick's own center leaves with it; the others it covers are its
+        # live partners' centers within r_pick.
+        live = neigh[active[neigh]]
+        dist = np.hypot(c[live, 0] - c[pick, 0], c[live, 1] - c[pick, 1])
+        covered = live[dist <= r[pick]]
+        np.subtract.at(count, ply[covered], 1)
+        ply[covered] -= 1
+        np.add.at(count, ply[covered], 1)
         while count[top] == 0 and top > 0:
             top -= 1
-    removed_ids = tuple(system.vertices[removed].tolist())
+    removed_ids = tuple(int(system.vertices[p]) for p in removed)
     max_deg = int(full_deg[removed].max()) if removed else 0
     budget = math.ceil(math.sqrt(n))
     return ExceptionalSplit(

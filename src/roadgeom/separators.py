@@ -178,12 +178,6 @@ def _centerpoints(pts, counts, perms) -> np.ndarray:
         step += 1
 
 
-def _centerpoint(points3: np.ndarray, rng) -> np.ndarray:
-    """Approximate centerpoint of one point set (iterated Radon reduction)."""
-    perms = [_radon_permutations(rng, len(points3))]
-    return _centerpoints(points3, np.array([len(points3)]), perms)[0]
-
-
 def _singleton_candidates(c, r):
     """Circles isolating one disk (centers c, radii r) each; a deterministic
     fallback for tiny systems where random great circles converge slowly.
@@ -235,28 +229,9 @@ def _great_circle_images(u, alpha, rot, scale, centroid):
 def _sides(x, y, radii, free, qx, qy, rad):
     """Masks of the free disks (x, y, radii) strictly inside and strictly
     outside the circles (qx, qy, rad), all broadcast against each other:
-    d + radii < rad and d - radii > rad for d = hypot(x - qx, y - qy).
-
-    np.hypot costs several times all the other steps, so d is first taken
-    as sqrt(dx * dx + dy * dy), within a few ulps of hypot while the squares
-    neither under- nor overflow.  hypot is called only where that lands
-    within 1e-12 (relative to d + radii + rad) of either threshold, or where
-    the squares may have lost precision; every mask is then the hypot one.
-    """
-    dx, dy = x - qx, y - qy
-    r, q = np.broadcast_to(radii, dx.shape), np.broadcast_to(rad, dx.shape)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        s = dx * dx + dy * dy
-        near = np.sqrt(s)
-        far = near - r
-        near += r
-        slack = 1e-12 * (near + q)
-        unsure = (np.abs(near - q) <= slack) | (np.abs(far - q) <= slack)
-        unsure |= ~(s >= 1e-290) | (s == np.inf)
-    if unsure.any():
-        d = np.hypot(dx[unsure], dy[unsure])
-        near[unsure], far[unsure] = d + r[unsure], d - r[unsure]
-    return (near < q) & free, (far > q) & free
+    d + radii < rad and d - radii > rad for d = hypot(x - qx, y - qy)."""
+    d = np.hypot(x - qx, y - qy)
+    return (d + radii < rad) & free, (d - radii > rad) & free
 
 
 def _segment_medians(values, counts):
@@ -405,15 +380,6 @@ def _separators(ids, counts, circle, retries, forced, inside, outside) -> list:
         None if math.isnan(x) else CircleSeparator((x, y), r, cut, ins, out, exc, t)
         for (x, y, r), t, cut, ins, out, exc in zip(circle.tolist(), retries.tolist(), *parts)
     ]
-
-
-def _build_result(system, center, radius, forced, retries) -> CircleSeparator:
-    """The separator of one system by the given circle."""
-    circle = np.array([[center[0], center[1], radius]], dtype=np.float64)
-    c = system.centers
-    inside, outside = _sides(c[:, 0], c[:, 1], system.radii, ~forced, *circle[0])
-    counts, retries = np.array([len(system)]), np.array([retries])
-    return _separators(system.vertices, counts, circle, retries, forced, inside, outside)[0]
 
 
 def find_separator(

@@ -514,6 +514,26 @@ def scalar_centerpoint(points3, rng):
     return pts.mean(axis=0)
 
 
+def _scalar_separator(system, center, radius, forced, retries):
+    """The CircleSeparator of one system by the circle (center, radius)."""
+    from roadgeom.separators import CircleSeparator
+
+    d = np.hypot(system.centers[:, 0] - center[0], system.centers[:, 1] - center[1])
+    inside = (d + system.radii < radius) & ~forced
+    outside = (d - system.radii > radius) & ~forced
+    cut = ~(inside | outside)
+    ids = system.vertices
+    return CircleSeparator(
+        (float(center[0]), float(center[1])),
+        float(radius),
+        tuple(ids[cut].tolist()),
+        tuple(ids[inside].tolist()),
+        tuple(ids[outside].tolist()),
+        tuple(ids[forced].tolist()),
+        retries,
+    )
+
+
 def scalar_find_separator(
     system, delta=0.75, exceptional_k=8, seed=0, candidates_per_round=12, max_retries=24
 ):
@@ -521,18 +541,14 @@ def scalar_find_separator(
 
     Each round draws, lifts and maps back its great circles one by one,
     builds each plane circle with the scalar circumcircle, and scores each
-    circle in its own pass over the disks.  It shares the library's lift,
-    centerpoint, rotation and result helpers, which are not part of a
-    round, and must return exactly the library's separator (or failure).
+    circle in its own pass over the disks.  The centerpoint, rotation and
+    result are the one-at-a-time versions above; only the lift is the
+    library's.  It must return exactly the library's separator (or
+    failure).
     """
     from roadgeom.disks import exceptional_decomposition
     from roadgeom.errors import ConfigError, SeparatorFailure, ValidationError
-    from roadgeom.separators import (
-        _build_result,
-        _centerpoint,
-        _lift_to_sphere,
-        _rotation_to_south,
-    )
+    from roadgeom.separators import _lift_to_sphere
 
     n = len(system)
     if n < 2:
@@ -551,7 +567,7 @@ def scalar_find_separator(
     radii = system.radii
 
     if len(residual) == 0:
-        return _build_result(system, (0.0, 0.0), 1.0, forced, retries=0)
+        return _scalar_separator(system, (0.0, 0.0), 1.0, forced, retries=0)
 
     res_pts = centers[residual]
     centroid = res_pts.mean(axis=0)
@@ -571,9 +587,9 @@ def scalar_find_separator(
             if sample_n < len(lifted_all)
             else np.arange(len(lifted_all))
         )
-        z = _centerpoint(lifted_all[sample_idx], rng)
+        z = scalar_centerpoint(lifted_all[sample_idx], rng)
         h = min(float(np.linalg.norm(z)), 1.0 - 1e-9)
-        rot = _rotation_to_south(z)
+        rot = scalar_rotation_to_south(z)
         alpha = math.sqrt((1.0 + h) / (1.0 - h))
 
         circles = []
@@ -598,11 +614,11 @@ def scalar_find_separator(
             elif best_unbalanced is None or side < best_unbalanced[0]:
                 best_unbalanced = (side, ((qx, qy), rad))
         if best is not None:
-            return _build_result(system, *best[1], forced, retries=attempt)
+            return _scalar_separator(system, *best[1], forced, retries=attempt)
 
     fallback = None
     if best_unbalanced is not None:
-        fallback = _build_result(system, *best_unbalanced[1], forced, retries=max_retries)
+        fallback = _scalar_separator(system, *best_unbalanced[1], forced, retries=max_retries)
     raise SeparatorFailure(
         f"no balanced separator within {max_retries} retries (n={n})",
         best_candidate=fallback,

@@ -512,41 +512,6 @@ def test_numpy_facts_the_level_pass_rests_on():
         assert np.array_equal(built.generate_state(8), node.generate_state(8))
 
 
-def test_sides_decide_as_hypot_does():
-    """_sides takes sqrt of the squared distance and calls hypot only near
-    a threshold; its masks must be the hypot ones, ties, ulp neighbours,
-    extreme magnitudes and non-finite values included."""
-    rng = np.random.default_rng(5)
-    k = 60000
-    scale = 10.0 ** rng.integers(-170, 171, size=k)
-    x, y, qx, qy = (rng.normal(size=k) * scale for _ in range(4))
-    qx[::4], qy[::4] = x[::4], y[::4]  # coincident centers
-    x[1::9] += 1e-300 * rng.normal(size=len(x[1::9]))
-    radii = np.abs(rng.normal(size=k)) * scale * rng.integers(0, 2, size=k)
-    d = np.hypot(x - qx, y - qy)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rad = np.where(rng.random(k) < 0.5, d + radii, d - radii)
-        rad = rad * (1.0 + rng.integers(-3, 4, size=k) * np.finfo(float).eps)
-        rad[::7] = np.abs(rng.normal(size=len(rad[::7]))) * scale[::7]
-        rad[5::11] = np.nextafter(d[5::11] + radii[5::11], np.inf)
-        rad[6::11] = np.nextafter(d[6::11] - radii[6::11], -np.inf)
-    x[::997], rad[3::1009], qy[7::1013], rad[9::101] = np.inf, np.nan, np.nan, np.inf
-    free = rng.random(k) < 0.9
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = np.hypot(x - qx, y - qy)
-        want = ((d + radii < rad) & free, (d - radii > rad) & free)
-        got = separators._sides(x, y, radii, free, qx, qy, rad)
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-    assert want[0].sum() > k // 10 and want[1].sum() > k // 10
-    # The same on a (circles, disks) grid, as a round scores it.
-    q = rng.normal(size=(3, 12, 500)) * [[[50.0]], [[50.0]], [[30.0]]]
-    c, r = rng.normal(size=(2, 500)) * 40.0, np.abs(rng.normal(size=500))
-    got = separators._sides(c[0], c[1], r, free[:500], *q)
-    d = np.hypot(c[0] - q[0], c[1] - q[1])
-    assert np.array_equal(got[0], (d + r < q[2]) & free[:500])
-    assert np.array_equal(got[1], (d - r > q[2]) & free[:500])
-
-
 def test_decomposition_ignores_vertex_id_order():
     """Ids are only labels: unsorted, non-contiguous ids give the same tree."""
     s = build_disk_system(rg.gen_gotham(20, 2, seed=4))
