@@ -23,7 +23,6 @@ from .disks import (
     ply_report,
 )
 from .graphs import (
-    Edge,
     GeometricGraph,
     NetworkStats,
     gen_gotham,
@@ -43,7 +42,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CrossingTable",
     "DiskSystem",
-    "Edge",
     "GeometricGraph",
     "NetworkStats",
     "build_decomposition",

@@ -20,6 +20,12 @@ def sorted_unique(keys) -> np.ndarray:
     return keys[keep]
 
 
+def frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only; slices of it are read-only views."""
+    a.setflags(write=False)
+    return a
+
+
 def concat_ranges(starts, counts) -> np.ndarray:
     """``np.concatenate([np.arange(s, s + c) for s, c in zip(starts, counts)])``
     for int64 arrays."""

@@ -13,25 +13,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import arcs_csr, components, concat_ranges
+from ._arrays import arcs_csr, components, concat_ranges, frozen
 from .crossings import PlanarizedGraph
 from .disks import DiskSystem
 from .errors import ConfigError
 from .graphs import GeometricGraph
 
-_DIRECTIONS = ("up", "down", "left", "right")
+DIRECTIONS = ("up", "down", "left", "right")  # shortcut direction codes 0..3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixedAugmentedGraph:
     base: GeometricGraph
-    shortcuts: tuple  # (origin, target, direction)
+    # Read-only (k, 3) int64 rows (origin, target, direction code), ordered
+    # by origin, then code.
+    shortcuts: np.ndarray
 
     def out_neighbors(self):
         """Directed CSR (indptr, neighbor): each vertex lists its base
         neighbors in edge order, then its shortcut targets."""
-        g = self.base
-        arcs = np.array([(o, t) for o, t, _ in self.shortcuts], dtype=np.int64).reshape(-1, 2)
+        g, arcs = self.base, self.shortcuts
         tail = np.concatenate([np.column_stack([g.edge_u, g.edge_v]).ravel(), arcs[:, 0]])
         head = np.concatenate([np.column_stack([g.edge_v, g.edge_u]).ravel(), arcs[:, 1]])
         return arcs_csr(g.n, tail, head)[:2]
@@ -150,12 +151,11 @@ def grid_augment(p: PlanarizedGraph) -> MixedAugmentedGraph:
     x, y = g.xy[:, 0], g.xy[:, 1]
     up, down = _axis_hits(g, xs1, xs2, ys1, ys2, x, y)
     right, left = _axis_hits(g, ys1, ys2, xs1, xs2, y, x)
-    hits = (up, down, left, right)  # in _DIRECTIONS order
+    hits = (up, down, left, right)  # in DIRECTIONS order
     origin, target = (np.concatenate(col) for col in zip(*hits))
     code = np.repeat(np.arange(4), [len(o) for o, _ in hits])
     order = np.argsort(origin * 4 + code, kind="stable")
-    names = [_DIRECTIONS[c] for c in code[order].tolist()]
-    return MixedAugmentedGraph(g, tuple(zip(origin[order].tolist(), target[order].tolist(), names)))
+    return MixedAugmentedGraph(g, frozen(np.column_stack([origin, target, code])[order]))
 
 
 def _pair_hops(indptr, nbr, start, goal, cutoff):

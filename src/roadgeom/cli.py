@@ -102,8 +102,7 @@ def _checked_system(g):
 def _neighborly(g, cutoff):
     planar = crossings_mod.planarize(g, crossings_mod.find_crossings(g))
     aug = augment_mod.grid_augment(planar)
-    origins = np.array([o for o, _, _ in aug.shortcuts], dtype=np.int64)
-    over = np.flatnonzero(np.bincount(origins) > 4)
+    over = np.flatnonzero(np.bincount(aug.shortcuts[:, 0]) > 4)
     if len(over):
         raise InvariantViolation(f"vertex {over[0]} gained more than 4 shortcuts")
     return augment_mod.neighborly_check(aug, _checked_system(g), cutoff=cutoff)
@@ -301,9 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("clustering", cmd_clustering, "components among smaller intersecting neighbors")
 
     p = command("arrangement", cmd_arrangement, "circle arrangement statistics")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--naive", action="store_true")
-    mode.add_argument("--inductive", action="store_true")
+    p.add_argument("--inductive", action="store_true", help="build inductively (default: naive)")
 
     p = command("report", cmd_report, "multi-size metric sweep over a generator family", graph=False)
     p.add_argument("--gen", required=True)

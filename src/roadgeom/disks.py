@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import components, concat_ranges, csr, grid_join, sorted_unique
+from ._arrays import components, concat_ranges, csr, frozen, grid_join, sorted_unique
 from .errors import ConfigError, InvariantViolation, ValidationError
 from .graphs import GeometricGraph
 
@@ -235,17 +235,18 @@ def ply_report(system: DiskSystem) -> PlyReport:
     return PlyReport(ply, int(ply.max()), kth, int(deg.max()) if n else 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExceptionalSplit:
     """Greedy certificate that the system is exceptional k-ply.
 
-    ``removed`` holds original vertex ids (descending intersection degree
-    order); the residual system has max center ply <= k.  The sqrt budget
-    flag records |removed| <= ceil(sqrt(n)) and the removed disks' maximum
-    intersection degree in the full system.
+    ``removed`` holds original vertex ids as a read-only int64 array
+    (descending intersection degree order); the residual system has max
+    center ply <= k.  The sqrt budget flag records |removed| <=
+    ceil(sqrt(n)) and the removed disks' maximum intersection degree in the
+    full system.
     """
 
-    removed: tuple
+    removed: np.ndarray
     residual_max_center_ply: int
     removed_max_degree: int
     within_sqrt_budget: bool
@@ -255,11 +256,10 @@ def exceptional_decomposition(system: DiskSystem, k: int) -> ExceptionalSplit:
     if k < 1:
         raise ConfigError("k must be >= 1")
     n = len(system)
-    if n == 0:
-        return ExceptionalSplit((), 0, 0, True)
     ply = system.center_ply().copy()
-    if ply.max() <= k:
-        return ExceptionalSplit((), int(ply.max()) if n else 0, 0, True)
+    top = int(ply.max(initial=0))
+    if top <= k:
+        return ExceptionalSplit(frozen(np.empty(0, dtype=np.int64)), top, 0, True)
 
     c, r = system.centers, system.radii
     indptr, nbr = system.pair_adjacency()
@@ -268,7 +268,6 @@ def exceptional_decomposition(system: DiskSystem, k: int) -> ExceptionalSplit:
     active = np.ones(n, dtype=bool)
     # Live positions per ply value; top falls to the largest live ply.
     count = np.bincount(ply)
-    top = len(count) - 1
     # Min-heap of keys -degree * n + position, one per live position: the
     # top is the largest degree, lowest position on ties.  A key whose
     # degree has since fallen is re-pushed when it reaches the top.  Sorted,
@@ -295,11 +294,9 @@ def exceptional_decomposition(system: DiskSystem, k: int) -> ExceptionalSplit:
         np.add.at(count, ply[covered], 1)
         while count[top] == 0 and top > 0:
             top -= 1
-    removed_ids = tuple(int(system.vertices[p]) for p in removed)
-    max_deg = int(full_deg[removed].max()) if removed else 0
-    budget = math.ceil(math.sqrt(n))
     return ExceptionalSplit(
-        removed_ids, top, max_deg, len(removed) <= budget
+        frozen(system.vertices[removed]), top, int(full_deg[removed].max()),
+        len(removed) <= math.ceil(math.sqrt(n)),
     )
 
 

@@ -12,7 +12,6 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -20,13 +19,6 @@ from ._arrays import csr, grid_join, sorted_unique
 from .errors import ConfigError, ParseError, ValidationError
 
 COORD_SCALE = 1e-6  # file coordinates are integers in micro-degrees
-
-
-class Edge(NamedTuple):
-    u: int
-    v: int
-    weight: float
-    level: int
 
 
 @dataclass(frozen=True)
@@ -90,18 +82,6 @@ class GeometricGraph:
     @property
     def m(self) -> int:
         return len(self.edge_u)
-
-    def edge(self, i: int) -> Edge:
-        return Edge(
-            int(self.edge_u[i]),
-            int(self.edge_v[i]),
-            float(self.edge_weight[i]),
-            int(self.edge_level[i]),
-        )
-
-    def edges(self) -> Iterable[Edge]:
-        for i in range(self.m):
-            yield self.edge(i)
 
     def degrees(self) -> np.ndarray:
         deg = np.zeros(self.n, dtype=np.int64)

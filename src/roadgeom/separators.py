@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import concat_ranges
+from ._arrays import concat_ranges, frozen
 from .disks import DiskSystem, exceptional_decomposition
 from .errors import ConfigError, SeparatorFailure, ValidationError
 from .geometry import circumcircles
@@ -33,14 +33,17 @@ _PER_ROUND = 12  # great circles drawn per round
 _MAX_RETRIES = 24  # rounds after the first before a node gives up
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CircleSeparator:
+    """A circle and the vertex ids it splits: read-only int64 arrays, each
+    in the order of the system's positions."""
+
     center: tuple[float, float]
     radius: float
-    cut: tuple
-    inside: tuple
-    outside: tuple
-    exceptional: tuple
+    cut: np.ndarray
+    inside: np.ndarray
+    outside: np.ndarray
+    exceptional: np.ndarray
     retries: int
 
     @property
@@ -373,9 +376,9 @@ def _separators(ids, counts, circle, retries, forced, inside, outside) -> list:
     owner, _ = _runs(counts)
     parts = []
     for mask in (~(inside | outside), inside, outside, forced):
-        vals = ids[mask].tolist()
+        vals = frozen(ids[mask])
         ends = np.cumsum(np.bincount(owner[mask], minlength=nodes)).tolist()
-        parts.append([tuple(vals[a:b]) for a, b in zip([0] + ends, ends)])
+        parts.append([vals[a:b] for a, b in zip([0] + ends, ends)])
     return [
         None if math.isnan(x) else CircleSeparator((x, y), r, cut, ins, out, exc, t)
         for (x, y, r), t, cut, ins, out, exc in zip(circle.tolist(), retries.tolist(), *parts)
@@ -406,7 +409,7 @@ def find_separator(
 
     rng = np.random.default_rng(seed)
     split = exceptional_decomposition(system, exceptional_k)
-    forced = np.isin(system.vertices, np.asarray(split.removed, dtype=np.int64))
+    forced = np.isin(system.vertices, split.removed)
     counts = np.array([n])
     circle, retries, found, inside, outside = _split_level(
         system.centers, system.radii, forced, counts, [rng], delta,
@@ -420,7 +423,7 @@ def find_separator(
     return sep
 
 
-@dataclass
+@dataclass(eq=False)
 class TreeNode:
     id: int
     parent: int | None
@@ -429,7 +432,7 @@ class TreeNode:
     separator: CircleSeparator | None = None
     interior: int | None = None
     exterior: int | None = None
-    leaf_vertices: tuple | None = None
+    leaf_vertices: np.ndarray | None = None  # read-only int64 ids of a leaf
 
     @property
     def is_leaf(self) -> bool:
@@ -455,9 +458,6 @@ class SeparatorTree:
 
     def internal_nodes(self):
         return [nd for nd in self.nodes if not nd.is_leaf]
-
-    def leaves(self):
-        return [nd for nd in self.nodes if nd.is_leaf]
 
     def path_to_root(self, node_id: int):
         path = [node_id]
@@ -521,8 +521,7 @@ def build_decomposition(
     # join its cut, so ``forced`` reads False for every deeper member.
     forced = np.zeros(n, dtype=bool)
     if n > leaf_threshold:
-        removed = exceptional_decomposition(system, exceptional_k).removed
-        forced = np.isin(ids, np.asarray(removed, dtype=np.int64))
+        forced = np.isin(ids, exceptional_decomposition(system, exceptional_k).removed)
     nodes = [TreeNode(0, None, 0, n)]  # id = handle: creation order, depth by depth
     owner = np.full(n, -1, dtype=np.int64)  # handle of the node labelling each position
     failures = []
@@ -535,10 +534,10 @@ def build_decomposition(
         small = counts <= leaf_threshold
         if small.any():
             at_leaf = np.repeat(small, counts)
-            vals = ids[pos[at_leaf]].tolist()
+            vals = frozen(ids[pos[at_leaf]])
             ends = np.cumsum(counts[small]).tolist()
             for h, a, b in zip(handles[small].tolist(), [0] + ends, ends):
-                nodes[h].leaf_vertices = tuple(vals[a:b])
+                nodes[h].leaf_vertices = vals[a:b]
             owner[pos[at_leaf]] = np.repeat(handles[small], counts[small])
             pos, counts, handles = pos[~at_leaf], counts[~small], handles[~small]
             keys = [key for key, sm in zip(keys, small.tolist()) if not sm]

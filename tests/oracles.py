@@ -526,10 +526,10 @@ def _scalar_separator(system, center, radius, forced, retries):
     return CircleSeparator(
         (float(center[0]), float(center[1])),
         float(radius),
-        tuple(ids[cut].tolist()),
-        tuple(ids[inside].tolist()),
-        tuple(ids[outside].tolist()),
-        tuple(ids[forced].tolist()),
+        ids[cut],
+        ids[inside],
+        ids[outside],
+        ids[forced],
         retries,
     )
 
@@ -558,10 +558,7 @@ def scalar_find_separator(
 
     rng = np.random.default_rng(seed)
     split = exceptional_decomposition(system, exceptional_k)
-    if split.removed:
-        forced = np.isin(system.vertices, np.asarray(split.removed, dtype=np.int64))
-    else:
-        forced = np.zeros(n, dtype=bool)
+    forced = np.isin(system.vertices, split.removed)
     residual = np.flatnonzero(~forced)
     centers = system.centers
     radii = system.radii
@@ -651,7 +648,7 @@ def recursive_decomposition(
         node = TreeNode(node_id, parent, depth, len(sub))
         nodes.append(node)
         if len(sub) <= leaf_threshold:
-            node.leaf_vertices = tuple(sub.vertices.tolist())
+            node.leaf_vertices = sub.vertices
             label[sub.vertices] = node_id
             return node_id
         ss_sep, ss_in, ss_out = ss.spawn(3)
@@ -663,10 +660,10 @@ def recursive_decomposition(
                 best_candidate=exc.best_candidate,
             ) from exc
         node.separator = sep
-        label[np.asarray(sep.cut, dtype=np.int64)] = node_id
+        label[sep.cut] = node_id
         position_of[sub.vertices] = np.arange(len(sub))
-        inner = position_of[np.asarray(sep.inside, dtype=np.int64)]
-        outer = position_of[np.asarray(sep.outside, dtype=np.int64)]
+        inner = position_of[sep.inside]
+        outer = position_of[sep.outside]
         if len(inner):
             node.interior = recurse(sub.subset(inner), node_id, depth + 1, ss_in)
         if len(outer):

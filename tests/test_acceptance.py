@@ -15,7 +15,7 @@ import pytest
 import roadgeom as rg
 from roadgeom import crossings as cr
 from roadgeom.arrangement import build_inductive, build_naive, complexity_audit
-from roadgeom.augment import clustering_check, grid_augment
+from roadgeom.augment import DIRECTIONS, clustering_check, grid_augment
 from roadgeom.disks import build_disk_system, charge_audit, ply_report
 from roadgeom.routing import sssp, voronoi_direct, voronoi_via_tree
 from roadgeom.separators import build_decomposition, find_separator
@@ -84,7 +84,7 @@ class TestCriterion1OracleEquivalences:
             for g in (rg.gen_gotham(16, 0, seed=SEED), rg.gen_gotham(14, 2, seed=SEED)):
                 p = cr.planarize(g, cr.find_crossings(g))
                 aug = grid_augment(p)
-                got = {(o, d): tgt for o, tgt, d in aug.shortcuts}
+                got = {(o, DIRECTIONS[c]): tgt for o, tgt, c in aug.shortcuts.tolist()}
                 assert got == oracles.ray_shoot_all(g)
         report(f"[PASS] C1c grid shortcuts == ray-shoot oracle (exact, {t.elapsed:.2f}s)")
 
@@ -198,7 +198,7 @@ class TestCriterion3SeparatorContract:
                     assert nd.vertex_count <= 64
                     continue
                 sep = nd.separator
-                members = sep.cut + sep.inside + sep.outside
+                members = np.concatenate([sep.cut, sep.inside, sep.outside])
                 assert nd.vertex_count == len(members)
                 assert max(len(sep.inside), len(sep.outside)) <= (2 / 3) * nd.vertex_count
                 # Grid systems are 2-ply; the configured cut constant is 4*sqrt(k).

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 import roadgeom as rg
+from roadgeom import crossings as cr
 from roadgeom._arrays import components, csr, grid_join
-from roadgeom.disks import build_disk_system
+from roadgeom.augment import DIRECTIONS, grid_augment
+from roadgeom.disks import build_disk_system, exceptional_decomposition
 from roadgeom.errors import ConfigError
+from roadgeom.separators import build_decomposition, find_separator
 
 import oracles
 
@@ -136,3 +139,42 @@ class TestComponents:
         for g in (rgg_medium, hub_small, rg.gen_random_geometric(200, 0.06, seed=1)):
             assert_components_match(g.n, g.edge_u, g.edge_v)
 
+
+def assert_frozen_int64(a):
+    assert isinstance(a, np.ndarray) and a.dtype == np.int64
+    with pytest.raises(ValueError, match="read-only"):
+        a[...] = 0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: rg.gen_gotham(24, 2, seed=0), lambda: rg.gen_hub_spoke(16, 9, seed=2)],
+    ids=["gotham", "hubspoke"],
+)
+def test_id_sets_are_read_only_int64_arrays(make):
+    """Separator parts, leaf members, exceptional removals and shortcuts
+    are read-only int64 arrays."""
+    g = make()
+    system = build_disk_system(g)
+    seps = [find_separator(system, seed=1)]
+    tree = build_decomposition(system, seed=1, exceptional_k=2)
+    assert len(tree.root.separator.exceptional) > 0 and len(tree.internal_nodes()) > 1
+    for nd in tree.nodes:
+        if nd.is_leaf:
+            assert_frozen_int64(nd.leaf_vertices)
+        else:
+            seps.append(nd.separator)
+    for sep in seps:
+        for part in (sep.cut, sep.inside, sep.outside, sep.exceptional):
+            assert_frozen_int64(part)
+    for k in (1, 1000):
+        assert_frozen_int64(exceptional_decomposition(system, k).removed)
+    shortcuts = grid_augment(cr.planarize(g, cr.find_crossings(g))).shortcuts
+    assert_frozen_int64(shortcuts)
+    assert shortcuts.shape == (len(shortcuts), 3) and len(shortcuts) > 0
+    assert set(shortcuts[:, 2].tolist()) <= set(range(len(DIRECTIONS)))
+
+
+def test_every_export_resolves():
+    for name in rg.__all__:
+        assert hasattr(rg, name), name

@@ -215,6 +215,9 @@ class TestExitCodes:
     def test_usage_error(self, capsys):
         assert main(["no-such-command"]) == 1
         capsys.readouterr()
+        # The arrangement mode is naive unless --inductive is given.
+        assert main(["arrangement", "rgg:n=40,radius=0.25", "--naive"]) == 1
+        assert "unrecognized arguments: --naive" in capsys.readouterr().err
 
     def test_empty_sizes_is_config_error(self, tmp_path, capsys):
         code = main(["report", "--gen", "gotham", "--sizes", "", "--metric", "crossings"])

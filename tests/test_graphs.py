@@ -20,7 +20,7 @@ class TestDimacs:
         co = write(tmp_path / "t.co", "v 1 0 0\nv 2 3 4\n")
         g = rg.load_dimacs(gr, co)
         assert g.n == 2 and g.m == 1
-        assert g.edge(0) == rg.Edge(0, 1, 5.0, 4)
+        assert (g.edge_u[0], g.edge_v[0], g.edge_weight[0], g.edge_level[0]) == (0, 1, 5.0, 4)
         assert np.allclose(g.xy, [[0, 0], [3e-6, 4e-6]])
 
     def test_dangling_reference(self, tmp_path):
@@ -60,7 +60,7 @@ class TestDimacs:
         co = write(tmp_path / "t.co", "v 1 0 0\nv 2 3 4\n")
         g = rg.load_dimacs(gr, co)
         assert g.m == 1
-        assert g.edge(0).weight == 3.0
+        assert g.edge_weight[0] == 3.0
         assert g.meta["collapsed_parallel_arcs"] == 1
 
     def test_duplicate_coordinates_flagged(self, tmp_path):
@@ -155,10 +155,9 @@ class TestGotham:
         side, k = 16, 3
         g = rg.gen_gotham(side, k, seed=5)
         assert g.n == side * side + 2 * k
-        chords = [e for e in g.edges() if e.level == 1]
-        assert len(chords) == k
-        for e in chords:
-            assert e.u >= side * side and e.v >= side * side
+        chords = g.edge_level == 1
+        assert chords.sum() == k
+        assert (g.edge_u[chords] >= side * side).all() and (g.edge_v[chords] >= side * side).all()
 
     def test_preconditions(self):
         with pytest.raises(ConfigError):
@@ -180,7 +179,7 @@ class TestRandomGeometric:
             d = math.hypot(*(g.xy[1] - g.xy[0]))
             if d <= 0.9:
                 assert g.m == 1
-                assert g.edge(0).weight == pytest.approx(d, rel=1e-15)
+                assert g.edge_weight[0] == pytest.approx(d, rel=1e-15)
             else:
                 assert g.m == 0
 
@@ -205,10 +204,10 @@ class TestHubSpoke:
     def test_determinism_and_shape(self):
         a = rg.gen_hub_spoke(16, 9, seed=4)
         assert a == rg.gen_hub_spoke(16, 9, seed=4)
-        spokes = [e for e in a.edges() if e.level == 1]
-        assert len(spokes) == 9
+        spokes = a.edge_level == 1
+        assert spokes.sum() == 9
         # Spokes are the long roads: each is several blocks long.
-        assert min(e.weight for e in spokes) > 2.0
+        assert a.edge_weight[spokes].min() > 2.0
 
     def test_preconditions(self):
         with pytest.raises(ConfigError):
@@ -236,9 +235,9 @@ class TestStats:
         g = rg.gen_gotham(8, 2, seed=13)
         s = rg.stats(g)
         deg = {}
-        for e in g.edges():
-            deg[e.u] = deg.get(e.u, 0) + 1
-            deg[e.v] = deg.get(e.v, 0) + 1
+        for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()):
+            deg[u] = deg.get(u, 0) + 1
+            deg[v] = deg.get(v, 0) + 1
         hist = {}
         for v in range(g.n):
             d = deg.get(v, 0)

@@ -73,20 +73,17 @@ class TestSssp:
     def test_relaxation_and_telescoping(self):
         g = random_weighted_graph(60, 80, 3)
         r = sssp(g, 0)
-        for e in g.edges():
-            assert r.dist[e.v] <= r.dist[e.u] + e.weight
-            assert r.dist[e.u] <= r.dist[e.v] + e.weight
+        edges = list(zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_weight.tolist()))
+        for u, x, w in edges:
+            assert r.dist[x] <= r.dist[u] + w
+            assert r.dist[u] <= r.dist[x] + w
         for v in range(g.n):
             if np.isinf(r.dist[v]) or v == 0:
                 continue
             total, cur = 0.0, v
             while cur != 0:
                 p = int(r.parent[cur])
-                w = next(
-                    e.weight
-                    for e in g.edges()
-                    if {e.u, e.v} == {p, cur}
-                )
+                w = next(weight for a, b, weight in edges if {a, b} == {p, cur})
                 total = total + w
                 cur = p
             # Telescoped parent-chain weight reproduces the distance.

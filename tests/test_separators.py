@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -40,7 +41,7 @@ class TestFindSeparator:
             [0, 1], [(0.0, 0.0), (100.0, 0.0)], [1.0, 1.0], np.empty((0, 2), int)
         )
         sep = find_separator(s, delta=0.75, exceptional_k=4, seed=0)
-        assert sep.cut == ()
+        assert len(sep.cut) == 0
         assert len(sep.inside) == 1 and len(sep.outside) == 1
         verify_separator_geometry(s, sep)
 
@@ -76,7 +77,7 @@ class TestFindSeparator:
         s = build_disk_system(rg.gen_random_geometric(150, 0.12, seed=5))
         a = find_separator(s, seed=33)
         b = find_separator(s, seed=33)
-        assert a == b
+        _same(a, b)
 
     def test_failure_carries_best_candidate(self):
         from roadgeom.errors import SeparatorFailure
@@ -143,7 +144,7 @@ class TestDecomposition:
                 if child is not None:
                     assert tree.nodes[child].vertex_count == len(members)
                     assert tree.nodes[child].vertex_count <= delta * nd.vertex_count
-            node_sys = s.subset([pos_of[v] for v in sep.cut + sep.inside + sep.outside])
+            node_sys = s.subset([pos_of[v] for v in np.concatenate([sep.cut, sep.inside, sep.outside])])
             verify_separator_geometry(node_sys, sep)
 
     def test_determinism(self):
@@ -152,9 +153,7 @@ class TestDecomposition:
         t2 = build_decomposition(s, leaf_threshold=16, seed=11)
         assert len(t1) == len(t2)
         assert np.array_equal(t1.label, t2.label)
-        for a, b in zip(t1.nodes, t2.nodes):
-            assert a.separator == b.separator
-            assert a.leaf_vertices == b.leaf_vertices
+        _same_tree(t1, t2)
 
     def test_leaf_threshold_validation(self):
         s = build_disk_system(rg.gen_gotham(4, 0, seed=0))
@@ -191,7 +190,7 @@ def _outcome(find, system, **kw):
 
 def _both_ways(system, **kw):
     got = _outcome(find_separator, system, **kw)
-    assert got == _outcome(oracles.scalar_find_separator, system, **kw)
+    _same(got, _outcome(oracles.scalar_find_separator, system, **kw))
     return got
 
 
@@ -289,7 +288,7 @@ class TestBatchedRoundMatchesScalar:
 
     def test_all_exceptional(self, monkeypatch):
         def everything(system, k):
-            return ExceptionalSplit(tuple(system.vertices.tolist()), 0, 0, False)
+            return ExceptionalSplit(system.vertices, 0, 0, False)
 
         monkeypatch.setattr(separators, "exceptional_decomposition", everything)
         monkeypatch.setattr(disks, "exceptional_decomposition", everything)
@@ -347,11 +346,28 @@ class TestBatchedRoundMatchesScalar:
         _same_tree(got, want)
 
 
+def _same(a, b):
+    """a equals b: dataclasses (tree nodes, separators) field by field,
+    tuples item by item, arrays by value and dtype, the rest by ``==``."""
+    assert type(a) is type(b)
+    if isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    elif dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            _same(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, tuple):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _same(x, y)
+    else:
+        assert a == b
+
+
 def _same_tree(got, want):
     assert len(got) == len(want)
     for a, b in zip(got.nodes, want.nodes):
-        assert vars(a) == vars(b)
-    assert np.array_equal(got.label, want.label)
+        _same(a, b)
+    _same(got.label, want.label)
 
 
 class TestLevelPassMatchesRecursion:
@@ -402,11 +418,12 @@ class TestLevelPassMatchesRecursion:
             system = build_disk_system(make())
             for k in (1, 2, 8):
                 tree = build_decomposition(system, leaf_threshold=8, seed=k, exceptional_k=k)
-                assert bool(tree.root.separator.exceptional) == (system.max_center_ply() > k)
+                assert (len(tree.root.separator.exceptional) > 0) == (system.max_center_ply() > k)
                 for nd in tree.nodes[1:]:
-                    members = nd.leaf_vertices or nd.separator.cut + nd.separator.inside + nd.separator.outside
+                    sep = nd.separator
+                    members = nd.leaf_vertices if nd.is_leaf else np.concatenate([sep.cut, sep.inside, sep.outside])
                     assert system.subset(sorted(members)).max_center_ply() <= k
-                    assert nd.is_leaf or nd.separator.exceptional == ()
+                    assert nd.is_leaf or len(sep.exceptional) == 0
 
     def test_small_leaves_and_singleton_rounds(self):
         # Nodes of 3 to 8 disks also try the singleton circles.
@@ -440,7 +457,8 @@ class TestLevelPassMatchesRecursion:
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith("decomposition failed at node 9 (depth 4): no balanced")
         assert str(got.value.__cause__) == str(want.value.__cause__)
-        assert got.value.best_candidate == want.value.best_candidate is not None
+        assert got.value.best_candidate is not None
+        _same(got.value.best_candidate, want.value.best_candidate)
         assert failed_at[2] == failed_at[4] == 1
 
 
@@ -520,19 +538,16 @@ def test_decomposition_ignores_vertex_id_order():
     got = build_decomposition(relabelled, leaf_threshold=12, seed=2)
     want = build_decomposition(s, leaf_threshold=12, seed=2)
 
-    def rename(members):
-        return tuple(ids[list(members)].tolist())
-
     assert len(got) == len(want) and len(want) > 3
     for a, b in zip(got.nodes, want.nodes):
         assert (a.parent, a.depth, a.vertex_count) == (b.parent, b.depth, b.vertex_count)
         if b.is_leaf:
-            assert a.leaf_vertices == rename(b.leaf_vertices)
+            assert np.array_equal(a.leaf_vertices, ids[b.leaf_vertices])
             continue
         sa, sb = a.separator, b.separator
         assert (sa.center, sa.radius, sa.retries) == (sb.center, sb.radius, sb.retries)
         for field in ("cut", "inside", "outside", "exceptional"):
-            assert getattr(sa, field) == rename(getattr(sb, field))
+            assert np.array_equal(getattr(sa, field), ids[getattr(sb, field)])
     assert np.array_equal(got.label[ids], want.label)
     assert np.count_nonzero(got.label >= 0) == len(s)
 
