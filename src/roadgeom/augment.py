@@ -171,7 +171,11 @@ def _pair_hops(indptr, nbr, start, goal, cutoff):
     hops = np.full(len(start), -1, dtype=np.int64)
     live = np.flatnonzero(label[start] == label[goal])
     live = live[np.argsort(start[live], kind="stable")]
-    sources, first = np.unique(start[live], return_index=True)
+    s = start[live]
+    head = np.ones(len(s), dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=head[1:])
+    first = np.flatnonzero(head)
+    sources = s[first]
     ptr, adj = indptr.tolist(), nbr.tolist()
     seen = [-1] * n
     for source, group in zip(sources.tolist(), np.split(live, first[1:])):

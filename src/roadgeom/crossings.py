@@ -87,8 +87,16 @@ def proper_only(crossings) -> CrossingTable:
 def crossing_histogram(crossings) -> dict[tuple[int, int], int]:
     """Counts by unordered hierarchy-level pair; totals match the input."""
     t = _table(crossings)
-    pairs, counts = np.unique(np.column_stack([t.level_lo, t.level_hi]), axis=0, return_counts=True)
-    return dict(zip(map(tuple, pairs.tolist()), counts.tolist()))
+    if len(t) == 0:
+        return {}
+    levels = np.concatenate([t.level_lo, t.level_hi])
+    base = int(levels.min())
+    span = int(levels.max()) - base + 1
+    key = (t.level_lo - base) * span + (t.level_hi - base)
+    keys = sorted_unique(key)
+    counts = np.bincount(np.searchsorted(keys, key), minlength=len(keys))
+    pairs = zip((keys // span + base).tolist(), (keys % span + base).tolist())
+    return dict(zip(pairs, counts.tolist()))
 
 
 def _cell_candidates(g: GeometricGraph):

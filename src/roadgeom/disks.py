@@ -215,7 +215,7 @@ def covering_counts(system: DiskSystem, points) -> np.ndarray:
 # -- reports ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlyReport:
     center_ply: np.ndarray
     max_center_ply: int
@@ -300,7 +300,7 @@ def exceptional_decomposition(system: DiskSystem, k: int) -> ExceptionalSplit:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChargeAudit:
     max_containment_charges: int
     max_tall_charges: int

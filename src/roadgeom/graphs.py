@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._arrays import csr, grid_join, sorted_unique
 from .errors import ConfigError, ParseError, ValidationError
@@ -163,16 +164,224 @@ def stats(g: GeometricGraph) -> NetworkStats:
     return NetworkStats(g.n, g.m, int(deg.max()), hist)
 
 
-# -- DIMACS ingestion -------------------------------------------------------
+# -- text ingestion ------------------------------------------------------------
+#
+# Both formats are read as whole-file arrays: one scan finds the field bounds
+# and physical line numbers, numeric columns parse in bulk and validation runs
+# on columns.  The error raised is the one at the earliest failing line, and
+# within a line the first check in the order the checks are listed.
+
+_NL, _TAB, _SPACE = 10, 9, 32
+_ODD_BYTE = "non-ASCII or control byte"
 
 
-def _tokens(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if not line or line.startswith("c"):
-                continue
-            yield lineno, line.split()
+def _scan(path, sep=None):
+    r"""A text file as field bounds.
+
+    Lines end at ``\n``, ``\r\n`` or a lone ``\r``.  Without ``sep`` the
+    fields are the runs of bytes other than space and tab; with
+    ``sep=","`` they are the spans between commas, stripped of spaces and
+    tabs (a span holding two runs keeps the gap between them, so it will
+    not parse).  Lines of spaces and tabs only are blank and dropped.
+
+    Returns ``(buf, line, first, count, odd, start, end)``: the file as a
+    uint8 array; for each non-blank line its physical number, the index of
+    its first field, its field count and whether it holds a non-ASCII byte
+    or a control byte other than tab; for each field its byte bounds
+    ``[start, end)``, an empty field's at ``[0, 0)``.
+    """
+    data = Path(path).read_bytes()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    buf = np.frombuffer(data, dtype=np.uint8)
+    odd = (buf - np.uint8(_SPACE)) > 126 - _SPACE  # wraps below the space
+    odd &= buf != _TAB
+    odd &= buf != _NL
+    # A unit is a line, or with sep a field; each ends at one delimiter.
+    delim = buf == _NL
+    word = np.zeros(len(buf) + 2, dtype=bool)
+    np.greater(buf, _SPACE, out=word[1:-1])
+    word[1:-1] |= odd
+    if sep is not None:
+        delim |= buf == ord(sep)
+        word[1:-1] &= ~delim
+    stop = np.flatnonzero(delim)
+    # Run bounds alternate: start, end, start, end, ...
+    bounds = np.flatnonzero(word[1:] != word[:-1])
+    start, end = bounds[0::2], bounds[1::2]
+    cut = np.searchsorted(start, stop)  # runs before each delimiter
+    first = np.concatenate([[0], cut[:-1]])
+    runs = cut - first
+    if sep is None:
+        nl, count, keep = stop, runs, runs > 0
+    else:
+        start = np.where(runs > 0, np.append(start, 0)[first], 0)
+        end = np.where(runs > 0, np.append(end, 0)[cut - 1], 0)
+        last = np.flatnonzero(buf[stop] == _NL)  # each line's last field
+        first = np.concatenate([[0], last[:-1] + 1])
+        nl, count = stop[last], last - first + 1
+        keep = (count > 1) | (runs[first] > 0)
+    flagged = np.zeros(len(nl), dtype=bool)
+    flagged[np.searchsorted(nl, np.flatnonzero(odd))] = True
+    return buf, np.flatnonzero(keep) + 1, first[keep], count[keep], flagged[keep], start, end
+
+
+def _column(first, count, k):
+    """Field index of column ``k`` of each line; the line's first field
+    where it has no column ``k``, so that the index stays valid."""
+    return np.where(count > k, first + k, first)
+
+
+def _rows(buf, start, w):
+    """Bytes ``start .. start + w`` of ``buf`` for each start, one row each
+    (zero bytes past the end of ``buf``)."""
+    return sliding_window_view(np.concatenate([buf, np.zeros(w, dtype=np.uint8)]), w)[start]
+
+
+def _ints(buf, start, end):
+    """Values of the integer fields ``[start, end)`` of ``buf``, and whether
+    each is well formed: ``[+-]?[0-9]{1,18}``."""
+    width = end - start
+    # Sign and 18 digits; a longer field is malformed whatever it holds.
+    rows = _rows(buf, start, min(max(int(width.max(initial=0)), 1), 19))
+    signed = (rows[:, 0] == ord("+")) | (rows[:, 0] == ord("-"))
+    ok = (width - signed >= 1) & (width - signed <= 18)
+    value = np.zeros(len(start), dtype=np.int64)
+    for k in range(rows.shape[1]):
+        live = (width > k) & ((k > 0) | ~signed)
+        digit = rows[:, k] - np.uint8(ord("0"))
+        ok &= ~live | (digit < 10)
+        value = np.where(live, value * 10 + digit, value)
+    return np.where(rows[:, 0] == ord("-"), -value, value), ok
+
+
+def _floats(buf, start, end):
+    """Values of the float fields ``[start, end)`` of ``buf`` as ``float()``
+    parses them, and whether each parsed (NaN where not)."""
+    width = end - start
+    value = np.empty(len(start))
+    ok = np.ones(len(start), dtype=bool)
+    # One S-dtype conversion per width class [2^j, 2^(j+1)): the padded
+    # copy stays within twice the column's bytes.
+    group = np.frexp(np.maximum(width, 1))[1]
+    for j in sorted_unique(group).tolist():
+        sel = np.flatnonzero(group == j)
+        w = max(int(width[sel].max()), 1)
+        rows, short = _rows(buf, start[sel], w), width[sel]
+        for k in range(int(short.min()), w):
+            rows[short <= k, k] = 0
+        text = rows.view(f"S{w}").ravel()
+        try:
+            value[sel] = text.astype(np.float64)
+        except ValueError:
+            # Some field does not parse: find which, one at a time.
+            for i, t in zip(sel.tolist(), text.tolist()):
+                try:
+                    value[i] = float(t)
+                except ValueError:
+                    value[i], ok[i] = np.nan, False
+    return value, ok
+
+
+def _index_of(ids, external):
+    """Positions of ``external`` in the sorted ``ids``, and which are there."""
+    pos = np.searchsorted(ids, external)
+    known = pos < len(ids)
+    known[known] = ids[pos[known]] == external[known]
+    return pos, known
+
+
+def _raise_first(path, checks):
+    """Raise the error of the earliest failing line.
+
+    ``checks`` lists ``(line, failed, error class, message)`` in the order
+    the checks of one line run; ``line`` holds ascending line numbers and a
+    callable message gets the index of the failing entry.
+    """
+    hits = []
+    for rank, (line, failed, _, _) in enumerate(checks):
+        where = np.flatnonzero(failed)
+        if len(where):
+            hits.append((int(line[where[0]]), rank, int(where[0])))
+    if hits:
+        lineno, rank, i = min(hits)
+        _, _, cls, message = checks[rank]
+        raise cls(f"{path}:{lineno}: {message(i) if callable(message) else message}")
+
+
+def _directives(buf, start, end, first):
+    """Per DIMACS line: the byte of a one-byte first token, ``c`` for a
+    comment (a first token starting with ``c``), else 0."""
+    lead = buf[start[first]]
+    return np.where((lead == ord("c")) | (end[first] - start[first] == 1), lead, 0)
+
+
+def _read_gr(path):
+    """Declared vertex count and the arcs (u, v, w) of a ``.gr`` file."""
+    buf, line, first, count, odd, start, end = _scan(path)
+    code = _directives(buf, start, end, first)
+    problem = np.flatnonzero(code == ord("p"))
+    arc = np.flatnonzero(code == ord("a"))
+    complete = arc[count[arc] == 4]
+
+    p = problem[:1]  # the first problem line counts; any later one is a duplicate
+    sp = _column(first[p], count[p], 1)
+    shaped = (count[p] == 4) & (end[sp] - start[sp] == 2)
+    shaped &= (buf[start[sp]] == ord("s")) & (buf[start[sp] + 1] == ord("p"))
+    sizes = np.concatenate([_column(first[p], count[p], k) for k in (2, 3)])
+    declared, declared_ok = _ints(buf, start[sizes], end[sizes])
+    (u, u_ok), (v, v_ok), (w, w_ok) = (
+        parse(buf, start[first[complete] + k], end[first[complete] + k])
+        for k, parse in ((1, _ints), (2, _ints), (3, _floats))
+    )
+    unknown = (code != ord("c")) & (code != ord("p")) & (code != ord("a"))
+    _raise_first(path, [
+        (line, odd & (code != ord("c")), ParseError, _ODD_BYTE),
+        (line[problem], np.arange(len(problem)) > 0, ParseError, "duplicate problem line"),
+        (line[p], ~shaped, ParseError, "expected 'p sp <n> <m>'"),
+        (line[p], ~declared_ok.reshape(2, -1).all(axis=0), ParseError, "bad problem line counts"),
+        (line[arc], count[arc] != 4, ParseError, "expected 'a <u> <v> <w>'"),
+        (line[complete], ~(u_ok & v_ok & w_ok), ParseError, "non-numeric arc field"),
+        (line[complete], ~((w >= 0) & (w < np.inf)), ValidationError, "negative arc weight"),
+        (line[complete], u == v, ValidationError, "self-loop arc"),
+        (line, unknown, ParseError,
+         lambda i: f"unknown directive {bytes(buf[start[first[i]] : end[first[i]]]).decode()!r}"),
+    ])
+    if not len(problem):
+        raise ParseError(f"{path}: missing 'p sp' header line")
+    n_declared, m_declared = declared.tolist()
+    if len(arc) != m_declared:
+        raise ValidationError(f"{path}: header declares {m_declared} arcs, found {len(arc)}")
+    return n_declared, u, v, w
+
+
+def _read_co(path, n_declared):
+    """Sorted vertex ids and their coordinates in degrees, from a ``.co`` file."""
+    buf, line, first, count, odd, start, end = _scan(path)
+    code = _directives(buf, start, end, first)
+    vertex = np.flatnonzero((code != ord("c")) & (code != ord("p")))  # 'p' lines are optional headers
+    shaped = (code[vertex] == ord("v")) & (count[vertex] == 4)
+    (vid, id_ok), (x, x_ok), (y, y_ok) = (
+        _ints(buf, start[f], end[f]) for f in (_column(first[vertex], count[vertex], k) for k in (1, 2, 3))
+    )
+    numeric = id_ok & x_ok & y_ok
+    valid = np.flatnonzero(shaped & numeric)
+    order = np.argsort(vid[valid], kind="stable")
+    repeated = np.zeros(len(valid), dtype=bool)
+    ids = vid[valid][order]
+    repeated[order[1:][ids[1:] == ids[:-1]]] = True
+    _raise_first(path, [
+        (line, odd & (code != ord("c")), ParseError, _ODD_BYTE),
+        (line[vertex], ~shaped, ParseError, "expected 'v <id> <x> <y>'"),
+        (line[vertex], ~numeric, ParseError, "non-integer coordinate field"),
+        (line[vertex[valid]], repeated, ValidationError, lambda i: f"repeated vertex id {vid[valid[i]]}"),
+    ])
+    if len(vertex) != n_declared:
+        raise ValidationError(f"{path}: header declares {n_declared} vertices, found {len(vertex)}")
+    xy = np.column_stack([x[order], y[order]]) * COORD_SCALE
+    return ids, xy
 
 
 def load_dimacs(graph_path, coord_path) -> GeometricGraph:
@@ -180,97 +389,51 @@ def load_dimacs(graph_path, coord_path) -> GeometricGraph:
 
     Paired opposite arcs with equal weight collapse to one undirected edge;
     parallel duplicates collapse to the minimum weight and are counted in
-    ``meta['collapsed_parallel_arcs']``.  Coordinates are micro-degree
-    integers scaled to float degrees.
+    ``meta['collapsed_parallel_arcs']``.  Edges come in the order of each
+    pair's first arc.  Coordinates are micro-degree integers scaled to float
+    degrees.
     """
     graph_path = Path(graph_path)
     coord_path = Path(coord_path)
+    n_declared, u, v, w = _read_gr(graph_path)
+    ids, xy = _read_co(coord_path, n_declared)
 
-    n_declared = m_declared = None
-    arcs = []
-    for lineno, tok in _tokens(graph_path):
-        if tok[0] == "p":
-            if n_declared is not None:
-                raise ParseError(f"{graph_path}:{lineno}: duplicate problem line")
-            if len(tok) != 4 or tok[1] != "sp":
-                raise ParseError(f"{graph_path}:{lineno}: expected 'p sp <n> <m>'")
-            try:
-                n_declared, m_declared = int(tok[2]), int(tok[3])
-            except ValueError:
-                raise ParseError(f"{graph_path}:{lineno}: bad problem line counts") from None
-        elif tok[0] == "a":
-            if len(tok) != 4:
-                raise ParseError(f"{graph_path}:{lineno}: expected 'a <u> <v> <w>'")
-            try:
-                u, v, w = int(tok[1]), int(tok[2]), float(tok[3])
-            except ValueError:
-                raise ParseError(f"{graph_path}:{lineno}: non-numeric arc field") from None
-            if w < 0 or not math.isfinite(w):
-                raise ValidationError(f"{graph_path}:{lineno}: negative arc weight")
-            if u == v:
-                raise ValidationError(f"{graph_path}:{lineno}: self-loop arc")
-            arcs.append((u, v, w))
-        else:
-            raise ParseError(f"{graph_path}:{lineno}: unknown directive {tok[0]!r}")
-    if n_declared is None:
-        raise ParseError(f"{graph_path}: missing 'p sp' header line")
-    if len(arcs) != m_declared:
+    iu, u_known = _index_of(ids, u)
+    iv, v_known = _index_of(ids, v)
+    unknown = np.flatnonzero(~(u_known & v_known))
+    if len(unknown):
+        i = unknown[0]
         raise ValidationError(
-            f"{graph_path}: header declares {m_declared} arcs, found {len(arcs)}"
+            f"{graph_path}: arc references unknown vertex {v[i] if u_known[i] else u[i]}"
         )
-
-    coords = {}
-    for lineno, tok in _tokens(coord_path):
-        if tok[0] == "p":
-            continue  # optional 'p aux sp co n' header
-        if tok[0] != "v" or len(tok) != 4:
-            raise ParseError(f"{coord_path}:{lineno}: expected 'v <id> <x> <y>'")
-        try:
-            vid, x, y = int(tok[1]), int(tok[2]), int(tok[3])
-        except ValueError:
-            raise ParseError(f"{coord_path}:{lineno}: non-integer coordinate field") from None
-        if vid in coords:
-            raise ValidationError(f"{coord_path}:{lineno}: repeated vertex id {vid}")
-        coords[vid] = (x * COORD_SCALE, y * COORD_SCALE)
-    if len(coords) != n_declared:
-        raise ValidationError(
-            f"{coord_path}: header declares {n_declared} vertices, found {len(coords)}"
-        )
-
-    external_ids = sorted(coords)
-    index_of = {vid: i for i, vid in enumerate(external_ids)}
-    xy = np.array([coords[vid] for vid in external_ids], dtype=np.float64)
-
-    merged: dict[tuple[int, int], float] = {}
-    arc_count: dict[tuple[int, int], int] = {}
-    for u, v, w in arcs:
-        if u not in index_of or v not in index_of:
-            missing = u if u not in index_of else v
-            raise ValidationError(f"{graph_path}: arc references unknown vertex {missing}")
-        key = (min(index_of[u], index_of[v]), max(index_of[u], index_of[v]))
-        arc_count[key] = arc_count.get(key, 0) + 1
-        merged[key] = w if key not in merged else min(merged[key], w)
+    lo, hi = np.minimum(iu, iv), np.maximum(iu, iv)
+    # Stable, so each pair's group starts with its first arc.
+    key = lo * len(ids) + hi
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    head = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    weight = np.minimum.reduceat(w[order], starts)
     # A clean undirected pair contributes two arcs; anything beyond that is
     # a collapsed parallel duplicate.
-    collapsed = sum(max(0, c - 2) for c in arc_count.values())
-
-    eu = np.fromiter((k[0] for k in merged), dtype=np.int64, count=len(merged))
-    ev = np.fromiter((k[1] for k in merged), dtype=np.int64, count=len(merged))
-    ew = np.fromiter(merged.values(), dtype=np.float64, count=len(merged))
-    el = np.full(len(merged), 4, dtype=np.int64)  # .gr carries no hierarchy info
+    collapsed = int(np.maximum(np.diff(np.append(starts, len(key))) - 2, 0).sum())
+    edge = order[starts]
+    by_first = np.argsort(edge)
+    edge, weight = edge[by_first], weight[by_first]
 
     g = GeometricGraph(
         xy,
-        eu,
-        ev,
-        ew,
-        el,
+        lo[edge],
+        hi[edge],
+        weight,
+        np.full(len(edge), 4, dtype=np.int64),  # .gr carries no hierarchy info
         meta={
-            "external_ids": external_ids,
+            "external_ids": ids.tolist(),
             "collapsed_parallel_arcs": collapsed,
             "source": str(graph_path),
             # Road networks keep m proportional to n; recorded, not enforced.
-            "edges_per_vertex": len(merged) / max(n_declared, 1),
+            "edges_per_vertex": len(edge) / max(n_declared, 1),
         },
     )
     dupes = g.duplicate_coordinate_groups()
@@ -300,48 +463,55 @@ def save_dimacs(g: GeometricGraph, graph_path, coord_path):
 # -- native CSV interchange --------------------------------------------------
 
 
+def _csv_columns(path, names, parsers, what):
+    """The named columns of a CSV file's body, each parsed by its parser.
+
+    The header (line 1) names the columns, in any order; other columns are
+    ignored.  Returns the rows' line numbers, the columns, and the checks of
+    a row for ``_raise_first``.
+    """
+    buf, line, first, count, odd, start, end = _scan(path, ",")
+    header = bytes(buf[: np.argmax(buf == _NL)]).decode("latin-1").split(",")
+    if not set(names) <= set(header):
+        raise ParseError(f"{path}: expected header {','.join(names)}")
+    index = {name: k for k, name in enumerate(header)}  # the last of a repeated name
+    rows = np.flatnonzero(line > 1)
+    first, count = first[rows], count[rows]
+    ok = np.ones(len(rows), dtype=bool)
+    columns = []
+    for name, parse in zip(names, parsers):
+        f = _column(first, count, index[name])
+        values, parsed = parse(buf, start[f], end[f])
+        ok &= parsed & (count > index[name])
+        columns.append(values)
+    checks = [(line, odd, ParseError, _ODD_BYTE), (line[rows], ~ok, ParseError, f"bad {what} row")]
+    return line[rows], columns, checks
+
+
 def load_csv(vertices_path, edges_path) -> GeometricGraph:
     """Load the native interchange pair vertices.csv (id,x,y) and
     edges.csv (u,v,weight,level)."""
     vertices_path = Path(vertices_path)
     edges_path = Path(edges_path)
-    ids = []
-    pts = []
-    with open(vertices_path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or set(reader.fieldnames) < {"id", "x", "y"}:
-            raise ParseError(f"{vertices_path}: expected header id,x,y")
-        for lineno, row in enumerate(reader, 2):
-            try:
-                ids.append(int(row["id"]))
-                pts.append((float(row["x"]), float(row["y"])))
-            except (TypeError, ValueError):
-                raise ParseError(f"{vertices_path}:{lineno}: bad vertex row") from None
-    if len(set(ids)) != len(ids):
+    _, (vid, x, y), checks = _csv_columns(
+        vertices_path, ("id", "x", "y"), (_ints, _floats, _floats), "vertex"
+    )
+    _raise_first(vertices_path, checks)
+    if len(sorted_unique(vid)) != len(vid):
         raise ValidationError(f"{vertices_path}: duplicate vertex id")
-    order = np.argsort(np.asarray(ids, dtype=np.int64), kind="stable")
-    index_of = {ids[int(o)]: rank for rank, o in enumerate(order)}
-    xy = np.asarray(pts, dtype=np.float64).reshape(-1, 2)[order]
+    order = np.argsort(vid, kind="stable")
+    ids = vid[order]
+    xy = np.column_stack([x[order], y[order]])
 
-    eu, ev, ew, el = [], [], [], []
-    with open(edges_path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or set(reader.fieldnames) < {"u", "v", "weight", "level"}:
-            raise ParseError(f"{edges_path}: expected header u,v,weight,level")
-        for lineno, row in enumerate(reader, 2):
-            try:
-                u, v = int(row["u"]), int(row["v"])
-                w, lv = float(row["weight"]), int(row["level"])
-            except (TypeError, ValueError):
-                raise ParseError(f"{edges_path}:{lineno}: bad edge row") from None
-            if u not in index_of or v not in index_of:
-                missing = u if u not in index_of else v
-                raise ValidationError(f"{edges_path}:{lineno}: unknown vertex {missing}")
-            eu.append(index_of[u])
-            ev.append(index_of[v])
-            ew.append(w)
-            el.append(lv)
-    g = GeometricGraph(xy, eu, ev, ew, el, meta={"source": str(vertices_path)})
+    rows, (u, v, w, lv), checks = _csv_columns(
+        edges_path, ("u", "v", "weight", "level"), (_ints, _ints, _floats, _ints), "edge"
+    )
+    iu, u_known = _index_of(ids, u)
+    iv, v_known = _index_of(ids, v)
+    missing = np.where(u_known, v, u)
+    checks.append((rows, ~(u_known & v_known), ValidationError, lambda i: f"unknown vertex {missing[i]}"))
+    _raise_first(edges_path, checks)
+    g = GeometricGraph(xy, iu, iv, w, lv, meta={"source": str(vertices_path)})
     dupes = g.duplicate_coordinate_groups()
     if dupes:
         g.meta["duplicate_coordinate_vertices"] = dupes

@@ -171,10 +171,8 @@ class TestGridAugment:
     @settings(max_examples=150, deadline=None)
     @given(lattice_graphs())
     def test_lattice_graphs_match_oracle(self, g):
-        # grid_augment reads only the base graph, so the planarization is
-        # not re-checked here.
         try:
-            p = cr.planarize(g, cr.find_crossings(g), verify=False)
+            p = cr.planarize(g, cr.find_crossings(g), verify=True)
         except DegeneracyError:
             assume(False)
         assert named(grid_augment(p)) == oracle_shortcuts(g)

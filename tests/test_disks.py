@@ -185,6 +185,17 @@ class TestChargeAudit:
         assert audit.containment.sum() + audit.tall.sum() == len(s.pairs)
 
 
+def test_reports_with_array_fields_compare_by_identity():
+    # The default dataclass == compares the array fields and raises.
+    g = rg.gen_gotham(12, 2, seed=2)
+    a, b = build_disk_system(g), build_disk_system(g)
+    for report in (charge_audit, ply_report):
+        first, second = report(a), report(b)
+        assert first == first
+        assert not first == second
+        assert first != second
+
+
 class TestCovering:
     def test_counts_match_brute_force(self, hub_small):
         s = build_disk_system(hub_small)
