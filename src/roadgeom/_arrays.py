@@ -8,16 +8,24 @@ from .errors import ConfigError
 
 
 def sorted_unique(keys) -> np.ndarray:
-    """Distinct values of an integer array, ascending.
+    """Distinct values of an array, ascending.
 
-    Same result as ``np.unique`` for integer keys, by a sort and an
-    adjacent-difference mask; ``np.unique`` hashes instead, which is many
-    times slower on millions of int64 keys.
+    Same result as ``np.unique`` (for -0.0 and 0.0 too) by a sort and an
+    adjacent-difference mask; ``np.unique`` hashes integer keys instead,
+    which is many times slower on millions of int64 keys.
     """
     keys = np.sort(keys)
     keep = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=keep[1:])
     return keys[keep]
+
+
+def index_of(keys, query):
+    """Positions of ``query`` in the sorted ``keys``, and which are there."""
+    pos = np.searchsorted(keys, query)
+    found = pos < len(keys)
+    found[found] = keys[pos[found]] == query[found]
+    return pos, found
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
@@ -52,7 +60,7 @@ def grid_join(query_xy, site_xy, cell):
         raise ConfigError("coordinate range too large for the grid join")
     if len(q) == 0 or len(s) == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    cols, rows = np.unique(s[:, 0]), np.unique(s[:, 1])
+    cols, rows = sorted_unique(s[:, 0]), sorted_unique(s[:, 1])
     skey = np.searchsorted(cols, s[:, 0]) * len(rows) + np.searchsorted(rows, s[:, 1])
     order = np.argsort(skey, kind="stable")
     skey = skey[order]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import components, sorted_unique
+from ._arrays import components, index_of, sorted_unique
 from .augment import ClusteringReport
 from .disks import DiskSystem, covering_counts
 from .errors import DegeneracyError, InvariantViolation
@@ -296,7 +296,7 @@ def build_inductive(system: DiskSystem, clustering: ClusteringReport) -> CircleA
     v, w = np.where(later, j, i), np.where(later, i, j)
     slots = owner * np.int64(n) + member
     by_key = np.argsort(slots, kind="stable")
-    part = comp[by_key[np.searchsorted(slots[by_key], v * np.int64(n) + w)]]
+    part = comp[by_key[index_of(slots[by_key], v * np.int64(n) + w)[0]]]
     entry = np.full(len(comp), np.inf)
     np.minimum.at(entry, part, np.where(later, angle[1], angle[0]))
     splice = np.lexsort((np.arange(len(x)), w, part, entry[part], rank[v]))

@@ -207,6 +207,9 @@ REPORT_METRICS = {
     "disk_degree": lambda g, args: disks_mod.ply_report(_checked_system(g)).max_disk_degree,
     "clustering": lambda g, args: augment_mod.clustering_check(_checked_system(g)).max_components,
     "neighborly": lambda g, args: _neighborly(g, args.cutoff).max_hops_augmented,
+    "neighborly_plain": lambda g, args: _neighborly(g, args.cutoff).max_hops_plain,
+    "plain_truncated": lambda g, args: int(_neighborly(g, args.cutoff).plain_truncated),
+    "system_ply": lambda g, args: arrangement_mod.system_ply(_checked_system(g)),
     "arrangement": lambda g, args: _arrangement(g, False)[1].per_vertex_ratio,
 }
 
@@ -305,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("report", cmd_report, "multi-size metric sweep over a generator family", graph=False)
     p.add_argument("--gen", required=True)
     p.add_argument("--sizes", required=True, help="comma list of target vertex counts")
-    p.add_argument("--metric", required=True)
+    p.add_argument("--metric", required=True, help=f"one of {', '.join(REPORT_METRICS)}")
     p.add_argument("--expressways", type=int, default=4)
     p.add_argument("--spokes", type=int, default=21)
     p.add_argument("--radius", type=float, default=None)

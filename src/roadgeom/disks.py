@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import components, concat_ranges, csr, frozen, grid_join, sorted_unique
+from ._arrays import components, concat_ranges, csr, frozen, grid_join, index_of, sorted_unique
 from .errors import ConfigError, InvariantViolation, ValidationError
 from .graphs import GeometricGraph
 
@@ -113,8 +113,7 @@ class DiskSystem:
             by_key = np.argsort(keys, kind="stable")
             keys = keys[by_key]
             query = owner[slot] * np.int64(n) + other
-            at = np.minimum(np.searchsorted(keys, query), max(len(keys) - 1, 0))
-            joined = keys[at] == query if len(keys) else np.zeros(0, dtype=bool)
+            at, joined = index_of(keys, query)
             comp = components(len(member), slot[joined], by_key[at[joined]])
             for a in (owner, member, comp):
                 a.setflags(write=False)
@@ -355,9 +354,7 @@ def _missing_pairs(system: DiskSystem, a, b) -> np.ndarray:
     a, b = np.minimum(a, b), np.maximum(a, b)
     n = np.int64(len(system))
     keys = np.sort(system.pairs[:, 0] * n + system.pairs[:, 1])
-    want = a * n + b
-    found = np.searchsorted(keys, want, "right") > np.searchsorted(keys, want, "left")
-    return (a != b) & ~found
+    return (a != b) & ~index_of(keys, a * n + b)[1]
 
 
 def check_edges_are_pairs(g: GeometricGraph, system: DiskSystem) -> None:

@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import DegeneracyError
+
 # Relative error bound for a float cross-product determinant (Shewchuk-style
 # static filter: |det| above this multiple of the magnitude sum is trusted).
 _ORIENT_EPS = 8.0 * 2.0**-52
@@ -126,12 +128,18 @@ def _collinear_contact(ax, ay, bx, by, cx, cy, dx, dy):
 
 
 def intersection_point(ax, ay, bx, by, cx, cy, dx, dy):
-    """Interior intersection point of properly crossing segments ab, cd."""
+    """Interior intersection point of properly crossing segments ab, cd,
+    elementwise on arrays; DegeneracyError where floats cannot represent it
+    (the denominator is 0 or not finite, or the point is not finite)."""
     rx, ry = bx - ax, by - ay
     sx, sy = dx - cx, dy - cy
     denom = rx * sy - ry * sx
-    t = ((cx - ax) * sy - (cy - ay) * sx) / denom
-    return ax + t * rx, ay + t * ry
+    if (np.isfinite(denom) & (denom != 0.0)).all():
+        t = ((cx - ax) * sy - (cy - ay) * sx) / denom
+        x, y = ax + t * rx, ay + t * ry
+        if np.isfinite(x).all() and np.isfinite(y).all():
+            return x, y
+    raise DegeneracyError("a proper crossing point is not representable in floats")
 
 
 def circle_pair_points(q1x, q1y, r1, q2x, q2y, r2):

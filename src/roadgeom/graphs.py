@@ -8,7 +8,6 @@ nothing downstream assumes they reflect the geometry.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,7 +15,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._arrays import csr, grid_join, sorted_unique
+from ._arrays import csr, grid_join, index_of, sorted_unique
 from .errors import ConfigError, ParseError, ValidationError
 
 COORD_SCALE = 1e-6  # file coordinates are integers in micro-degrees
@@ -285,14 +284,6 @@ def _floats(buf, start, end):
     return value, ok
 
 
-def _index_of(ids, external):
-    """Positions of ``external`` in the sorted ``ids``, and which are there."""
-    pos = np.searchsorted(ids, external)
-    known = pos < len(ids)
-    known[known] = ids[pos[known]] == external[known]
-    return pos, known
-
-
 def _raise_first(path, checks):
     """Raise the error of the earliest failing line.
 
@@ -398,8 +389,8 @@ def load_dimacs(graph_path, coord_path) -> GeometricGraph:
     n_declared, u, v, w = _read_gr(graph_path)
     ids, xy = _read_co(coord_path, n_declared)
 
-    iu, u_known = _index_of(ids, u)
-    iv, v_known = _index_of(ids, v)
+    iu, u_known = index_of(ids, u)
+    iv, v_known = index_of(ids, v)
     unknown = np.flatnonzero(~(u_known & v_known))
     if len(unknown):
         i = unknown[0]
@@ -443,21 +434,19 @@ def load_dimacs(graph_path, coord_path) -> GeometricGraph:
 
 
 def save_dimacs(g: GeometricGraph, graph_path, coord_path):
-    """Write `.gr`/`.co` files (ids 1..n, coordinates rounded to micro-degrees)."""
+    """Write `.gr`/`.co` files (ids 1..n, coordinates rounded to micro-degrees).
+
+    Integral weights are written as integers, others by ``repr``.
+    """
+    u, v = (g.edge_u + 1).tolist(), (g.edge_v + 1).tolist()
+    w = [str(int(c)) if c.is_integer() else repr(c) for c in g.edge_weight.tolist()]
+    arcs = (f"a {a} {b} {c}\na {b} {a} {c}\n" for a, b, c in zip(u, v, w))
     with open(graph_path, "w", encoding="utf-8") as gr:
-        gr.write(f"p sp {g.n} {2 * g.m}\n")
-        for i in range(g.m):
-            u, v = int(g.edge_u[i]) + 1, int(g.edge_v[i]) + 1
-            w = float(g.edge_weight[i])
-            ws = str(int(w)) if w.is_integer() else repr(w)
-            gr.write(f"a {u} {v} {ws}\n")
-            gr.write(f"a {v} {u} {ws}\n")
+        gr.write("".join([f"p sp {g.n} {2 * g.m}\n", *arcs]))
+    x, y = (map(round, (g.xy[:, k] / COORD_SCALE).tolist()) for k in (0, 1))
+    lines = (f"v {i} {a} {b}\n" for i, a, b in zip(range(1, g.n + 1), x, y))
     with open(coord_path, "w", encoding="utf-8") as co:
-        co.write(f"p aux sp co {g.n}\n")
-        for i in range(g.n):
-            x = round(g.xy[i, 0] / COORD_SCALE)
-            y = round(g.xy[i, 1] / COORD_SCALE)
-            co.write(f"v {i + 1} {x} {y}\n")
+        co.write("".join([f"p aux sp co {g.n}\n", *lines]))
 
 
 # -- native CSV interchange --------------------------------------------------
@@ -506,8 +495,8 @@ def load_csv(vertices_path, edges_path) -> GeometricGraph:
     rows, (u, v, w, lv), checks = _csv_columns(
         edges_path, ("u", "v", "weight", "level"), (_ints, _ints, _floats, _ints), "edge"
     )
-    iu, u_known = _index_of(ids, u)
-    iv, v_known = _index_of(ids, v)
+    iu, u_known = index_of(ids, u)
+    iv, v_known = index_of(ids, v)
     missing = np.where(u_known, v, u)
     checks.append((rows, ~(u_known & v_known), ValidationError, lambda i: f"unknown vertex {missing[i]}"))
     _raise_first(edges_path, checks)
@@ -519,23 +508,15 @@ def load_csv(vertices_path, edges_path) -> GeometricGraph:
 
 
 def save_csv(g: GeometricGraph, vertices_path, edges_path):
+    """Write the native interchange pair: floats by ``repr``, CRLF line ends."""
+    x, y = (map(repr, g.xy[:, k].tolist()) for k in (0, 1))
+    lines = (f"{i},{a},{b}\r\n" for i, a, b in zip(range(g.n), x, y))
     with open(vertices_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["id", "x", "y"])
-        for i in range(g.n):
-            writer.writerow([i, repr(float(g.xy[i, 0])), repr(float(g.xy[i, 1]))])
+        handle.write("".join(["id,x,y\r\n", *lines]))
+    columns = g.edge_u.tolist(), g.edge_v.tolist(), map(repr, g.edge_weight.tolist()), g.edge_level.tolist()
+    lines = (f"{a},{b},{c},{d}\r\n" for a, b, c, d in zip(*columns))
     with open(edges_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["u", "v", "weight", "level"])
-        for i in range(g.m):
-            writer.writerow(
-                [
-                    int(g.edge_u[i]),
-                    int(g.edge_v[i]),
-                    repr(float(g.edge_weight[i])),
-                    int(g.edge_level[i]),
-                ]
-            )
+        handle.write("".join(["u,v,weight,level\r\n", *lines]))
 
 
 # -- generators ---------------------------------------------------------------

@@ -1,5 +1,7 @@
 """The line-by-line loaders that ``graphs.load_dimacs`` and ``graphs.load_csv``
-replaced, kept as references for the array loaders.
+replaced, kept as references for the array loaders, and the row-by-row
+writers that ``graphs.save_dimacs`` and ``graphs.save_csv`` replaced,
+kept as references for the bytes they write.
 
 They parse with ``str.split``/``csv.DictReader`` and ``int()``/``float()``
 per field and merge arcs in dicts.  Two behaviours of theirs are not the
@@ -179,3 +181,41 @@ def load_csv(vertices_path, edges_path) -> GeometricGraph:
     if dupes:
         g.meta["duplicate_coordinate_vertices"] = dupes
     return g
+
+
+def save_dimacs(g: GeometricGraph, graph_path, coord_path):
+    """Write `.gr`/`.co` files (ids 1..n, coordinates rounded to micro-degrees)."""
+    with open(graph_path, "w", encoding="utf-8") as gr:
+        gr.write(f"p sp {g.n} {2 * g.m}\n")
+        for i in range(g.m):
+            u, v = int(g.edge_u[i]) + 1, int(g.edge_v[i]) + 1
+            w = float(g.edge_weight[i])
+            ws = str(int(w)) if w.is_integer() else repr(w)
+            gr.write(f"a {u} {v} {ws}\n")
+            gr.write(f"a {v} {u} {ws}\n")
+    with open(coord_path, "w", encoding="utf-8") as co:
+        co.write(f"p aux sp co {g.n}\n")
+        for i in range(g.n):
+            x = round(g.xy[i, 0] / COORD_SCALE)
+            y = round(g.xy[i, 1] / COORD_SCALE)
+            co.write(f"v {i + 1} {x} {y}\n")
+
+
+def save_csv(g: GeometricGraph, vertices_path, edges_path):
+    with open(vertices_path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["id", "x", "y"])
+        for i in range(g.n):
+            writer.writerow([i, repr(float(g.xy[i, 0])), repr(float(g.xy[i, 1]))])
+    with open(edges_path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["u", "v", "weight", "level"])
+        for i in range(g.m):
+            writer.writerow(
+                [
+                    int(g.edge_u[i]),
+                    int(g.edge_v[i]),
+                    repr(float(g.edge_weight[i])),
+                    int(g.edge_level[i]),
+                ]
+            )

@@ -3,7 +3,7 @@ import pytest
 
 import roadgeom as rg
 from roadgeom import crossings as cr
-from roadgeom._arrays import components, csr, grid_join
+from roadgeom._arrays import components, csr, grid_join, sorted_unique
 from roadgeom.augment import DIRECTIONS, grid_augment
 from roadgeom.disks import build_disk_system, exceptional_decomposition
 from roadgeom.errors import ConfigError
@@ -105,6 +105,19 @@ class TestGridJoin:
             build_disk_system(g)
         with pytest.raises(ConfigError, match="grid join"):
             grid_join([[0.0, 0.0]], [[2.0**60, 0.0]], 1.0)
+
+
+def test_sorted_unique_equals_np_unique_on_signed_zeros():
+    # grid_join takes the distinct cell columns and rows of float cells,
+    # where floor(-0.0) keeps the sign; sorted_unique must pick the same zero.
+    rng = np.random.default_rng(3)
+    for size in (1, 2, 7, 40, 300):
+        keys = rng.choice([-0.0, 0.0, 1.0, -1.0, 2.5], size=size)
+        got, want = sorted_unique(keys), np.unique(keys)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    for keys in ([-0.0, 0.0], [0.0, -0.0], [0.0, -0.0, 1.0, -0.0]):
+        got, want = sorted_unique(np.array(keys)), np.unique(np.array(keys))
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def assert_components_match(n, u, v):

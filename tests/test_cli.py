@@ -125,7 +125,8 @@ class TestSubcommands:
 
     def test_report_equals_subcommands(self, tmp_path):
         # metric -> (subcommand, its CSV column); crossings reads the
-        # proper_total comment line.
+        # proper_total comment line, and system_ply, which no subcommand
+        # prints, is compared with the library call.
         column_of = {
             "crossings": ("crossings", None),
             "ply": ("ply", "max_center_ply"),
@@ -133,6 +134,9 @@ class TestSubcommands:
             "disk_degree": ("ply", "max_disk_degree"),
             "clustering": ("clustering", "max_components"),
             "neighborly": ("neighborly", "max_hops_augmented"),
+            "neighborly_plain": ("neighborly", "max_hops_plain"),
+            "plain_truncated": ("neighborly", "plain_truncated"),
+            "system_ply": (None, None),
             "arrangement": ("arrangement", "ratio"),
         }
         assert set(column_of) == set(REPORT_METRICS)
@@ -143,6 +147,9 @@ class TestSubcommands:
             assert code == 0
             assert text.splitlines()[1].startswith("gotham-8x8,")
             reported = text.splitlines()[1].split(",")[2]
+            if command is None:
+                assert reported == str(rg.system_ply(rg.build_disk_system(rg.gen_gotham(8, 4, seed=3))))
+                continue
             code, text = run(tmp_path, command, "gotham:side=8,express=4", "--seed", "3")
             assert code == 0
             if column is None:
@@ -152,6 +159,22 @@ class TestSubcommands:
                 header, row = text.splitlines()[:2]
                 want = row.split(",")[header.split(",").index(column)]
             assert reported == want, metric
+
+    @pytest.mark.parametrize(
+        "argv, sizes",
+        [
+            (["--gen", "gotham", "--sizes", "64,144", "--expressways", "2", "--metric", "crossings"], 2),
+            (["--gen", "hubspoke", "--sizes", "144", "--metric", "system_ply"], 1),
+            (["--gen", "gotham", "--sizes", "64", "--expressways", "2", "--metric", "neighborly_plain"], 1),
+        ],
+    )
+    def test_report_paper_sweeps(self, tmp_path, argv, sizes):
+        # The smallest sweeps of the paper's crossing, ply and hop tables.
+        code, text = run(tmp_path, "report", *argv)
+        assert code == 0
+        table = [row.split(",") for row in text.splitlines()]
+        assert len(table) == sizes + 1
+        assert all(len(row) == len(table[0]) for row in table)
 
     def test_report_determinism(self, tmp_path):
         args = ["report", "--gen", "rgg", "--sizes", "200,400", "--metric", "ply", "--seed", "3"]

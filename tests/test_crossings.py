@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 import roadgeom as rg
 from roadgeom import crossings as cr
 from roadgeom.errors import ConfigError, DegeneracyError, InvariantViolation
-from roadgeom.geometry import COLLINEAR_OVERLAP, ENDPOINT_TOUCH, PROPER, orient_filtered, segment_contact
+from roadgeom.cli import main
+from roadgeom.geometry import (
+    COLLINEAR_OVERLAP,
+    ENDPOINT_TOUCH,
+    PROPER,
+    intersection_point,
+    orient_filtered,
+    segment_contact,
+)
 
 import oracles
 
@@ -60,6 +68,29 @@ class TestFindCrossings:
         )
         recs = cr.find_crossings(g)
         assert len(recs) == 1 and recs[0].kind == COLLINEAR_OVERLAP
+
+    @pytest.mark.parametrize(
+        "segments",
+        [
+            # The denominator of the crossing point underflows to 0.
+            [((0.0, 0.0), (4e-300, 2e-300)), ((0.0, 2e-300), (3e-300, 0.0))],
+            # The same pair scaled up: the point overflows to (nan, nan).
+            [((0.0, 0.0), (4e300, 2e300)), ((0.0, 2e300), (3e300, 0.0))],
+        ],
+    )
+    def test_unrepresentable_crossing_point_is_degeneracy(self, tmp_path, segments):
+        g = segments_graph(segments)
+        # The float orientation filter overflows on the scaled pair.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DegeneracyError, match="not representable in floats"):
+                cr.find_crossings(g)
+            # The array form (the float-filter path) raises as the scalar one does.
+            (ax, ay), (bx, by) = segments[0]
+            (cx, cy), (dx, dy) = segments[1]
+            with pytest.raises(DegeneracyError, match="not representable in floats"):
+                intersection_point(*(np.array([c]) for c in (ax, ay, bx, by, cx, cy, dx, dy)))
+            rg.save_csv(g, tmp_path / "vertices.csv", tmp_path / "edges.csv")
+            assert main(["crossings", str(tmp_path)]) == 2
 
     def test_matches_oracle_random_geometric(self, rgg_small):
         got = record_set(cr.find_crossings(rgg_small))

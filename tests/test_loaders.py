@@ -290,3 +290,31 @@ def test_fixtures_load_as_the_scalar_loader_does(tmp_path, request, fixture):
     got = rg.load_csv(*csv)
     assert_identical(got, scalar_loaders.load_csv(*csv))
     assert got == g
+
+
+def half_micro_degree_path():
+    """Coordinates halfway between micro-degrees, some negative: ``round`` ties."""
+    x = (np.arange(-8, 8) + 0.5) * 1e-6
+    edges = [(k, k + 1, 2.0 if k % 2 else 0.25 * k, 4) for k in range(15)]
+    return rg.GeometricGraph.build(np.column_stack([x, x[::-1]]), edges)
+
+
+@pytest.mark.parametrize("fixture", ["gotham_small", "rgg_small", "hub_small", None])
+def test_savers_write_the_scalar_writers_bytes(tmp_path, request, fixture):
+    if fixture is None:
+        graphs = [half_micro_degree_path()]
+    else:
+        g = request.getfixturevalue(fixture)
+        # Centred, so coordinates go negative; every other weight integral.
+        w = g.edge_weight.copy()
+        w[::2] = np.round(w[::2] * 10)
+        graphs = [g, rg.GeometricGraph(g.xy - g.xy.mean(axis=0), g.edge_u, g.edge_v, w, g.edge_level)]
+    assert any(not x.is_integer() for g in graphs for x in g.edge_weight.tolist())
+    assert any(x.is_integer() for g in graphs for x in g.edge_weight.tolist())
+    assert any(g.xy.min() < 0 for g in graphs)
+    for g in graphs:
+        for name in ("save_dimacs", "save_csv"):
+            getattr(rg, name)(g, tmp_path / "got1", tmp_path / "got2")
+            getattr(scalar_loaders, name)(g, tmp_path / "want1", tmp_path / "want2")
+            for k in "12":
+                assert (tmp_path / f"got{k}").read_bytes() == (tmp_path / f"want{k}").read_bytes(), name
