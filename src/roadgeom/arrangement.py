@@ -63,8 +63,6 @@ class _VertexView(Sequence):
         return len(self._table.x)
 
     def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[t] for t in range(*k.indices(len(self)))]
         t = self._table
         return ArrangementVertex(
             (float(t.x[k]), float(t.y[k])), (int(t.i[k]), int(t.j[k])), bool(t.tangent[k])
@@ -99,10 +97,6 @@ class CircleArrangement:
             ids, ptr = self.ring_vertices.tolist(), self.ring_ptr.tolist()
             self._rings = {c: ids[ptr[c] : ptr[c + 1]] for c in self.circles.tolist()}
         return self._rings
-
-    @property
-    def circle_count(self) -> int:
-        return len(self.circles)
 
     @property
     def vertex_count(self) -> int:
@@ -277,9 +271,7 @@ def build_inductive(system: DiskSystem, clustering: ClusteringReport) -> CircleA
     n = len(system)
     if len(clustering.component_counts) != n:
         raise InvariantViolation("clustering report does not match the system")
-    order = np.lexsort((np.arange(n), system.radii))
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
+    order, rank = system.radius_order()
     owner, member, comp = system.smaller_components()
     found = np.bincount(owner[comp == np.arange(len(comp))], minlength=n)
     bad = np.flatnonzero(found != clustering.component_counts)
@@ -331,8 +323,10 @@ def system_ply(system: DiskSystem) -> int:
     """Exact max ply of the system: the deepest point of the plane.
 
     The maximum closed-disk depth is attained at a circle-circle crossing
-    or at a disk center, so those candidates suffice.
+    or at a disk center, so those candidates suffice.  A center's depth is
+    its center ply (every disk covering it is a pair partner), so only the
+    crossings go through the point join.
     """
     x, y = _intersections(system)[:2]
-    depths = covering_counts(system, np.vstack([system.centers, np.column_stack([x, y])]))
-    return int(depths.max()) if len(depths) else 0
+    depths = covering_counts(system, np.column_stack([x, y]))
+    return max(system.max_center_ply(), int(depths.max(initial=0)))

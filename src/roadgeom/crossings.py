@@ -267,15 +267,15 @@ class PlanarizedGraph:
     split_edges: np.ndarray
 
 
-def planarize(g: GeometricGraph, crossings, verify: bool = True) -> PlanarizedGraph:
+def planarize(g: GeometricGraph, crossings) -> PlanarizedGraph:
     """Split edges at their proper crossing points.
 
     ``crossings`` is a CrossingTable or an iterable of its rows, in (e1, e2)
     order as ``find_crossings`` gives them.  Crossing vertices get fresh ids
     n, n+1, ... in row order; each split edge becomes a chain of collinear
     sub-edges whose weights divide the original weight proportionally to arc
-    length.  Collinear overlaps are unsupported degeneracies.  With verify,
-    an exact crossing search on the result must find no proper crossing.
+    length.  Collinear overlaps are unsupported degeneracies.  An exact
+    crossing search on the result must find no proper crossing.
     """
     table = _table(crossings)
     overlaps = np.flatnonzero(table.kind == KINDS.index(COLLINEAR_OVERLAP))
@@ -328,11 +328,10 @@ def planarize(g: GeometricGraph, crossings, verify: bool = True) -> PlanarizedGr
         g.edge_weight[owner] * (t1 - t0), g.edge_level[owner],
         meta={"planarized_from": g.meta.get("source", "graph")},
     )
-    if verify:
-        a, b, kind, _, _ = _contacts(graph, *_cell_candidates(graph), junctions=False)
-        left = kind == KINDS.index(PROPER)
-        if left.any():
-            raise _leftover_error(g, owner[a[left]], owner[b[left]])
+    a, b, kind, _, _ = _contacts(graph, *_cell_candidates(graph), junctions=False)
+    left = kind == KINDS.index(PROPER)
+    if left.any():
+        raise _leftover_error(g, owner[a[left]], owner[b[left]])
     return PlanarizedGraph(graph, g, proper, off)
 
 

@@ -12,7 +12,9 @@ the centers of every band up to b, so each intersecting pair is found in the
 band of its larger disk without assuming a bounded radius ratio.  Point
 coverage uses the same per-band join.  Center ply needs no spatial query: a
 disk that covers another disk's center intersects it, so center ply is
-counted over the pair index.
+counted over the pair index.  A ``DiskSystem`` computes its two relations
+once, the (radius, position) order and the per-pair center-cover flags, and
+every reader here and in ``arrangement`` shares them.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ class DiskSystem:
     ``vertices[i]`` is the source-graph vertex id of position ``i`` (the two
     coincide for a freshly built system; subsets keep original ids).
     ``pairs`` holds positional index pairs (i, j), i < j, of intersecting
-    closed disks.
+    closed disks; every reader assumes it lists all of them (center ply and
+    ``arrangement.system_ply`` count covers over the pairs alone).
     """
 
     def __init__(self, vertices, centers, radii, pairs):
@@ -43,11 +46,15 @@ class DiskSystem:
         self.centers = np.array(centers, dtype=np.float64, copy=True).reshape(-1, 2)
         self.radii = np.array(radii, dtype=np.float64, copy=True)
         self.pairs = np.array(pairs, dtype=np.int64, copy=True).reshape(-1, 2)
+        if not (np.all(np.isfinite(self.centers)) and np.all(np.isfinite(self.radii))):
+            raise ValidationError("non-finite disk center or radius")
         if np.any(self.radii < 0):
             raise ValidationError("negative disk radius")
         for a in (self.vertices, self.centers, self.radii, self.pairs):
             a.setflags(write=False)
         self._adjacency = None
+        self._order = None
+        self._cover = None
         self._center_ply = None
         self._smaller_components = None
 
@@ -56,30 +63,56 @@ class DiskSystem:
 
     def pair_adjacency(self):
         """CSR over the intersection graph: (indptr, neighbor positions)."""
+        return self._pair_csr()[:2]
+
+    def _pair_csr(self):
+        """``pair_adjacency`` plus, per slot, whether the row's disk covers
+        that neighbor's center: ``csr``'s slot >> 1 is the pair and slot & 1
+        the row's side in it, so slot ^ 1 reads the neighbor's flag."""
         if self._adjacency is None:
-            self._adjacency = csr(len(self), self.pairs[:, 0], self.pairs[:, 1])[:2]
+            indptr, nbr, slot = csr(len(self), self.pairs[:, 0], self.pairs[:, 1])
+            self._adjacency = indptr, nbr, frozen(self.center_cover().ravel()[slot ^ 1])
         return self._adjacency
 
     def degrees(self) -> np.ndarray:
         indptr, _ = self.pair_adjacency()
         return np.diff(indptr)
 
+    def radius_order(self):
+        """(order, rank): the positions sorted by (radius, position), and
+        each position's place in that order.  Position i comes before j
+        exactly when r_i < r_j, or r_i == r_j and i < j."""
+        if self._order is None:
+            n = len(self)
+            order = np.lexsort((np.arange(n), self.radii))
+            rank = np.empty(n, dtype=np.int64)
+            rank[order] = np.arange(n)
+            self._order = frozen(order), frozen(rank)
+        return self._order
+
+    def center_cover(self) -> np.ndarray:
+        """Read-only (len(pairs), 2) flags: for pair (i, j), whether c_i lies
+        in disk j and whether c_j lies in disk i (closed disks,
+        hypot(c_i - c_j) <= r_j and <= r_i).  ``hypot`` is even in each
+        argument, so either orientation of the pair gives the same bits."""
+        if self._cover is None:
+            i, j = self.pairs[:, 0], self.pairs[:, 1]
+            c, r = self.centers, self.radii
+            d = np.hypot(c[i, 0] - c[j, 0], c[i, 1] - c[j, 1])
+            self._cover = frozen(np.column_stack([d <= r[j], d <= r[i]]))
+        return self._cover
+
     def center_ply(self) -> np.ndarray:
         """Per-position count of disks covering that position's center.
 
-        Its own disk plus every pair partner j with hypot <= r_j: a disk
+        Its own disk plus every pair partner whose disk covers it: a disk
         covering a center intersects that center's disk, and the float test
-        hypot <= r_j implies the pair test hypot <= r_i + r_j.
+        hypot <= r_j implies the pair test hypot <= r_i + r_j, so the pair
+        index holds every such partner.
         """
         if self._center_ply is None:
-            i, j = self.pairs[:, 0], self.pairs[:, 1]
-            d = _pair_distances(self)
-            n = len(self)
-            self._center_ply = (
-                1
-                + np.bincount(i[d <= self.radii[j]], minlength=n)
-                + np.bincount(j[d <= self.radii[i]], minlength=n)
-            )
+            covered = self.pairs[self.center_cover()]
+            self._center_ply = 1 + np.bincount(covered, minlength=len(self))
         return self._center_ply
 
     def max_center_ply(self) -> int:
@@ -101,9 +134,9 @@ class DiskSystem:
         if self._smaller_components is None:
             n = len(self)
             indptr, nbr = self.pair_adjacency()
+            rank = self.radius_order()[1]
             owner = np.repeat(np.arange(n), np.diff(indptr))
-            r_own, r_nbr = self.radii[owner], self.radii[nbr]
-            smaller = (r_nbr < r_own) | ((r_nbr == r_own) & (nbr < owner))
+            smaller = rank[nbr] < rank[owner]
             owner, member = owner[smaller], nbr[smaller]
             ptr = np.searchsorted(owner, np.arange(n + 1))
             size = np.diff(ptr)[member]
@@ -125,16 +158,12 @@ class DiskSystem:
         positions = np.sort(np.asarray(positions, dtype=np.int64))
         remap = np.full(len(self), -1, dtype=np.int64)
         remap[positions] = np.arange(len(positions))
-        if len(self.pairs):
-            keep = (remap[self.pairs[:, 0]] >= 0) & (remap[self.pairs[:, 1]] >= 0)
-            sub_pairs = remap[self.pairs[keep]]
-        else:
-            sub_pairs = np.empty((0, 2), dtype=np.int64)
+        keep = (remap[self.pairs[:, 0]] >= 0) & (remap[self.pairs[:, 1]] >= 0)
         return DiskSystem(
             self.vertices[positions],
             self.centers[positions],
             self.radii[positions],
-            sub_pairs,
+            remap[self.pairs[keep]],
         )
 
 
@@ -187,12 +216,6 @@ def _enumerate_pairs(centers, radii):
     return np.column_stack([keys // n, keys % n])
 
 
-def _pair_distances(system: DiskSystem) -> np.ndarray:
-    i, j = system.pairs[:, 0], system.pairs[:, 1]
-    c = system.centers
-    return np.hypot(c[i, 0] - c[j, 0], c[i, 1] - c[j, 1])
-
-
 def covering_counts(system: DiskSystem, points) -> np.ndarray:
     """Number of system disks covering each query point (closed disks)."""
     points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
@@ -230,8 +253,7 @@ def ply_report(system: DiskSystem) -> PlyReport:
     ply = system.center_ply()
     k = max(1, int(math.isqrt(n)))
     kth = int(np.sort(ply)[::-1][k - 1])
-    deg = system.degrees()
-    return PlyReport(ply, int(ply.max()), kth, int(deg.max()) if n else 0)
+    return PlyReport(ply, int(ply.max()), kth, int(system.degrees().max()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,8 +282,7 @@ def exceptional_decomposition(system: DiskSystem, k: int) -> ExceptionalSplit:
     if top <= k:
         return ExceptionalSplit(frozen(np.empty(0, dtype=np.int64)), top, 0, True)
 
-    c, r = system.centers, system.radii
-    indptr, nbr = system.pair_adjacency()
+    indptr, nbr, held = system._pair_csr()
     full_deg = np.diff(indptr)
     deg = full_deg.copy()
     active = np.ones(n, dtype=bool)
@@ -281,13 +302,12 @@ def exceptional_decomposition(system: DiskSystem, k: int) -> ExceptionalSplit:
         active[pick] = False
         removed.append(pick)
         count[ply[pick]] -= 1
-        neigh = nbr[indptr[pick] : indptr[pick + 1]]
+        row = slice(indptr[pick], indptr[pick + 1])
+        neigh = nbr[row]
         deg[neigh] -= 1
         # pick's own center leaves with it; the others it covers are its
-        # live partners' centers within r_pick.
-        live = neigh[active[neigh]]
-        dist = np.hypot(c[live, 0] - c[pick, 0], c[live, 1] - c[pick, 1])
-        covered = live[dist <= r[pick]]
+        # live partners' centers.
+        covered = neigh[held[row] & active[neigh]]
         np.subtract.at(count, ply[covered], 1)
         ply[covered] -= 1
         np.add.at(count, ply[covered], 1)
@@ -316,34 +336,17 @@ def charge_audit(system: DiskSystem) -> ChargeAudit:
     smaller (radius, position) disk.
     """
     n = len(system)
-    containment = np.zeros(n, dtype=np.int64)
-    tall = np.zeros(n, dtype=np.int64)
-    if len(system.pairs):
-        i = system.pairs[:, 0]
-        j = system.pairs[:, 1]
-        d = _pair_distances(system)
-        ci_inside_j = d <= system.radii[j]
-        cj_inside_i = d <= system.radii[i]
-        i_smaller = (system.radii[i] < system.radii[j]) | (
-            (system.radii[i] == system.radii[j]) & (i < j)
-        )
-        is_containment = ci_inside_j | cj_inside_i
-        # Receiver of a containment charge: the disk whose center is inside
-        # the other; the smaller disk when both contain each other's center.
-        receiver_cont = np.where(
-            ci_inside_j & cj_inside_i,
-            np.where(i_smaller, i, j),
-            np.where(ci_inside_j, i, j),
-        )
-        receiver_tall = np.where(i_smaller, i, j)
-        np.add.at(containment, receiver_cont[is_containment], 1)
-        np.add.at(tall, receiver_tall[~is_containment], 1)
-    return ChargeAudit(
-        int(containment.max()) if n else 0,
-        int(tall.max()) if n else 0,
-        containment,
-        tall,
-    )
+    i, j = system.pairs[:, 0], system.pairs[:, 1]
+    ci_inside_j, cj_inside_i = system.center_cover().T
+    rank = system.radius_order()[1]
+    smaller = np.where(rank[i] < rank[j], i, j)
+    # Receiver of a containment charge: the disk whose center is inside
+    # the other; the smaller disk when both contain each other's center.
+    receiver = np.where(ci_inside_j & cj_inside_i, smaller, np.where(ci_inside_j, i, j))
+    contained = ci_inside_j | cj_inside_i
+    containment = np.bincount(receiver[contained], minlength=n)
+    tall = np.bincount(smaller[~contained], minlength=n)
+    return ChargeAudit(int(containment.max(initial=0)), int(tall.max(initial=0)), containment, tall)
 
 
 # -- invariant checks ---------------------------------------------------------

@@ -251,7 +251,7 @@ def _segment_medians(values, counts):
     return np.where(counts % 2 == 1, hi, (lo + hi) / 2)
 
 
-def _split_level(centers, radii, forced, counts, rngs, delta, per_round, max_retries):
+def _split_level(centers, radii, forced, counts, rngs, delta):
     """Search one circle per node for many disk systems at once.
 
     ``centers``, ``radii`` and ``forced`` (the exceptional disks) hold the
@@ -293,8 +293,7 @@ def _split_level(centers, radii, forced, counts, rngs, delta, per_round, max_ret
     lifted = _lift_to_sphere(shifted / scale[owner[res], None])
 
     best_side = np.full(nodes, np.inf)
-    per_round = max(per_round, 0)
-    for attempt in range(max_retries + 1):
+    for attempt in range(_MAX_RETRIES + 1):
         if not len(search):
             break
         take, sizes, perms, normals = [], [], [], []
@@ -307,11 +306,11 @@ def _split_level(centers, radii, forced, counts, rngs, delta, per_round, max_ret
                 take.append(np.arange(s, s + m))
             sizes.append(n_sample)
             perms.append(_radon_permutations(rng, n_sample))
-            normals.append(rng.normal(size=(per_round, 3)))
+            normals.append(rng.normal(size=(_PER_ROUND, 3)))
         z = _centerpoints(lifted[np.concatenate(take)], np.array(sizes), perms)
         h = np.minimum(np.sqrt(np.vecdot(z, z)), 1.0 - 1e-9)
         alpha = np.sqrt((1.0 + h) / (1.0 - h))
-        row = np.repeat(np.arange(len(search)), per_round)
+        row = np.repeat(np.arange(len(search)), _PER_ROUND)
         qx, qy, rad, kept = _great_circle_images(
             np.concatenate(normals), alpha[row], _rotation_to_south(z)[row],
             scale[search][row], centroid[search][row],
@@ -323,13 +322,13 @@ def _split_level(centers, radii, forced, counts, rngs, delta, per_round, max_ret
             _singleton_candidates(centers[a : a + c], radii[a : a + c])
             for a, c in zip(start[search[tiny]].tolist(), counts[search[tiny]].tolist())
         ]
-        width = per_round + max((len(e[0]) for e in extra), default=0)
+        width = _PER_ROUND + max((len(e[0]) for e in extra), default=0)
         if not width:
             continue
         q = np.full((3, width, len(search)), np.nan)
-        q[:, kept % per_round, kept // per_round] = qx, qy, rad
+        q[:, kept % _PER_ROUND, kept // _PER_ROUND] = qx, qy, rad
         for a, e in zip(tiny.tolist(), extra):
-            q[:, per_round : per_round + len(e[0]), a] = e
+            q[:, _PER_ROUND : _PER_ROUND + len(e[0]), a] = e
 
         # Score every (circle, member of its node) pair, in blocks of
         # members that keep the temporaries in cache.
@@ -363,7 +362,7 @@ def _split_level(centers, radii, forced, counts, rngs, delta, per_round, max_ret
         best_side[search[better]] = low[better]
         circle[search[better]] = q[:, pick[better], better].T
         search = search[~ok]
-    retries[~found] = max_retries
+    retries[~found] = _MAX_RETRIES
     inside, outside = _sides(
         centers[:, 0], centers[:, 1], radii, free, *circle[owner].T
     )
@@ -386,12 +385,7 @@ def _separators(ids, counts, circle, retries, forced, inside, outside) -> list:
 
 
 def find_separator(
-    system: DiskSystem,
-    delta: float = 0.75,
-    exceptional_k: int = 8,
-    seed=0,
-    candidates_per_round: int = _PER_ROUND,
-    max_retries: int = _MAX_RETRIES,
+    system: DiskSystem, delta: float = 0.75, exceptional_k: int = 8, seed=0
 ) -> CircleSeparator:
     """Find a balanced circle separator for the disk system.
 
@@ -412,13 +406,12 @@ def find_separator(
     forced = np.isin(system.vertices, split.removed)
     counts = np.array([n])
     circle, retries, found, inside, outside = _split_level(
-        system.centers, system.radii, forced, counts, [rng], delta,
-        candidates_per_round, max_retries,
+        system.centers, system.radii, forced, counts, [rng], delta
     )
     (sep,) = _separators(system.vertices, counts, circle, retries, forced, inside, outside)
     if not found[0]:
         raise SeparatorFailure(
-            f"no balanced separator within {max_retries} retries (n={n})", best_candidate=sep
+            f"no balanced separator within {_MAX_RETRIES} retries (n={n})", best_candidate=sep
         )
     return sep
 
@@ -546,7 +539,7 @@ def build_decomposition(
         circle, retries, found, inside, outside = _split_level(
             system.centers[pos], system.radii[pos], forced[pos], counts,
             [np.random.default_rng(_spawned(root, key + (0,))) for key in keys],
-            delta, _PER_ROUND, _MAX_RETRIES,
+            delta,
         )
         level_seps = _separators(ids[pos], counts, circle, retries, forced[pos], inside, outside)
         for h, sep, ok in zip(handles.tolist(), level_seps, found.tolist()):

@@ -21,6 +21,7 @@ from roadgeom.routing import sssp, voronoi_direct, voronoi_via_tree
 from roadgeom.separators import build_decomposition, find_separator
 
 import oracles
+import reference
 from test_arrangement import assert_structurally_equal
 from test_routing import random_weighted_graph
 from test_separators import verify_separator_geometry
@@ -76,7 +77,7 @@ class TestCriterion1OracleEquivalences:
             for g in (rg.gen_random_geometric(200, 0.11, seed=SEED), rg.gen_hub_spoke(16, 9, seed=SEED)):
                 s = build_disk_system(g)
                 assert {(int(i), int(j)) for i, j in s.pairs} == oracles.all_pairs_disk_pairs(s)
-                assert np.array_equal(s.center_ply(), oracles.all_pairs_center_ply(s))
+                assert np.array_equal(s.center_ply(), reference.all_pairs_center_ply(s))
         report(f"[PASS] C1b disk pairs and center ply == all-pairs oracles (exact, {t.elapsed:.2f}s)")
 
     def test_c1c_shortcuts_vs_ray_oracle(self):
@@ -85,7 +86,7 @@ class TestCriterion1OracleEquivalences:
                 p = cr.planarize(g, cr.find_crossings(g))
                 aug = grid_augment(p)
                 got = {(o, DIRECTIONS[c]): tgt for o, tgt, c in aug.shortcuts.tolist()}
-                assert got == oracles.ray_shoot_all(g)
+                assert got == reference.ray_shoot_all(g)
         report(f"[PASS] C1c grid shortcuts == ray-shoot oracle (exact, {t.elapsed:.2f}s)")
 
     def test_c1d_inductive_vs_naive_arrangement(self):
@@ -123,7 +124,7 @@ class TestCriterion1OracleEquivalences:
                 g = random_weighted_graph(n, n, seed=SEED + 1000 + trial)
                 source = int(rng.integers(0, n))
                 got = sssp(g, source)
-                assert np.array_equal(got.dist, oracles.bellman_ford(g, source))
+                assert np.array_equal(got.dist, reference.bellman_ford(g, source))
         report(f"[PASS] C1f sssp == Bellman-Ford oracle (exact, 50 runs, {t.elapsed:.2f}s)")
 
 
@@ -155,7 +156,7 @@ class TestCriterion2StructuralInvariants:
             audit = complexity_audit(arr, s)  # raises if V > 2 * pairs
             assert arr.euler_check(), f"{name}: Euler relation fails"
 
-            k_ply = oracles.brute_force_system_ply(s)
+            k_ply = reference.brute_force_system_ply(s)
             charges = charge_audit(s)
             assert charges.max_tall_charges <= 6 * k_ply, name
             assert charges.max_containment_charges <= k_ply, name

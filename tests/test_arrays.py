@@ -9,7 +9,7 @@ from roadgeom.disks import build_disk_system, exceptional_decomposition
 from roadgeom.errors import ConfigError
 from roadgeom.separators import build_decomposition, find_separator
 
-import oracles
+import reference
 
 
 def cursor_csr(n, u, v):
@@ -121,7 +121,7 @@ def test_sorted_unique_equals_np_unique_on_signed_zeros():
 
 
 def assert_components_match(n, u, v):
-    uf = oracles.UnionFind(range(n))
+    uf = reference.UnionFind(range(n))
     for a, b in zip(u, v):
         uf.union(int(a), int(b))
     want = [min(x for x in range(n) if uf.find(x) == uf.find(y)) for y in range(n)]

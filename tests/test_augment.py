@@ -14,7 +14,7 @@ from roadgeom.augment import DIRECTIONS, NeighborlyReport, clustering_check, gri
 from roadgeom.disks import DiskSystem, build_disk_system
 from roadgeom.errors import ConfigError, DegeneracyError
 
-import oracles
+import reference
 
 
 def planarized(g):
@@ -33,7 +33,7 @@ def shortcut_map(aug):
 def oracle_shortcuts(g):
     """The oracle's shortcuts as grid_augment orders them: by origin, then
     up, down, left, right (the order the oracle finds them in)."""
-    return tuple((v, t, d) for (v, d), t in oracles.ray_shoot_all(g).items())
+    return tuple((v, t, d) for (v, d), t in reference.ray_shoot_all(g).items())
 
 
 @st.composite
@@ -95,16 +95,16 @@ class TestGridAugment:
         g = rg.gen_gotham(16, 0, seed=0)
         aug = grid_augment(planarized(g))
         got = shortcut_map(aug)
-        assert got == oracles.ray_shoot_all(g)
+        assert got == reference.ray_shoot_all(g)
 
     def test_gotham_with_chords_matches_oracle(self):
         g = rg.gen_gotham(12, 2, seed=6)
         aug = grid_augment(planarized(g))
-        assert shortcut_map(aug) == oracles.ray_shoot_all(g)
+        assert shortcut_map(aug) == reference.ray_shoot_all(g)
 
     def test_random_geometric_matches_oracle(self, rgg_small):
         aug = grid_augment(planarized(rgg_small))
-        assert shortcut_map(aug) == oracles.ray_shoot_all(rgg_small)
+        assert shortcut_map(aug) == reference.ray_shoot_all(rgg_small)
 
     def test_wide_edges_match_oracle_quickly(self):
         # 200 unit edges (ten rows of 20) plus one horizontal and one
@@ -119,7 +119,7 @@ class TestGridAugment:
         start = time.perf_counter()
         aug = grid_augment(p)
         assert time.perf_counter() - start < 1.0
-        assert shortcut_map(aug) == oracles.ray_shoot_all(g)
+        assert shortcut_map(aug) == reference.ray_shoot_all(g)
 
     def test_ray_through_vertex_counts_as_hit(self):
         # The up ray passes exactly through vertex (0, 1) of edge (1)-(2).
@@ -151,7 +151,7 @@ class TestGridAugment:
         pts = [(float(x), 0.0) for x in range(4)] + [(1e17, 0.0), (1e17 + 32.0, 0.0)]
         g = rg.GeometricGraph.build(pts, [(0, 1, 1.0, 4), (1, 2, 1.0, 4), (2, 3, 1.0, 4), (4, 5, 1.0, 4)])
         with pytest.raises(ConfigError, match="slab index"):
-            grid_augment(cr.planarize(g, [], verify=False))
+            grid_augment(cr.planarize(g, cr.find_crossings(g)))
 
     @pytest.mark.parametrize("wide_first, want", [(False, 1), (True, 3)])
     def test_wide_and_narrow_edge_tie_goes_to_lower_edge(self, wide_first, want):
@@ -172,7 +172,7 @@ class TestGridAugment:
     @given(lattice_graphs())
     def test_lattice_graphs_match_oracle(self, g):
         try:
-            p = cr.planarize(g, cr.find_crossings(g), verify=True)
+            p = cr.planarize(g, cr.find_crossings(g))
         except DegeneracyError:
             assume(False)
         assert named(grid_augment(p)) == oracle_shortcuts(g)
@@ -212,7 +212,7 @@ class TestNeighborly:
             aug = grid_augment(planarized(g))
             for cutoff in (1, 2, 5, 250):
                 rep = neighborly_check(aug, s, cutoff=cutoff)
-                want = oracles.neighborly(g, s, aug.shortcuts, cutoff)
+                want = reference.neighborly(g, s, aug.shortcuts, cutoff)
                 assert rep == NeighborlyReport(*want), (g.n, cutoff)
             if g is gotham_small:
                 # Shortcut contrast, reported only.
@@ -260,4 +260,4 @@ class TestClustering:
         g = rg.gen_random_geometric(150, 0.14, seed=12)
         s = build_disk_system(g)
         rep = clustering_check(s)
-        assert rep.component_counts.tolist() == oracles.smaller_neighbor_component_counts(s)
+        assert rep.component_counts.tolist() == reference.smaller_neighbor_component_counts(s)

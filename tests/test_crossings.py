@@ -190,7 +190,7 @@ class TestPlanarize:
     def test_gotham_self_check(self, gotham_small):
         recs = cr.find_crossings(gotham_small)
         prop = cr.proper_only(recs)
-        p = cr.planarize(gotham_small, recs, verify=True)
+        p = cr.planarize(gotham_small, recs)
         assert p.graph.n == gotham_small.n + len(prop)
         assert len(cr.proper_only(cr.find_crossings(p.graph))) == 0
 
@@ -201,10 +201,9 @@ class TestPlanarize:
         for drop in (proper[0], proper[len(proper) // 2]):
             planted = recs[np.arange(len(recs)) != drop]
             with pytest.raises(InvariantViolation, match="planarization left 1 proper crossings"):
-                cr.planarize(gotham_small, planted, verify=True)
-            cr.planarize(gotham_small, planted, verify=False)
+                cr.planarize(gotham_small, planted)
         with pytest.raises(InvariantViolation, match=f"left {len(proper)} proper"):
-            cr.planarize(gotham_small, [], verify=True)
+            cr.planarize(gotham_small, [])
 
     def test_near_crossing_is_caught(self):
         # The second edge's top end lies one ulp above the first edge's line,
@@ -216,8 +215,8 @@ class TestPlanarize:
         recs = cr.find_crossings(g)
         assert [(r.e1, r.e2, r.kind) for r in recs] == [(0, 1, PROPER)]
         with pytest.raises(InvariantViolation, match="planarization left 1 proper crossings"):
-            cr.planarize(g, [], verify=True)
-        assert cr.planarize(g, recs, verify=True).graph.n == 5
+            cr.planarize(g, [])
+        assert cr.planarize(g, recs).graph.n == 5
 
     def test_rounded_crossing_vertex_is_a_named_degeneracy(self):
         # Edges (1,3)-(3,2) and (2,2)-(4,4) cross at (7/3, 7/3), which rounds;
@@ -230,11 +229,10 @@ class TestPlanarize:
         recs = cr.find_crossings(g)
         assert [(r.e1, r.e2, r.kind) for r in recs] == [(0, 2, ENDPOINT_TOUCH), (1, 2, PROPER)]
         with pytest.raises(DegeneracyError, match=r"edges \(0, 2\) cross after planarization"):
-            cr.planarize(g, recs, verify=True)
-        assert cr.planarize(g, recs, verify=False).graph.n == 7
+            cr.planarize(g, recs)
         # A missed crossing is still a library fault.
         with pytest.raises(InvariantViolation, match="planarization left 1 proper crossings"):
-            cr.planarize(g, recs[np.arange(len(recs)) != 1], verify=True)
+            cr.planarize(g, recs[np.arange(len(recs)) != 1])
 
     def test_chain_concatenates_geometrically(self, gotham_small):
         recs = cr.find_crossings(gotham_small)
@@ -424,7 +422,7 @@ class TestWindowedOracleAtScale:
 
     def test_planarize_leaves_no_proper_crossing(self, big):
         g, recs = big
-        p = cr.planarize(g, recs, verify=True)
+        p = cr.planarize(g, recs)
         assert p.graph.n == g.n + len(cr.proper_only(recs))
         assert len(cr.proper_only(cr.find_crossings(p.graph))) == 0
 

@@ -6,6 +6,7 @@ import pytest
 
 import roadgeom as rg
 from roadgeom import crossings as cr
+from roadgeom.arrangement import system_ply
 from roadgeom.augment import clustering_check
 from roadgeom.disks import (
     DiskSystem,
@@ -17,9 +18,10 @@ from roadgeom.disks import (
     exceptional_decomposition,
     ply_report,
 )
-from roadgeom.errors import InvariantViolation
+from roadgeom.errors import InvariantViolation, ValidationError
 
 import oracles
+import reference
 from test_acceptance import corpus, crossing_charge_holds
 
 
@@ -79,6 +81,20 @@ class TestBuildDiskSystem:
         assert {(int(i), int(j)) for i, j in sub.pairs} == want
 
 
+    @pytest.mark.parametrize(
+        "centers, radii",
+        [
+            ([[0, 0], [1, 0]], [math.nan, 1.0]),
+            ([[0, 0], [1, 0]], [1.0, math.inf]),
+            ([[0, math.inf], [1, 0]], [1.0, 1.0]),
+            ([[math.nan, 0], [1, 0]], [1.0, 1.0]),
+        ],
+    )
+    def test_non_finite_input_is_rejected(self, centers, radii):
+        with pytest.raises(ValidationError, match="non-finite"):
+            DiskSystem([0, 1], centers, radii, [[0, 1]])
+
+
 class TestPly:
     def test_unit_path(self):
         pts = [(float(i), 0.0) for i in range(5)]
@@ -103,7 +119,7 @@ class TestPly:
 
     def test_center_ply_matches_oracle(self, rgg_medium):
         s = build_disk_system(rgg_medium)
-        assert np.array_equal(s.center_ply(), oracles.all_pairs_center_ply(s))
+        assert np.array_equal(s.center_ply(), reference.all_pairs_center_ply(s))
 
     def test_kth_largest(self):
         g = rg.gen_hub_spoke(16, 9, seed=3)
@@ -142,7 +158,7 @@ class TestExceptional:
         removed = set(split.removed)
         keep = [i for i in range(len(s)) if int(s.vertices[i]) not in removed]
         residual = s.subset(keep)
-        recheck = oracles.all_pairs_center_ply(residual)
+        recheck = reference.all_pairs_center_ply(residual)
         assert int(recheck.max()) == split.residual_max_center_ply
         assert recheck.max() <= 3
 
@@ -165,7 +181,7 @@ class TestChargeAudit:
             radii.append(1.0)
         s = system_from(centers, radii)
         audit = charge_audit(s)
-        k_ply = oracles.brute_force_system_ply(s)
+        k_ply = reference.brute_force_system_ply(s)
         assert audit.tall[0] == 6
         assert audit.max_tall_charges <= 6 * k_ply
 
@@ -173,7 +189,7 @@ class TestChargeAudit:
         for seed in (1, 5, 9):
             g = rg.gen_random_geometric(100, 0.18, seed=seed)
             s = build_disk_system(g)
-            k_ply = oracles.brute_force_system_ply(s)
+            k_ply = reference.brute_force_system_ply(s)
             audit = charge_audit(s)
             assert audit.max_tall_charges <= 6 * k_ply
             assert audit.max_containment_charges <= k_ply
@@ -242,7 +258,7 @@ class TestPairIndexDerived:
 
     def test_pairs_and_center_ply(self, system):
         assert {(int(i), int(j)) for i, j in system.pairs} == oracles.all_pairs_disk_pairs(system)
-        assert np.array_equal(system.center_ply(), oracles.all_pairs_center_ply(system))
+        assert np.array_equal(system.center_ply(), reference.all_pairs_center_ply(system))
 
     def test_covering_counts(self, system):
         rng = np.random.default_rng(1)
@@ -255,14 +271,50 @@ class TestPairIndexDerived:
 
     def test_clustering_counts(self, system):
         rep = clustering_check(system)
-        assert rep.component_counts.tolist() == oracles.smaller_neighbor_component_counts(system)
+        assert rep.component_counts.tolist() == reference.smaller_neighbor_component_counts(system)
 
     def test_exceptional_removals(self, system):
         for k in (1, 2, 3):
             split = exceptional_decomposition(system, k)
-            removed, residual = oracles.greedy_exceptional(system, k)
+            removed, residual = reference.greedy_exceptional(system, k)
             assert split.removed.tolist() == list(removed)
             assert split.residual_max_center_ply == residual
+
+
+class TestDerivedRelations:
+    """The (radius, position) order and the center-cover flags that every
+    reader of a DiskSystem shares."""
+
+    def test_radius_order_matches_oracle_keys(self):
+        radii = [1.0, 0.0, 2.0, -0.0, 1.0, 0.0, 0.5, -0.0, 2.0, 1.0]
+        s = DiskSystem(np.arange(10), np.zeros((10, 2)), radii, np.empty((0, 2), int))
+        order, rank = s.radius_order()
+        key = [(float(r), p) for p, r in enumerate(s.radii)]
+        assert order.tolist() == sorted(range(10), key=key.__getitem__)
+        assert np.array_equal(rank[order], np.arange(10))
+        for i in range(10):
+            for j in range(10):
+                assert (rank[i] < rank[j]) == (key[i] < key[j])
+        assert not order.flags.writeable and not rank.flags.writeable
+
+    def test_center_cover_matches_fresh_hypot(self, system):
+        flags = system.center_cover()
+        c, r = system.centers, system.radii
+        i, j = system.pairs[:, 0], system.pairs[:, 1]
+        for a, b in ((i, j), (j, i)):
+            d = np.hypot(c[a, 0] - c[b, 0], c[a, 1] - c[b, 1])
+            assert np.array_equal(flags, np.column_stack([d <= r[j], d <= r[i]]))
+        assert flags.shape == (len(system.pairs), 2) and not flags.flags.writeable
+
+    def test_system_ply_at_a_center(self):
+        # Three concentric disks have no crossing point; their common center
+        # is the deepest point, above the depth-2 crossings of the far pair.
+        s = system_from(
+            [(0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (10.0, 0.0), (11.0, 0.0)],
+            [1.0, 2.0, 3.0, 1.0, 1.0],
+        )
+        assert system_ply(s) == reference.brute_force_system_ply(s) == 3
+        assert s.max_center_ply() == 3
 
 
 class TestPairChecks:

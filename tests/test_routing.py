@@ -9,7 +9,7 @@ from roadgeom.errors import ValidationError
 from roadgeom.routing import sssp, voronoi_direct, voronoi_via_tree
 from roadgeom.separators import build_decomposition
 
-import oracles
+import reference
 
 
 def random_weighted_graph(n, extra_edges, seed):
@@ -56,7 +56,7 @@ class TestSssp:
             g = random_weighted_graph(150, 120, seed)
             source = seed % g.n
             r = sssp(g, source)
-            assert np.array_equal(r.dist, oracles.bellman_ford(g, source))
+            assert np.array_equal(r.dist, reference.bellman_ford(g, source))
 
     def test_matches_heap_oracle_exactly(self, gotham_small):
         # A third of the random graphs' weights are 0.0, so many relaxations
@@ -66,7 +66,7 @@ class TestSssp:
         for i, g in enumerate(graphs):
             for source in {0, (7 * i) % g.n, g.n - 1}:
                 r = sssp(g, source)
-                dist, parent = oracles.heap_sssp(g, source)
+                dist, parent = reference.heap_sssp(g, source)
                 assert np.array_equal(r.dist, dist) and np.array_equal(r.parent, parent)
                 assert r.parent.dtype == parent.dtype
 
@@ -148,7 +148,7 @@ class TestVoronoi:
         g = random_weighted_graph(80, 60, 21)
         sites = [3, 40, 77]
         direct = voronoi_direct(g, sites)
-        want_dist, mat = oracles.multi_source_dist(g, sites)
+        want_dist, mat = reference.multi_source_dist(g, sites)
         assert np.array_equal(direct.dist, want_dist)
         for v in range(g.n):
             if v in sites:

@@ -1,11 +1,10 @@
 import dataclasses
-import functools
 import math
 
 import numpy as np
 import pytest
 
-import oracles
+import reference
 import roadgeom as rg
 from roadgeom import disks, separators
 from roadgeom.disks import DiskSystem, ExceptionalSplit, build_disk_system
@@ -79,12 +78,14 @@ class TestFindSeparator:
         b = find_separator(s, seed=33)
         _same(a, b)
 
-    def test_failure_carries_best_candidate(self):
+    def test_failure_carries_best_candidate(self, monkeypatch):
         from roadgeom.errors import SeparatorFailure
 
         s = build_disk_system(rg.gen_random_geometric(50, 0.2, seed=1))
+        monkeypatch.setattr(separators, "_PER_ROUND", 0)
+        monkeypatch.setattr(separators, "_MAX_RETRIES", 2)
         with pytest.raises(SeparatorFailure) as exc:
-            find_separator(s, seed=0, candidates_per_round=0, max_retries=2)
+            find_separator(s, seed=0)
         assert exc.value.best_candidate is None
 
     def test_all_cut_is_a_valid_outcome(self):
@@ -188,9 +189,20 @@ def _outcome(find, system, **kw):
         return "failure", exc.best_candidate
 
 
-def _both_ways(system, **kw):
-    got = _outcome(find_separator, system, **kw)
-    _same(got, _outcome(oracles.scalar_find_separator, system, **kw))
+def _both_ways(
+    system, candidates_per_round=separators._PER_ROUND, max_retries=separators._MAX_RETRIES, **kw
+):
+    """find_separator with the round constants set to the given values
+    against the scalar oracle given the same."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(separators, "_PER_ROUND", candidates_per_round)
+        mp.setattr(separators, "_MAX_RETRIES", max_retries)
+        got = _outcome(find_separator, system, **kw)
+    want = _outcome(
+        reference.scalar_find_separator, system,
+        candidates_per_round=candidates_per_round, max_retries=max_retries, **kw,
+    )
+    _same(got, want)
     return got
 
 
@@ -280,7 +292,7 @@ class TestBatchedRoundMatchesScalar:
                     np.empty((0, 2), int),
                 )
                 qx, qy, r = separators._singleton_candidates(s.centers, s.radii)
-                want = oracles._scalar_singleton_candidates(s)
+                want = reference._scalar_singleton_candidates(s)
                 assert [((x, y), rr) for x, y, rr in zip(qx, qy, r)] == want
                 for seed in range(4):
                     _both_ways(s, seed=seed)
@@ -313,7 +325,7 @@ class TestBatchedRoundMatchesScalar:
         rot = separators._rotation_to_south(np.array([0.3, -0.5, 0.2]))
         for args in ((1.0, np.eye(3), 1.0, np.zeros(2)), (3.7, rot, 2.5, np.array([1.0, -2.0]))):
             qx, qy, r, _ = separators._great_circle_images(u, *args)
-            want = [oracles.scalar_great_circle(row, *args) for row in u]
+            want = [reference.scalar_great_circle(row, *args) for row in u]
             want = [c for c in want if c is not None]
             assert len(want) < len(u)
             assert [((x, y), rr) for x, y, rr in zip(qx, qy, r)] == want
@@ -342,7 +354,7 @@ class TestBatchedRoundMatchesScalar:
     def test_tree_with_oracle_patched_in(self):
         system = build_disk_system(rg.gen_gotham(64, 8, seed=1))
         got = build_decomposition(system, seed=1)
-        want = oracles.recursive_decomposition(system, seed=1, find=oracles.scalar_find_separator)
+        want = reference.recursive_decomposition(system, seed=1, find=reference.scalar_find_separator)
         _same_tree(got, want)
 
 
@@ -387,27 +399,24 @@ class TestLevelPassMatchesRecursion:
     def test_workload_graphs(self, make, seed):
         system = build_disk_system(make(seed))
         got = build_decomposition(system, seed=seed)
-        _same_tree(got, oracles.recursive_decomposition(system, seed=seed))
+        _same_tree(got, reference.recursive_decomposition(system, seed=seed))
 
     def test_gotham_65k(self):
         system = build_disk_system(rg.gen_gotham(256, 8, seed=1))
         got = build_decomposition(system, seed=1)
-        _same_tree(got, oracles.recursive_decomposition(system, seed=1))
+        _same_tree(got, reference.recursive_decomposition(system, seed=1))
 
     def test_retry_rounds(self, monkeypatch):
         # With one circle per round some nodes need several rounds, while
         # the rest of their depth is done after the first.
         monkeypatch.setattr(separators, "_PER_ROUND", 1)
-        find = functools.partial(find_separator, candidates_per_round=1)
         for make, leaf, k in (
             (lambda: rg.gen_gotham(32, 0, seed=3), 16, 8),
             (lambda: rg.gen_random_geometric(1500, 0.05, seed=1), 4, 2),
         ):
             system = build_disk_system(make())
             got = build_decomposition(system, leaf_threshold=leaf, seed=4, exceptional_k=k)
-            want = oracles.recursive_decomposition(
-                system, leaf_threshold=leaf, seed=4, exceptional_k=k, find=find
-            )
+            want = reference.recursive_decomposition(system, leaf_threshold=leaf, seed=4, exceptional_k=k)
             _same_tree(got, want)
             assert sum(nd.separator.retries > 0 for nd in got.internal_nodes()) >= 2
 
@@ -431,7 +440,7 @@ class TestLevelPassMatchesRecursion:
             system = build_disk_system(make())
             for seed in range(3):
                 got = build_decomposition(system, leaf_threshold=2, seed=seed, delta=0.75)
-                _same_tree(got, oracles.recursive_decomposition(system, leaf_threshold=2, seed=seed, delta=0.75))
+                _same_tree(got, reference.recursive_decomposition(system, leaf_threshold=2, seed=seed, delta=0.75))
 
     def test_failure_below_the_root(self, monkeypatch):
         # With one circle and no retry per node, seed 5 fails at a depth-2
@@ -451,9 +460,8 @@ class TestLevelPassMatchesRecursion:
         system = build_disk_system(rg.gen_gotham(16, 2, seed=1))
         with pytest.raises(SeparatorFailure) as got:
             build_decomposition(system, leaf_threshold=8, seed=5)
-        find = functools.partial(find_separator, candidates_per_round=1, max_retries=0)
         with pytest.raises(SeparatorFailure) as want:
-            oracles.recursive_decomposition(system, leaf_threshold=8, seed=5, find=find)
+            reference.recursive_decomposition(system, leaf_threshold=8, seed=5)
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith("decomposition failed at node 9 (depth 4): no balanced")
         assert str(got.value.__cause__) == str(want.value.__cause__)
@@ -493,7 +501,7 @@ def test_numpy_facts_the_level_pass_rests_on():
     perms = [separators._radon_permutations(np.random.default_rng(s), k) for s, k in zip(seeds, sizes)]
     got = separators._centerpoints(np.concatenate(sets), np.array(sizes), perms)
     for z, pts, s in zip(got, sets, seeds):
-        assert np.array_equal(z, oracles.scalar_centerpoint(pts, np.random.default_rng(s)))
+        assert np.array_equal(z, reference.scalar_centerpoint(pts, np.random.default_rng(s)))
     # Run means of 1 to 4 rows and run medians are mean(axis=0) and np.median.
     counts = rng.integers(1, 5, size=300)
     pts = rng.normal(size=(counts.sum(), 3)) * 10.0 ** rng.integers(-8, 9, size=(counts.sum(), 1))
@@ -514,7 +522,7 @@ def test_numpy_facts_the_level_pass_rests_on():
     z[:3] = [(0.0, 0.0, 0.0), (0.0, 0.0, 0.7), (1e-9, -1e-9, 0.9)]
     rot = separators._rotation_to_south(z)
     for r, zi in zip(rot, z):
-        assert np.array_equal(r, oracles.scalar_rotation_to_south(zi))
+        assert np.array_equal(r, reference.scalar_rotation_to_south(zi))
         assert np.array_equal(separators._rotation_to_south(zi), r)
     left = rng.normal(size=(len(rot), 3, 3))
     for i in range(0, len(rot), 5):
