@@ -11,8 +11,8 @@ components of its smaller intersecting neighbors, taken in radial order.
 Each circle's ring is its vertices sorted by angle about its center.
 
 Zero-radius disks are points, not curves, and stay out of arrangements.
-Faces are the orbits of the rotation system on half-edges; tangent contacts
-are ordered by signed curvature where tangent directions coincide.
+Faces are the orbits of the rotation system on half-edges, which the
+table's ``side`` column and the circles' containment fix without angles.
 """
 
 from __future__ import annotations
@@ -44,13 +44,19 @@ class ArrangementVertex:
 @dataclass(frozen=True, eq=False)
 class VertexTable:
     """One row per arrangement vertex: its point (x, y), its circles (i, j),
-    j = -1 for a sentinel, and whether it is a tangent contact."""
+    j = -1 for a sentinel, and its ``side``: +1 for the point of a crossing
+    pair left of the line from center i to center j, -1 for the other, 0 for
+    a tangent contact or a sentinel."""
 
     x: np.ndarray
     y: np.ndarray
     i: np.ndarray
     j: np.ndarray
-    tangent: np.ndarray
+    side: np.ndarray
+
+    @property
+    def tangent(self) -> np.ndarray:
+        return (self.side == 0) & (self.j >= 0)
 
 
 class _VertexView(Sequence):
@@ -64,9 +70,8 @@ class _VertexView(Sequence):
 
     def __getitem__(self, k):
         t = self._table
-        return ArrangementVertex(
-            (float(t.x[k]), float(t.y[k])), (int(t.i[k]), int(t.j[k])), bool(t.tangent[k])
-        )
+        j = int(t.j[k])
+        return ArrangementVertex((float(t.x[k]), float(t.y[k])), (int(t.i[k]), j), j >= 0 and not t.side[k])
 
 
 class CircleArrangement:
@@ -90,6 +95,7 @@ class CircleArrangement:
         self.ring_vertices = ring_vertices
         self._rings = None
         self._faces = None
+        self._components = None
 
     @property
     def rings(self) -> dict[int, list[int]]:
@@ -113,9 +119,11 @@ class CircleArrangement:
 
     @property
     def component_count(self) -> int:
-        joined = self.table.j >= 0
-        label = components(len(self.radii), self.table.i[joined], self.table.j[joined])
-        return len(sorted_unique(label[self.circles]))
+        if self._components is None:
+            joined = self.table.j >= 0
+            label = components(len(self.radii), self.table.i[joined], self.table.j[joined])
+            self._components = len(sorted_unique(label[self.circles]))
+        return self._components
 
     def angle_on(self, vid: int, circle: int) -> float:
         return math.atan2(
@@ -127,59 +135,40 @@ class CircleArrangement:
         on half-edges, with the components sharing one outer face.
 
         Half-edges 2a and 2a + 1 run along arc a of a ring (from ring
-        position a to the next), forward (counterclockwise) and back.
-        About each vertex the outgoing half-edges are sorted by direction;
-        directions within ``tol`` of their predecessor (tangential
-        contacts) form one group, ordered by signed curvature, and the
-        -pi/pi wrap is handled by starting each vertex's order at its first
-        genuine angular gap.  The face after h is the half-edge preceding
-        h's twin in the order about h's head.
+        position a to the next), forward (counterclockwise) and back, so a
+        vertex at ring position q leaves its circle by F = 2q and
+        B = 2 prev(q) + 1.  ``_ROTATION`` lists the counterclockwise order
+        of a vertex's half-edges (F_i, F_j, B_i, B_j) by the kind of contact:
+        - at a crossing, cross(p - c_i, p - c_j) = orient(c_i, c_j, p), the
+          ``side``, so F_j follows F_i on side +1 and B_j on side -1;
+        - at a tangency the directions coincide in pairs, and each pair is
+          ordered by signed curvature, fixed by containment and the radii;
+        - a sentinel has F and B only.
+        The face after h is the half-edge preceding h's twin about h's head.
         """
         if self._faces is not None:
             return self._faces
-        tail, lens = self.ring_vertices, np.diff(self.ring_ptr)
-        first = np.repeat(self.ring_ptr[:-1], lens)
-        circle = np.repeat(np.arange(len(lens)), 2 * lens)
-        succ = np.arange(1, len(tail) + 1)
-        succ = np.where(succ == first + np.repeat(lens, lens), first, succ)
-        origin = np.column_stack([tail, tail[succ]]).ravel()
-        sign = np.tile([1.0, -1.0], len(tail))
-        px, py = self.table.x[origin], self.table.y[origin]
-        cx, cy = self.centers[circle, 0], self.centers[circle, 1]
-        dx, dy = sign * -(py - cy), sign * (px - cx)
-        # The center side seen from the outgoing direction fixes the sign.
-        curv = np.copysign(1.0, dx * (cy - py) - dy * (cx - px)) / self.radii[circle]
-        ang = _atan2(dy, dx)
-
-        # Outgoing half-edges by (origin, direction, curvature, id).
-        by = np.lexsort((curv, ang, origin))
-        vert, ang, curv = origin[by], ang[by], curv[by]
-        ptr = np.searchsorted(vert, np.arange(len(self.table.x) + 1))
-        seg, k = ptr[vert], np.diff(ptr)[vert]
-        idx = np.arange(len(by)) - seg
-        prev = np.empty_like(ang)
-        prev[1:] = ang[:-1]
-        wrap = idx == 0
-        prev[wrap] = ang[seg[wrap] + k[wrap] - 1] + (-2.0 * math.pi)
-        tol = 1e-9
-        gap = ang - prev > tol
-        # Rotate each vertex's order to its first gap (else keep it), then
-        # chain directions into groups and sort each group by curvature.
-        gaps = np.append(np.flatnonzero(gap), len(gap))
-        start = gaps[np.searchsorted(gaps, ptr[:-1])]
-        start = np.where(start < ptr[1:], start, ptr[:-1])
-        rot = (idx - (start - ptr[:-1])[vert]) % k
-        rotated = np.empty_like(by)
-        rotated[seg + rot] = np.arange(len(by))
-        opens = (gap & (idx > 0) & (rot > 0)) | (rot == 0)
-        group = np.cumsum(opens[rotated])
-        around = by[rotated[np.lexsort((curv[rotated], group))]]
-
-        at = np.empty_like(around)
-        at[around] = np.arange(len(around))
-        twin = np.arange(len(around)) ^ 1
-        v = origin[twin]
-        nxt = around[ptr[v] + (at[twin] - ptr[v] - 1) % (ptr[v + 1] - ptr[v])]
+        t, ptr, ring = self.table, self.ring_ptr, self.ring_vertices
+        lens = np.diff(ptr)
+        circle = np.repeat(np.arange(len(lens)), lens)
+        prev = np.arange(-1, len(ring) - 1)
+        prev[ptr[:-1][lens > 0]] = ptr[1:][lens > 0] - 1
+        # Ring position of every vertex on i and on j (a sentinel's twice).
+        pos = np.empty((len(t.x), 2), dtype=np.int64)
+        pos[ring, (circle != t.i[ring]).astype(np.int64)] = np.arange(len(ring))
+        sentinel = t.j < 0
+        pos[sentinel, 1] = pos[sentinel, 0]
+        half = np.hstack([2 * pos, 2 * prev[pos] + 1])
+        ci, cj = t.i, np.where(sentinel, t.i, t.j)
+        ri, rj = self.radii[ci], self.radii[cj]
+        d = np.hypot(*(self.centers[cj] - self.centers[ci]).T)
+        kind = np.select(
+            [sentinel, t.side > 0, t.side < 0, d >= np.maximum(ri, rj), ri < rj], [5, 0, 1, 2, 3], 4
+        )
+        around = np.take_along_axis(half, _ROTATION[kind], axis=1)
+        pred = np.empty(2 * len(ring), dtype=np.int64)
+        pred[around] = np.roll(around, 1, axis=1)
+        nxt = pred[np.arange(len(pred)) ^ 1]
         label = components(len(nxt), np.arange(len(nxt)), nxt)
         orbits = int(np.count_nonzero(label == np.arange(len(nxt))))
         self._faces = orbits - (self.component_count - 1)
@@ -192,6 +181,11 @@ class CircleArrangement:
         return v - e + f == 1 + self.component_count
 
 
+# Counterclockwise order of (F_i, F_j, B_i, B_j) by kind: crossing on side +1, side -1, external
+# tangency, internal tangency with r_i < r_j, with r_i > r_j, sentinel (F, B repeated).
+_ROTATION = np.array([[0, 1, 2, 3], [0, 3, 2, 1], [0, 2, 1, 3], [0, 2, 3, 1], [0, 1, 3, 2], [0, 2, 0, 2]])
+
+
 def _atan2(y, x) -> np.ndarray:
     """``math.atan2`` elementwise; ``np.arctan2`` rounds some angles
     differently, which would reorder rings."""
@@ -199,8 +193,10 @@ def _atan2(y, x) -> np.ndarray:
 
 
 def _intersections(system: DiskSystem):
-    """(x, y, i, j, tangent) of the intersection vertices of every recorded
-    pair of positive-radius disks, in pair order."""
+    """(x, y, i, j, side) of the intersection vertices of every recorded
+    pair of positive-radius disks, in pair order.  ``circle_pair_points``
+    puts a crossing pair's left point first: side +1, then -1; a tangent
+    contact has side 0."""
     i, j = system.pairs[:, 0], system.pairs[:, 1]
     live = (system.radii[i] > 0) & (system.radii[j] > 0)
     i, j = i[live], j[live]
@@ -210,11 +206,10 @@ def _intersections(system: DiskSystem):
     except ValueError as exc:
         k = exc.args[1]
         raise DegeneracyError(f"duplicate circles ({i[k]}, {j[k]})") from None
-    tangent = np.ones(len(row), dtype=bool)
-    paired = row[1:] == row[:-1]
-    tangent[1:] &= ~paired
-    tangent[:-1] &= ~paired
-    return x, y, i[row], j[row], tangent
+    side = np.zeros(len(row), dtype=np.int8)
+    paired = np.flatnonzero(row[1:] == row[:-1])
+    side[paired], side[paired + 1] = 1, -1
+    return x, y, i[row], j[row], side
 
 
 def _angles(system, x, y, i, j):
@@ -225,7 +220,7 @@ def _angles(system, x, y, i, j):
     return _atan2(dy, dx).reshape(2, -1)
 
 
-def _arrangement(system, x, y, i, j, tangent, angle, circles) -> CircleArrangement:
+def _arrangement(system, x, y, i, j, side, angle, circles) -> CircleArrangement:
     """The arrangement of the intersection vertices given by rows (ids in
     row order; ``angle`` holds each row's angles about i and about j) over
     ``circles``, keyed in that order.  Each circle without a vertex gets a
@@ -245,7 +240,7 @@ def _arrangement(system, x, y, i, j, tangent, angle, circles) -> CircleArrangeme
         np.concatenate([y, system.centers[empty, 1]]),
         np.concatenate([i, empty]),
         np.concatenate([j, np.full(len(empty), -1, dtype=np.int64)]),
-        np.concatenate([tangent, np.zeros(len(empty), dtype=bool)]),
+        np.concatenate([side, np.zeros(len(empty), dtype=np.int8)]),
     )
     ptr = np.searchsorted(circ, np.arange(len(system) + 1))
     return CircleArrangement(system.centers, system.radii, table, circles, ptr, vid)
@@ -253,9 +248,9 @@ def _arrangement(system, x, y, i, j, tangent, angle, circles) -> CircleArrangeme
 
 def build_naive(system: DiskSystem) -> CircleArrangement:
     """Reference arrangement builder: the vertices in pair order."""
-    x, y, i, j, tangent = _intersections(system)
+    x, y, i, j, side = _intersections(system)
     angle = _angles(system, x, y, i, j)
-    return _arrangement(system, x, y, i, j, tangent, angle, np.flatnonzero(system.radii > 0))
+    return _arrangement(system, x, y, i, j, side, angle, np.flatnonzero(system.radii > 0))
 
 
 def build_inductive(system: DiskSystem, clustering: ClusteringReport) -> CircleArrangement:
@@ -281,7 +276,7 @@ def build_inductive(system: DiskSystem, clustering: ClusteringReport) -> CircleA
             f"clustering report claims {clustering.component_counts[v]} "
             f"components at vertex {v}, found {found[v]}"
         )
-    x, y, i, j, tangent = _intersections(system)
+    x, y, i, j, side = _intersections(system)
     angle = _angles(system, x, y, i, j)
     # v splices the vertex into the ring of w, which came before it.
     later = rank[j] > rank[i]
@@ -292,7 +287,7 @@ def build_inductive(system: DiskSystem, clustering: ClusteringReport) -> CircleA
     entry = np.full(len(comp), np.inf)
     np.minimum.at(entry, part, np.where(later, angle[1], angle[0]))
     splice = np.lexsort((np.arange(len(x)), w, part, entry[part], rank[v]))
-    cols = (c[splice] for c in (x, y, i, j, tangent))
+    cols = (c[splice] for c in (x, y, i, j, side))
     return _arrangement(system, *cols, angle[:, splice], order[system.radii[order] > 0])
 
 

@@ -57,6 +57,8 @@ def resolve_graph(spec: str, seed):
             key, _, value = item.partition("=")
             if not value or key not in {p[0] for p in params}:
                 raise ConfigError(f"bad generator parameter {item!r} in {spec!r}")
+            if key in given:
+                raise ConfigError(f"parameter {key!r} given twice in {spec!r}")
             given[key] = value
         try:
             values = []
@@ -235,7 +237,7 @@ def cmd_report(args):
             g = gen_gotham(side, args.expressways, args.seed)
             name = f"gotham-{side}x{side}"
         elif args.gen == "rgg":
-            radius = args.radius if args.radius else 1.5 / math.sqrt(size)
+            radius = 1.5 / math.sqrt(size) if args.radius is None else args.radius
             g = gen_random_geometric(size, radius, args.seed)
             name = f"rgg-{size}"
         else:

@@ -146,7 +146,8 @@ def circle_pair_points(q1x, q1y, r1, q2x, q2y, r2):
     """Intersection points of the circle pairs given as equal-length arrays.
 
     Returns (row, x, y): the points in row order, ``row`` naming the pair of
-    each; a crossing pair gives two points, a tangent pair one.  Tangency is
+    each; a crossing pair gives two points, the one left of the line from
+    center 1 to center 2 first, and a tangent pair one.  Tangency is
     detected by exact float comparison of squared distances, which is
     reliable for the lattice-derived systems this package builds.  Every
     point is computed by the scalar expressions in their scalar order

@@ -587,7 +587,7 @@ def gen_random_geometric(n: int, radius: float, seed) -> GeometricGraph:
     <= radius (weight = distance, level 4), found by a grid join."""
     if n < 1:
         raise ConfigError("n must be >= 1")
-    if radius <= 0:
+    if not radius > 0:
         raise ConfigError("radius must be > 0")
     rng = np.random.default_rng(seed)
     xy = rng.random((n, 2))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from roadgeom.arrangement import (
 from roadgeom.augment import clustering_check
 from roadgeom.disks import DiskSystem, build_disk_system
 from roadgeom.errors import DegeneracyError, InvariantViolation
-from roadgeom.geometry import circle_pair_points
+from roadgeom.geometry import circle_pair_points, orient
 
 import oracles
 import reference
@@ -254,19 +255,63 @@ class TestTangencies:
     @pytest.mark.parametrize("dx, dy", [(1, 0), (0, 1), (-1, 0), (0, -1)])
     @pytest.mark.parametrize("r", [1.0, 0.5])
     def test_compass_tangency(self, dx, dy, r):
+        # Both orders of the pair: the unit circle as circle i, then as j.
         d = 1.0 + r if r == 1.0 else 1.0 - r
-        s = system_from([(0.0, 0.0), (d * dx, d * dy)], [1.0, r])
-        arr = build_naive(s)
-        assert arr.vertices[0].point == (dx, dy)
-        assert arr.vertex_count == 1 and arr.table.tangent.tolist() == [True]
-        assert arr.face_count() == reference.traced_face_count(arr) == 3
-        assert arr.euler_check()
+        disks = [((0.0, 0.0), 1.0), ((d * dx, d * dy), r)]
+        for first in disks, disks[::-1]:
+            s = system_from([c for c, _ in first], [r for _, r in first])
+            arr = build_naive(s)
+            assert arr.vertices[0].point == (dx, dy)
+            assert arr.vertex_count == 1 and arr.table.tangent.tolist() == [True]
+            assert arr.face_count() == reference.traced_face_count(arr) == 3
+            assert arr.euler_check()
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_internal_tangency_crossed_at_the_contact(self, order):
+        # Radius 1 inside radius 4, touching at (4, 0), and a third circle
+        # crossing both there.  A lone tangency cannot tell its rotation from
+        # the mirror image; the crossings around it can.  Every order of the
+        # circles puts the smaller one first or second.
+        centers, radii = [(0.0, 0.0), (3.0, 0.0), (4.0, 0.0)], [4.0, 1.0, 0.5]
+        s = system_from([centers[k] for k in order], [radii[k] for k in order])
+        for arr in (build_naive(s), build_inductive(s, clustering_check(s))):
+            assert arr.table.tangent.sum() == 1
+            assert arr.face_count() == reference.traced_face_count(arr) == 7
+            assert arr.euler_check()
 
     def test_flower_of_tangencies(self):
         centers = [(0.0, 0.0), (2.0, 0.0), (0.0, 2.0), (-2.0, 0.0), (0.0, -0.5)]
         s = system_from(centers, [1.0, 1.0, 1.0, 1.0, 0.5])
         for arr in (build_naive(s), build_inductive(s, clustering_check(s))):
             assert arr.face_count() == reference.traced_face_count(arr)
+            assert arr.euler_check()
+
+
+class TestRotation:
+    def test_side_is_the_exact_orientation_of_the_point(self):
+        # A crossing row's side is orient(c_i, c_j, p) of its float point.
+        rows = 0
+        for s in oracle_corpus():
+            t = build_naive(s).table
+            for k in np.flatnonzero(t.side != 0).tolist():
+                ci, cj = s.centers[t.i[k]].tolist(), s.centers[t.j[k]].tolist()
+                assert orient(*ci, *cj, float(t.x[k]), float(t.y[k])) == t.side[k]
+                rows += 1
+        assert rows > 30000
+
+    def test_wide_system_keeps_euler(self):
+        # Three mutually crossing circles of radius 4.4e8, one center 9e8
+        # from the other two, whose centers are 0.06 apart: V = 6, E = 12.
+        centers = [
+            [306410579.2068602, 832794310.0020676],
+            [0.06199234597118014, 0.018714338654071884],
+            [0.004348134123765889, 0.008839224647221467],
+        ]
+        s = system_from(centers, [443687335.2385428, 443687335.22395664, 443687335.2385428])
+        assert s.pairs.tolist() == [[0, 1], [0, 2], [1, 2]]
+        for arr in (build_naive(s), build_inductive(s, clustering_check(s))):
+            assert (arr.vertex_count, arr.edge_count) == (6, 12)
+            assert arr.face_count() == 8
             assert arr.euler_check()
 
 

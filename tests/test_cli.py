@@ -286,6 +286,12 @@ class TestExitCodes:
              "configuration error: bad value in 'rgg:n=10,radius=x': could not convert string to float: 'x'"),
             (["decompose", "gotham:side=4,express=0", "--delta", "0.9"],
              "configuration error: delta must be in [2/3, 3/4]"),
+            (["report", "--gen", "rgg", "--sizes", "100", "--metric", "ply", "--radius", "0"],
+             "configuration error: radius must be > 0"),
+            (["ply", "rgg:n=40,radius=nan"],
+             "configuration error: radius must be > 0"),
+            (["ply", "gotham:side=8,side=9"],
+             "configuration error: parameter 'side' given twice in 'gotham:side=8,side=9'"),
         ],
     )
     def test_bad_input_is_config_error_and_writes_no_file(self, tmp_path, capsys, argv, message):

@@ -173,6 +173,11 @@ class TestRandomGeometric:
         g = rg.gen_random_geometric(1, 0.5, seed=0)
         assert g.n == 1 and g.m == 0
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+    def test_radius_must_be_positive(self, radius):
+        with pytest.raises(ConfigError, match="radius must be > 0"):
+            rg.gen_random_geometric(40, radius, seed=0)
+
     def test_two_vertices(self):
         for seed in range(20):
             g = rg.gen_random_geometric(2, 0.9, seed=seed)
