@@ -21,8 +21,18 @@ def sorted_unique(keys) -> np.ndarray:
 
 
 def index_of(keys, query):
-    """Positions of ``query`` in the sorted ``keys``, and which are there."""
-    pos = np.searchsorted(keys, query)
+    """Positions of ``query`` in the sorted ``keys``, and which are there.
+
+    Positions are ``searchsorted``'s leftmost insertion points.  Signed
+    integer keys that form one contiguous range (DIMACS ids 1..n, say) need
+    no search: the position is the query's offset from the first key,
+    clipped to 0..len(keys).
+    """
+    if len(keys) and keys.dtype.kind == query.dtype.kind == "i" and int(keys[-1]) - int(keys[0]) == len(keys) - 1:
+        # Clipped before the subtraction, which then cannot overflow.
+        pos = np.clip(query, keys[0], keys[-1]) - keys[0] + (query > keys[-1])
+    else:
+        pos = np.searchsorted(keys, query)
     found = pos < len(keys)
     found[found] = keys[pos[found]] == query[found]
     return pos, found

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import arcs_csr, components, concat_ranges, frozen
+from ._arrays import arcs_csr, components, concat_ranges, frozen, index_of, sorted_unique
 from .crossings import PlanarizedGraph
 from .disks import DiskSystem
 from .errors import ConfigError
@@ -56,6 +56,12 @@ class ClusteringReport:
 # (ray, edge) candidates expanded at once: bounds the extra memory of
 # grid_augment, which would otherwise grow with n times the slab occupancy.
 _RAY_BLOCK = 2**14
+# Sources with at least this many distinct partners, the word width, search
+# bit-parallel; the rest as (source, vertex) pairs.
+_WIDE = 64
+# Visited (source, vertex) keys per vertex the frontier search may hold:
+# 64 bytes per vertex, twice the bit-parallel search's four words.
+_SEEN_BUDGET = 8
 
 
 def _axis_hits(g, a1, a2, b1, b2, qa, qr):
@@ -158,44 +164,129 @@ def grid_augment(p: PlanarizedGraph) -> MixedAugmentedGraph:
     return MixedAugmentedGraph(g, frozen(np.column_stack([origin, target, code])[order]))
 
 
-def _pair_hops(indptr, nbr, start, goal, cutoff):
+def _pair_hops(indptr, nbr, start, goal, cutoff, label):
     """Hop count of the shortest path start[k] -> goal[k] for every k, or -1
     when it is longer than ``cutoff`` or there is none.
 
-    One level-synchronous BFS per distinct start answers all of its goals;
-    it stops once every goal has a hop count or at depth ``cutoff``.  Goals
-    outside the start's (weakly) connected component get no search.
+    ``label`` holds the graph's weak component labels: goals outside the
+    start's component get no search.  Each distinct (start, goal) pair is
+    searched once, level-synchronously, and a source stops once each of its
+    goals has a hop count or at depth ``cutoff``.  Sources with fewer than
+    ``_WIDE`` partners expand together as (source, vertex) pairs; the rest
+    run bit-parallel, 64 sources to a word.
     """
-    n = len(indptr) - 1
-    label = components(n, np.repeat(np.arange(n), np.diff(indptr)), nbr)
+    n = np.int64(len(indptr) - 1)
     hops = np.full(len(start), -1, dtype=np.int64)
-    live = np.flatnonzero(label[start] == label[goal])
-    live = live[np.argsort(start[live], kind="stable")]
-    s = start[live]
-    head = np.ones(len(s), dtype=bool)
-    np.not_equal(s[1:], s[:-1], out=head[1:])
-    first = np.flatnonzero(head)
-    sources = s[first]
-    ptr, adj = indptr.tolist(), nbr.tolist()
-    seen = [-1] * n
-    for source, group in zip(sources.tolist(), np.split(live, first[1:])):
-        goals = goal[group].tolist()
-        pending, found = set(goals) - {source}, {source: 0}
-        seen[source] = source
-        frontier, depth = [source], 0
-        while pending and frontier and depth < cutoff:
-            depth += 1
-            reached = []
-            for u in frontier:
-                for x in adj[ptr[u] : ptr[u + 1]]:
-                    if seen[x] != source:
-                        seen[x] = source
-                        reached.append(x)
-                        if x in pending:
-                            found[x] = depth
-                            pending.discard(x)
-            frontier = reached
-        hops[group] = [found.get(w, -1) for w in goals]
+    hops[start == goal] = 0
+    live = np.flatnonzero((label[start] == label[goal]) & (start != goal))
+    # One argsort gives the distinct keys source * n + goal, ascending, and
+    # maps each pair back to its key.
+    query = start[live] * n + goal[live]
+    order = np.argsort(query)
+    query = query[order]
+    head = np.ones(len(query), dtype=bool)
+    np.not_equal(query[1:], query[:-1], out=head[1:])
+    keys = query[head]
+    source = keys // n
+    wide = np.bincount(source, minlength=n)[source] >= _WIDE
+    found = np.empty(len(keys), dtype=np.int64)
+    found[~wide] = _frontier_search(indptr, nbr, keys[~wide], cutoff)
+    found[wide] = _word_search(indptr, nbr, keys[wide], cutoff)
+    hops[live[order]] = found[np.cumsum(head) - 1]
+    return hops
+
+
+def _frontier_search(indptr, nbr, keys, cutoff):
+    """Hops (-1 past ``cutoff``) for the sorted keys source * n + goal: all
+    sources expand at once as frontier keys source * n + vertex.
+
+    The visited keys of the live sources grow with the area each searches;
+    past ``_SEEN_BUDGET`` * n of them, the live sources start over
+    bit-parallel, in O(n) memory per 64 sources.
+    """
+    n = np.int64(len(indptr) - 1)
+    hops = np.full(len(keys), -1, dtype=np.int64)
+    pending = np.bincount(keys // n, minlength=n)
+    frontier = np.flatnonzero(pending) * (n + 1)
+    seen = frontier
+    for depth in range(1, cutoff + 1):
+        if not len(frontier):
+            break
+        source, vertex = np.divmod(frontier, n)
+        count = indptr[vertex + 1] - indptr[vertex]
+        reached = sorted_unique(np.repeat(source * n, count) + nbr[concat_ranges(indptr[vertex], count)])
+        at, old = index_of(seen, reached)
+        reached = reached[~old]
+        seen = np.insert(seen, at[~old], reached)
+        at, goal = index_of(keys, reached)
+        hops[at[goal]] = depth
+        source = reached // n
+        np.subtract.at(pending, source[goal], 1)
+        frontier = reached[pending[source] > 0]
+        if len(seen) > _SEEN_BUDGET * n:
+            seen = seen[pending[seen // n] > 0]
+            if len(seen) > _SEEN_BUDGET * n:
+                rest = pending[keys // n] > 0
+                hops[rest] = _word_search(indptr, nbr, keys[rest], cutoff)
+                break
+    return hops
+
+
+def _word_search(indptr, nbr, keys, cutoff):
+    """Hops (-1 past ``cutoff``) for the sorted keys source * n + goal: one
+    BFS per block of 64 sources, each vertex holding a uint64 word of the
+    block's sources that reached it.  Levels expand only the arcs of
+    frontier vertices and test only the goals at newly reached ones."""
+    n = np.int64(len(indptr) - 1)
+    hops = np.full(len(keys), -1, dtype=np.int64)
+    source, goal = np.divmod(keys, n)
+    heads = np.flatnonzero(np.diff(source, prepend=-1))
+    one = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+    reach = np.zeros(n, dtype=np.uint64)
+    slot = np.empty(n, dtype=np.int64)
+    for first in range(0, len(heads), 64):
+        block = source[heads[first : first + 64]]
+        pairs = slice(heads[first], heads[first + 64] if first + 64 < len(heads) else len(keys))
+        # Per source bit its pending goals, per vertex the bits wanting it.
+        bit = np.searchsorted(block, source[pairs])
+        pending = np.bincount(bit, minlength=64)
+        wanted = np.zeros(n, dtype=np.uint64)
+        np.bitwise_or.at(wanted, goal[pairs], one[bit])
+        frontier, bits = block, one[: len(block)]
+        seen = np.zeros(n, dtype=np.uint64)
+        seen[frontier] = bits
+        hits, depths = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+        for depth in range(1, cutoff + 1):
+            if not len(frontier):
+                break
+            count = indptr[frontier + 1] - indptr[frontier]
+            reached = nbr[concat_ranges(indptr[frontier], count)]
+            np.bitwise_or.at(reach, reached, np.repeat(bits, count))
+            # Distinct reached vertices: whichever write to slot[v] lands,
+            # exactly one occurrence of v reads its own index back.
+            k = np.arange(len(reached))
+            slot[reached] = k
+            frontier = reached[slot[reached] == k]
+            bits = reach[frontier] & ~seen[frontier]
+            reach[frontier] = 0
+            new = bits != 0
+            frontier, bits = frontier[new], bits[new]
+            seen[frontier] |= bits
+            # A source bit reaches each vertex once, so each wanted bit that
+            # arrives finds one pair.
+            found = bits & wanted[frontier]
+            at = np.flatnonzero(found)
+            row, b = np.nonzero((found[at, None] & one[: len(block)]) != 0)
+            hits.append(block[b] * n + frontier[at[row]])
+            depths.append(np.full(len(b), depth))
+            pending -= np.bincount(b, minlength=64)
+            # Sources with every goal found leave the frontier words.
+            bits &= np.bitwise_or.reduce(one[pending > 0], initial=np.uint64(0))
+            new = bits != 0
+            frontier, bits = frontier[new], bits[new]
+        hit = np.concatenate(hits)
+        order = np.argsort(hit)
+        hops[np.searchsorted(keys, hit[order])] = np.concatenate(depths)[order]
     return hops
 
 
@@ -221,11 +312,14 @@ def neighborly_check(
     swap = degree[w] > degree[v]
     hub, other = np.where(swap, w, v), np.where(swap, v, w)
     indptr, nbr = a.out_neighbors()
-    reverse = arcs_csr(n, nbr, np.repeat(np.arange(n), np.diff(indptr)))[:2]
-    out_hops = _pair_hops(indptr, nbr, hub, other, cutoff)
-    in_hops = _pair_hops(*reverse, hub, other, cutoff)
+    tail = np.repeat(np.arange(n), np.diff(indptr))
+    # The out-graph and its reverse share their weak components.
+    label = components(n, tail, nbr)
+    out_hops = _pair_hops(indptr, nbr, hub, other, cutoff, label)
+    in_hops = _pair_hops(*arcs_csr(n, nbr, tail)[:2], hub, other, cutoff, label)
     # The plain graph is undirected: one direction covers both.
-    plain = _pair_hops(*a.base.adjacency()[:2], hub, other, cutoff)
+    g = a.base
+    plain = _pair_hops(*g.adjacency()[:2], hub, other, cutoff, components(n, g.edge_u, g.edge_v))
     cut_aug, cut_plain = (out_hops < 0) | (in_hops < 0), plain < 0
     worst = np.maximum(out_hops, in_hops)
     worst[cut_aug] = cutoff

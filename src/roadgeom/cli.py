@@ -216,6 +216,11 @@ REPORT_METRICS = {
 }
 
 
+# generator -> its own `report` option (None when not given), which the
+# other generators reject.
+REPORT_OPTIONS = {"gotham": "expressways", "rgg": "radius", "hubspoke": "spokes"}
+
+
 def cmd_report(args):
     try:
         sizes = [int(tok) for tok in args.sizes.split(",") if tok]
@@ -229,12 +234,16 @@ def cmd_report(args):
         raise ConfigError(f"unknown metric {args.metric!r}; choose from {tuple(REPORT_METRICS)}")
     if args.gen not in GENERATORS:
         raise ConfigError(f"unknown generator {args.gen!r}; choose from {tuple(GENERATORS)}")
+    for gen, option in REPORT_OPTIONS.items():
+        if gen != args.gen and getattr(args, option) is not None:
+            raise ConfigError(f"--{option} applies to --gen {gen} only")
     rows = []
     for size in sizes:
         if args.gen == "gotham":
+            express = 4 if args.expressways is None else args.expressways
             # Expressway chords need a side of 4, as spokes need a ring of 12.
-            side = max(4 if args.expressways > 0 else 2, round(math.sqrt(size)))
-            g = gen_gotham(side, args.expressways, args.seed)
+            side = max(4 if express > 0 else 2, round(math.sqrt(size)))
+            g = gen_gotham(side, express, args.seed)
             name = f"gotham-{side}x{side}"
         elif args.gen == "rgg":
             radius = 1.5 / math.sqrt(size) if args.radius is None else args.radius
@@ -242,7 +251,7 @@ def cmd_report(args):
             name = f"rgg-{size}"
         else:
             ring = max(12, round(math.sqrt(size)))
-            g = gen_hub_spoke(ring, args.spokes, args.seed)
+            g = gen_hub_spoke(ring, 21 if args.spokes is None else args.spokes, args.seed)
             name = f"hubspoke-{ring}"
         value = REPORT_METRICS[args.metric](g, args)
         value_str = str(value) if isinstance(value, int) else _fmt(value)
@@ -311,9 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gen", required=True)
     p.add_argument("--sizes", required=True, help="comma list of target vertex counts")
     p.add_argument("--metric", required=True, help=f"one of {', '.join(REPORT_METRICS)}")
-    p.add_argument("--expressways", type=int, default=4)
-    p.add_argument("--spokes", type=int, default=21)
-    p.add_argument("--radius", type=float, default=None)
+    p.add_argument("--expressways", type=int, help="gotham only (default 4)")
+    p.add_argument("--spokes", type=int, help="hubspoke only (default 21)")
+    p.add_argument("--radius", type=float, help="rgg only (default 1.5 / sqrt(size))")
     p.add_argument("--cutoff", type=int, default=250)
 
     # Shared options come last, so each usage line lists them after the command's own.

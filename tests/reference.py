@@ -7,7 +7,9 @@ at a time, which shares the package's lift and centerpoint helpers and must
 match the batched search bit for bit, and ``recursive_decomposition``, the
 node-by-node separator tree the depth-by-depth builder must equal.
 Likewise the one-pair-at-a-time arrangement builders and the dict face
-tracer, which the vertex-table arrangement must match exactly.  The
+tracer, which the vertex-table arrangement must match exactly, and
+``pair_hops``, the per-source list BFS that the array hop searches of the
+neighborly check must equal bit for bit.  The
 crossing and disk-pair oracles, which the benchmark imports too, are in
 ``oracles.py``.
 """
@@ -16,6 +18,8 @@ import heapq
 import math
 
 import numpy as np
+
+from roadgeom._arrays import components
 
 
 def all_pairs_center_ply(system):
@@ -257,6 +261,47 @@ def _hops(out, start, goal, cutoff):
         hops += 1
         frontier = {w for u in frontier for w in out[u] if w not in seen}
         seen |= frontier
+    return hops
+
+
+def pair_hops(indptr, nbr, start, goal, cutoff):
+    """Hop count of the shortest path start[k] -> goal[k] for every k, or -1
+    when it is longer than ``cutoff`` or there is none.
+
+    One level-synchronous BFS per distinct start answers all of its goals;
+    it stops once every goal has a hop count or at depth ``cutoff``.  Goals
+    outside the start's (weakly) connected component get no search.
+    """
+    n = len(indptr) - 1
+    label = components(n, np.repeat(np.arange(n), np.diff(indptr)), nbr)
+    hops = np.full(len(start), -1, dtype=np.int64)
+    live = np.flatnonzero(label[start] == label[goal])
+    live = live[np.argsort(start[live], kind="stable")]
+    s = start[live]
+    head = np.ones(len(s), dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=head[1:])
+    first = np.flatnonzero(head)
+    sources = s[first]
+    ptr, adj = indptr.tolist(), nbr.tolist()
+    seen = [-1] * n
+    for source, group in zip(sources.tolist(), np.split(live, first[1:])):
+        goals = goal[group].tolist()
+        pending, found = set(goals) - {source}, {source: 0}
+        seen[source] = source
+        frontier, depth = [source], 0
+        while pending and frontier and depth < cutoff:
+            depth += 1
+            reached = []
+            for u in frontier:
+                for x in adj[ptr[u] : ptr[u + 1]]:
+                    if seen[x] != source:
+                        seen[x] = source
+                        reached.append(x)
+                        if x in pending:
+                            found[x] = depth
+                            pending.discard(x)
+            frontier = reached
+        hops[group] = [found.get(w, -1) for w in goals]
     return hops
 
 

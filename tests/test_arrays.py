@@ -3,7 +3,7 @@ import pytest
 
 import roadgeom as rg
 from roadgeom import crossings as cr
-from roadgeom._arrays import components, csr, grid_join, sorted_unique
+from roadgeom._arrays import components, csr, grid_join, index_of, sorted_unique
 from roadgeom.augment import DIRECTIONS, grid_augment
 from roadgeom.disks import build_disk_system, exceptional_decomposition
 from roadgeom.errors import ConfigError
@@ -118,6 +118,25 @@ def test_sorted_unique_equals_np_unique_on_signed_zeros():
     for keys in ([-0.0, 0.0], [0.0, -0.0], [0.0, -0.0, 1.0, -0.0]):
         got, want = sorted_unique(np.array(keys)), np.unique(np.array(keys))
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [[1, 2, 3, 4, 5], [-3, -2, -1, 0], [7], [1, 2, 4, 5], [-5, 0, 9], [], [2**62, 2**62 + 1]],
+    ids=["dense", "dense-negative", "single", "gapped", "sparse", "empty", "dense-huge"],
+)
+def test_index_of_equals_searchsorted(keys):
+    """Contiguous keys take the offset path; either path gives searchsorted's
+    leftmost insertion point, for found and missing queries alike."""
+    keys = np.array(keys, dtype=np.int64)
+    lo, hi = (int(keys[0]), int(keys[-1])) if len(keys) else (0, 0)
+    query = np.array(
+        [lo - 10, lo - 1, lo, (lo + hi) // 2, hi, hi + 1, hi + 10, 3, -2**63, 2**63 - 1], dtype=np.int64
+    )
+    pos, found = index_of(keys, query)
+    want = np.searchsorted(keys, query)
+    assert np.array_equal(pos, want)
+    assert found.tolist() == [q in keys.tolist() for q in query.tolist()]
 
 
 def assert_components_match(n, u, v):

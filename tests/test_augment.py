@@ -1,5 +1,6 @@
 import time
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import roadgeom as rg
 from roadgeom import augment
 from roadgeom import crossings as cr
-from roadgeom._arrays import components
+from roadgeom._arrays import arcs_csr, components
 from roadgeom.augment import DIRECTIONS, NeighborlyReport, clustering_check, grid_augment, neighborly_check
 from roadgeom.disks import DiskSystem, build_disk_system
 from roadgeom.errors import ConfigError, DegeneracyError
@@ -51,6 +52,29 @@ def lattice_graphs(draw):
         pts += [(b, a) for a, b in ends] if vertical else ends
         edges.add((len(pts) - 2, len(pts) - 1))
     return rg.GeometricGraph.build(pts, [(u, v, 1.0, 4) for u, v in sorted(edges)])
+
+
+@st.composite
+def directed_searches(draw):
+    """A random directed multigraph on n <= 14 vertices (self-loops and
+    repeated arcs allowed) and (start, goal) pairs on it, with repeats and
+    start == goal; at times a long path, whose far end lies past small
+    cutoffs."""
+    n = draw(st.integers(1, 14))
+    vertex = st.integers(0, n - 1)
+    arcs = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+    if draw(st.booleans()):
+        arcs += [(v, v + 1) for v in range(n - 1)]
+    pairs = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=40))
+    tail, head = np.array(arcs, dtype=np.int64).reshape(-1, 2).T
+    start, goal = np.array(pairs, dtype=np.int64).T
+    return n, tail, head, start, goal
+
+
+def with_checks(graphs):
+    """(graph, augmented graph, disk system) of each graph."""
+    for g in graphs:
+        yield g, grid_augment(planarized(g)), build_disk_system(g)
 
 
 def parallel_roads():
@@ -220,6 +244,72 @@ class TestNeighborly:
                     f"\nneighborly gotham-16x2: augmented {rep.max_hops_augmented} "
                     f"vs plain {rep.max_hops_plain} (cutoff 250)"
                 )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        directed_searches(),
+        st.sampled_from([1, 2, 5, 250]),
+        st.sampled_from([1, 3, 64]),
+        st.sampled_from([0, 1, 8]),
+    )
+    def test_pair_hops_matches_list_loop(self, search, cutoff, wide, budget):
+        # A wide threshold of 1 or 3 sends small graphs' sources through
+        # the bit-parallel search as well; a budget of 0 or 1 visited keys
+        # per vertex prunes the frontier search's visited keys and hands its
+        # live sources over to the bit-parallel search midway.
+        n, tail, head, start, goal = search
+        indptr, nbr = arcs_csr(n, tail, head)[:2]
+        label = components(n, tail, head)
+        with mock.patch.object(augment, "_WIDE", wide), mock.patch.object(augment, "_SEEN_BUDGET", budget):
+            got = augment._pair_hops(indptr, nbr, start, goal, cutoff, label)
+        want = reference.pair_hops(indptr, nbr, start, goal, cutoff)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("budget", [0, 1, 2, 3])
+    def test_visited_budget_prunes_then_hands_over(self, monkeypatch, budget):
+        # A path 0-1-...-9: sources 2..8 each find their one goal at level 1
+        # and retire, while source 0 searches on for goal 9.  After level 1
+        # the 8 sources hold 23 visited keys, 2 of them source 0's: a budget
+        # of 1 or 2 keys per vertex prunes the retired sources' keys and
+        # goes on, 0 hands source 0 over to the bit-parallel search, and 3
+        # does neither.
+        n = 10
+        tail = np.concatenate([np.arange(n - 1), np.arange(1, n)])
+        indptr, nbr = arcs_csr(n, tail, np.concatenate([np.arange(1, n), np.arange(n - 1)]))[:2]
+        start = np.array([0, 0] + list(range(2, 9)))
+        goal = np.array([1, 9] + list(range(3, 10)))
+        monkeypatch.setattr(augment, "_SEEN_BUDGET", budget)
+        for cutoff in (2, 9, 250):
+            got = augment._pair_hops(indptr, nbr, start, goal, cutoff, np.zeros(n, dtype=np.int64))
+            assert got.tolist() == reference.pair_hops(indptr, nbr, start, goal, cutoff).tolist()
+
+    def test_bit_parallel_words_match_oracle(self, monkeypatch, gotham_small, hub_small):
+        # At a wide threshold of 1 every source with a partner searches
+        # bit-parallel, more than 64 of them, so in two or more words.
+        monkeypatch.setattr(augment, "_WIDE", 1)
+        sources = []
+        word_search = augment._word_search
+
+        def spy(indptr, nbr, keys, cutoff):
+            sources.append(len(np.unique(keys // (len(indptr) - 1))))
+            return word_search(indptr, nbr, keys, cutoff)
+
+        monkeypatch.setattr(augment, "_word_search", spy)
+        for g, aug, s in with_checks((gotham_small, hub_small, one_way_shortcut())):
+            for cutoff in (2, 250):
+                rep = neighborly_check(aug, s, cutoff=cutoff)
+                assert rep == NeighborlyReport(*reference.neighborly(g, s, aug.shortcuts, cutoff)), (g.n, cutoff)
+        assert max(sources) > 64
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_benchmark_graphs_match_list_loop(self, monkeypatch, seed):
+        # The full-size hubspoke-locality and gotham-route generators; the
+        # list loop takes no component labels.
+        for g, aug, s in with_checks((rg.gen_hub_spoke(64, 21, seed), rg.gen_gotham(64, 8, seed))):
+            got = neighborly_check(aug, s)
+            with monkeypatch.context() as m:
+                m.setattr(augment, "_pair_hops", lambda *args: reference.pair_hops(*args[:5]))
+                assert got == neighborly_check(aug, s), g.n
 
     def test_out_neighbors_csr(self, gotham_small):
         aug = grid_augment(planarized(gotham_small))

@@ -292,6 +292,13 @@ class TestExitCodes:
              "configuration error: radius must be > 0"),
             (["ply", "gotham:side=8,side=9"],
              "configuration error: parameter 'side' given twice in 'gotham:side=8,side=9'"),
+            # Each family's report option is an error with another family.
+            (["report", "--gen", "gotham", "--sizes", "16", "--metric", "ply", "--radius", "5"],
+             "configuration error: --radius applies to --gen rgg only"),
+            (["report", "--gen", "gotham", "--sizes", "16", "--metric", "ply", "--spokes", "3"],
+             "configuration error: --spokes applies to --gen hubspoke only"),
+            (["report", "--gen", "rgg", "--sizes", "16", "--metric", "ply", "--expressways", "2"],
+             "configuration error: --expressways applies to --gen gotham only"),
         ],
     )
     def test_bad_input_is_config_error_and_writes_no_file(self, tmp_path, capsys, argv, message):
