@@ -290,6 +290,16 @@ def _word_search(indptr, nbr, keys, cutoff):
     return hops
 
 
+def _worst_pairs(worst, v, w, k=10):
+    """Indices of the k pairs first by (-worst, v, w), as
+    ``np.lexsort((w, v, -worst))[:k]``: only the pairs at least as bad as
+    the k-th worst, found by one partition, are sorted."""
+    cand = np.arange(len(worst))
+    if len(worst) > k:
+        cand = np.flatnonzero(worst >= np.partition(worst, -k)[-k])
+    return cand[np.lexsort((w[cand], v[cand], -worst[cand]))[:k]]
+
+
 def neighborly_check(
     a: MixedAugmentedGraph, s: DiskSystem, cutoff: int = 250
 ) -> NeighborlyReport:
@@ -324,7 +334,7 @@ def neighborly_check(
     worst = np.maximum(out_hops, in_hops)
     worst[cut_aug] = cutoff
     plain[cut_plain] = cutoff
-    top = np.lexsort((w, v, -worst))[:10]
+    top = _worst_pairs(worst, v, w)
     return NeighborlyReport(
         int(worst.max(initial=0)),
         int(plain.max(initial=0)),

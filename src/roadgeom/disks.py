@@ -36,8 +36,15 @@ class DiskSystem:
     ``vertices[i]`` is the source-graph vertex id of position ``i`` (the two
     coincide for a freshly built system; subsets keep original ids).
     ``pairs`` holds positional index pairs (i, j), i < j, of intersecting
-    closed disks; every reader assumes it lists all of them (center ply and
-    ``arrangement.system_ply`` count covers over the pairs alone).
+    closed disks.
+
+    Completeness contract: ``pairs`` must list every intersecting pair, and
+    the constructor does not check that it does.  Center ply, the charge
+    audit, the exceptional split, the clustering components, the
+    arrangements, ``arrangement.system_ply`` and the neighborly check all
+    count over the listed pairs only, so a missing pair silently lowers a
+    ply or drops a relation.  ``build_disk_system`` builds the complete
+    index; ``subset`` keeps it complete.
     """
 
     def __init__(self, vertices, centers, radii, pairs):

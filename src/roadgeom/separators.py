@@ -107,20 +107,55 @@ def _runs(counts):
     return np.repeat(np.arange(len(counts)), counts), np.cumsum(counts) - counts
 
 
+def _det3(a, b, c):
+    """Determinants of 3 x 3 matrices with rows a, b, c, each given
+    component first (a[k] is component k): a . (b x c), written out."""
+    return (
+        a[0] * (b[1] * c[2] - b[2] * c[1])
+        + a[1] * (b[2] * c[0] - b[0] * c[2])
+        + a[2] * (b[0] * c[1] - b[1] * c[0])
+    )
+
+
+# For lambda_1..lambda_4: the other three of the differences q_1..q_4, and
+# the sign (-1)^i.
+_OTHERS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+_SIGNS = np.array([-1.0, 1.0, -1.0, 1.0])[:, None]
+_FLAT = 1e-12  # degenerate rule: max |lambda| <= _FLAT * s^3
+
+
 def _radon_points(groups: np.ndarray) -> np.ndarray:
-    """Radon point of each group of five points in R^3 (batched)."""
-    g = len(groups)
-    m = np.concatenate(
-        [groups.transpose(0, 2, 1), np.ones((g, 1, 5))], axis=1
-    )  # (g, 4, 5): null vector gives an affine dependence
-    _, _, vt = np.linalg.svd(m)
-    lam = vt[:, -1, :]
-    w = np.clip(lam, 0.0, None)
-    wsum = w.sum(axis=1)
-    degenerate = wsum < 1e-12
-    w[degenerate] = 1.0
-    wsum = w.sum(axis=1)
-    return (w[:, :, None] * groups).sum(axis=1) / wsum[:, None]
+    """Radon point of each group of five points p_0..p_4 in R^3 (g, 5, 3).
+
+    Five points have the affine dependence sum lambda_i p_i = 0 with sum
+    lambda_i = 0, in closed form by Cramer's rule: lambda_i = (-1)^i D_i,
+    D_i the determinant of the other four points' differences from the
+    first of them.  For i >= 1 these are the differences q_j = p_j - p_0;
+    lambda_0 is -(lambda_1 + lambda_2 + lambda_3 + lambda_4), which is
+    D_0, since the lambda sum to zero.  The Radon point is the positive
+    side, sum max(lambda_i, 0) p_i / sum max(lambda_i, 0), which equals
+    the negative side.
+
+    Degenerate rule: points that span no solid (coplanar, collinear or
+    equal) leave every D_i at rounding noise.  When max |lambda_i| <=
+    1e-12 s^3, s the largest |q_jk| of the group, the group's point is its
+    mean (weights all 1).  Either way the point is a convex combination of
+    the group, so it lies in the group's bounding box.
+    """
+    p = groups.transpose(1, 2, 0)  # (5, 3, g): point, component, group
+    q = p[1:] - p[0]
+    a, b, c = q[_OTHERS].transpose(1, 2, 0, 3)  # each (3, 4, g)
+    lam = np.empty((5, len(groups)))
+    lam[1:] = _det3(a, b, c) * _SIGNS
+    lam[0] = -(lam[1] + lam[2] + lam[3] + lam[4])
+    s = np.abs(q).max(axis=(0, 1))
+    flat = np.abs(lam).max(axis=0) <= _FLAT * (s * s * s)
+    w = np.where(flat, 1.0, np.where(lam > 0.0, lam, 0.0))
+    acc, wsum = w[0] * p[0], w[0]
+    for i in range(1, 5):
+        acc = acc + w[i] * p[i]
+        wsum = wsum + w[i]
+    return (acc / wsum).T
 
 
 def _radon_permutations(rng, m: int) -> list:
@@ -150,9 +185,10 @@ def _centerpoints(pts, counts, perms) -> np.ndarray:
     Set i is ``counts[i]`` consecutive rows of ``pts`` (.., 3) and applies
     the permutations ``perms[i]``, one per step.  A step permutes every set
     of five or more points, replaces each full group of five by its Radon
-    point (one stacked SVD for all sets) and keeps the remainder after them;
-    a set below five points ends as its mean.  Per set these are the steps
-    of a one-set reduction, bit for bit.
+    point (one closed-form ``_radon_points`` pass for the groups of all
+    sets; a group spanning no solid gives its mean) and keeps the remainder
+    after them; a set below five points ends as its mean.  Per set these
+    are the steps of a one-set reduction, bit for bit.
     """
     z = np.empty((len(counts), 3))
     ids = np.arange(len(counts))

@@ -3,8 +3,8 @@
 Everything here is deliberately written from the definitions, with no reuse
 of the package's candidate-generation paths.  The exception is
 ``scalar_find_separator``: the separator search with one candidate circle
-at a time, which shares the package's lift and centerpoint helpers and must
-match the batched search bit for bit, and ``recursive_decomposition``, the
+at a time, which shares the package's stereographic maps and must match
+the batched search bit for bit, and ``recursive_decomposition``, the
 node-by-node separator tree the depth-by-depth builder must equal.
 Likewise the one-pair-at-a-time arrangement builders and the dict face
 tracer, which the vertex-table arrangement must match exactly, and
@@ -429,18 +429,71 @@ def scalar_rotation_to_south(z):
     return np.eye(3) + vx + vx @ vx / (1.0 + c)
 
 
+def svd_radon_points(groups):
+    """Radon point of each group of five points in R^3 (g, 5, 3): the
+    affine dependence as the null vector of the stacked 4 x 5 systems
+    [p_i; 1] by SVD, the positive side of it, or the mean where that side
+    is empty.  An independent check of the closed form."""
+    g = len(groups)
+    m = np.concatenate(
+        [groups.transpose(0, 2, 1), np.ones((g, 1, 5))], axis=1
+    )  # (g, 4, 5): null vector gives an affine dependence
+    _, _, vt = np.linalg.svd(m)
+    lam = vt[:, -1, :]
+    w = np.clip(lam, 0.0, None)
+    wsum = w.sum(axis=1)
+    degenerate = wsum < 1e-12
+    w[degenerate] = 1.0
+    wsum = w.sum(axis=1)
+    return (w[:, :, None] * groups).sum(axis=1) / wsum[:, None]
+
+
+def scalar_det3(a, b, c):
+    """Determinant of the 3 x 3 matrix with rows a, b, c (Python floats)."""
+    return (
+        a[0] * (b[1] * c[2] - b[2] * c[1])
+        + a[1] * (b[2] * c[0] - b[0] * c[2])
+        + a[2] * (b[0] * c[1] - b[1] * c[0])
+    )
+
+
+def scalar_radon_point(group):
+    """Radon point of five points in R^3, one group in Python floats.
+
+    lambda_i = (-1)^i times the determinant of the other points'
+    differences from p_0 for i >= 1, lambda_0 = -(lambda_1 + ... +
+    lambda_4); the point is sum max(lambda_i, 0) p_i over the sum of those
+    weights.  When max |lambda_i| <= 1e-12 s^3, s the largest coordinate
+    difference from p_0, the weights are all 1 (the mean)."""
+    p = [[float(x) for x in pt] for pt in group]
+    q = [[p[i][k] - p[0][k] for k in range(3)] for i in range(1, 5)]
+    lam = [0.0]
+    for i in range(1, 5):
+        d = scalar_det3(*(q[j] for j in range(4) if j != i - 1))
+        lam.append(-d if i % 2 else d)
+    lam[0] = -(lam[1] + lam[2] + lam[3] + lam[4])
+    s = max(abs(x) for row in q for x in row)
+    if max(abs(x) for x in lam) <= 1e-12 * (s * s * s):
+        w = [1.0] * 5
+    else:
+        w = [x if x > 0.0 else 0.0 for x in lam]
+    acc, wsum = [w[0] * x for x in p[0]], w[0]
+    for i in range(1, 5):
+        acc = [a + w[i] * x for a, x in zip(acc, p[i])]
+        wsum = wsum + w[i]
+    return [a / wsum for a in acc]
+
+
 def scalar_centerpoint(points3, rng):
     """Iterated Radon reduction of one point set: permute, replace each
     full group of five by its Radon point, keep the rest, until fewer than
     five points are left; their mean."""
-    from roadgeom.separators import _radon_points
-
     pts = points3.copy()
     while len(pts) >= 5:
         pts = pts[rng.permutation(len(pts))]
         g = len(pts) // 5
-        reduced = _radon_points(pts[: 5 * g].reshape(g, 5, 3))
-        pts = np.vstack([reduced, pts[5 * g :]])
+        reduced = [scalar_radon_point(pts[5 * i : 5 * i + 5]) for i in range(g)]
+        pts = np.vstack([np.array(reduced).reshape(g, 3), pts[5 * g :]])
     return pts.mean(axis=0)
 
 

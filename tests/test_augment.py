@@ -311,6 +311,17 @@ class TestNeighborly:
                 m.setattr(augment, "_pair_hops", lambda *args: reference.pair_hops(*args[:5]))
                 assert got == neighborly_check(aug, s), g.n
 
+    def test_worst_pairs_is_the_full_lexsort_head(self):
+        # Few distinct hop counts and endpoints: many pairs tie on worst,
+        # and some on (worst, v) too.
+        rng = np.random.default_rng(5)
+        for size, levels in ((0, 1), (3, 2), (10, 1), (11, 2), (500, 1), (500, 3), (5000, 40)):
+            for _ in range(20):
+                worst = rng.integers(0, levels, size=size)
+                v, w = rng.integers(0, 8, size=(2, size))
+                want = np.lexsort((w, v, -worst))[:10]
+                assert np.array_equal(augment._worst_pairs(worst, v, w), want), (size, levels)
+
     def test_out_neighbors_csr(self, gotham_small):
         aug = grid_augment(planarized(gotham_small))
         indptr, nbr = aug.out_neighbors()

@@ -34,6 +34,44 @@ def verify_separator_geometry(system, sep):
         assert d + system.radii[i] >= sep.radius >= d - system.radii[i]
 
 
+def check_grid_tree(s, tree, delta, leaf):
+    """Depth, labelling, balance, cut size and geometry of a tree on a grid
+    of tangent disks (center ply 2)."""
+    n = len(s)
+    bound = math.ceil(math.log(n / leaf) / math.log(1 / delta)) + 2
+    assert tree.depth() <= bound
+
+    # Every vertex labeled exactly once, at a cut or leaf node.
+    assert np.all(tree.label >= 0)
+    counts = np.zeros(n, dtype=int)
+    for nd in tree.nodes:
+        members = nd.leaf_vertices if nd.is_leaf else nd.separator.cut
+        for v in members:
+            counts[v] += 1
+    assert np.all(counts == 1)
+
+    # k=2 covers the tangent grid disks; cut <= 4*sqrt(k)*sqrt(node n).
+    k_ply = 2
+    pos_of = {int(v): i for i, v in enumerate(s.vertices)}
+    for nd in tree.nodes:
+        if nd.is_leaf:
+            assert nd.vertex_count <= leaf
+            continue
+        sep = nd.separator
+        assert nd.vertex_count == len(sep.cut) + len(sep.inside) + len(sep.outside)
+        assert max(len(sep.inside), len(sep.outside)) <= delta * nd.vertex_count
+        assert len(sep.cut) <= 4 * math.sqrt(k_ply) * math.sqrt(nd.vertex_count)
+        for child, members in (
+            (nd.interior, sep.inside),
+            (nd.exterior, sep.outside),
+        ):
+            if child is not None:
+                assert tree.nodes[child].vertex_count == len(members)
+                assert tree.nodes[child].vertex_count <= delta * nd.vertex_count
+        node_sys = s.subset([pos_of[v] for v in np.concatenate([sep.cut, sep.inside, sep.outside])])
+        verify_separator_geometry(node_sys, sep)
+
+
 class TestFindSeparator:
     def test_two_distant_disks(self):
         s = DiskSystem(
@@ -109,44 +147,15 @@ class TestDecomposition:
         assert set(tree.root.leaf_vertices) == set(range(9))
 
     def test_grid_64_invariants(self):
-        g = rg.gen_gotham(64, 0, seed=1)
-        s = build_disk_system(g)
-        delta, leaf = 2.0 / 3.0, 32
-        tree = build_decomposition(s, delta=delta, leaf_threshold=leaf, seed=7)
+        s = build_disk_system(rg.gen_gotham(64, 0, seed=1))
+        check_grid_tree(s, build_decomposition(s, seed=7), 2.0 / 3.0, 32)
 
-        n = len(s)
-        bound = math.ceil(math.log(n / leaf) / math.log(1 / delta)) + 2
-        assert tree.depth() <= bound
-
-        # Every vertex labeled exactly once, at a cut or leaf node.
-        assert np.all(tree.label >= 0)
-        counts = np.zeros(n, dtype=int)
-        for nd in tree.nodes:
-            members = nd.leaf_vertices if nd.is_leaf else nd.separator.cut
-            for v in members:
-                counts[v] += 1
-        assert np.all(counts == 1)
-
-        # k=2 covers the tangent grid disks; cut <= 4*sqrt(k)*sqrt(node n).
-        k_ply = 2
-        pos_of = {int(v): i for i, v in enumerate(s.vertices)}
-        for nd in tree.nodes:
-            if nd.is_leaf:
-                assert nd.vertex_count <= leaf
-                continue
-            sep = nd.separator
-            assert nd.vertex_count == len(sep.cut) + len(sep.inside) + len(sep.outside)
-            assert max(len(sep.inside), len(sep.outside)) <= delta * nd.vertex_count
-            assert len(sep.cut) <= 4 * math.sqrt(k_ply) * math.sqrt(nd.vertex_count)
-            for child, members in (
-                (nd.interior, sep.inside),
-                (nd.exterior, sep.outside),
-            ):
-                if child is not None:
-                    assert tree.nodes[child].vertex_count == len(members)
-                    assert tree.nodes[child].vertex_count <= delta * nd.vertex_count
-            node_sys = s.subset([pos_of[v] for v in np.concatenate([sep.cut, sep.inside, sep.outside])])
-            verify_separator_geometry(node_sys, sep)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_grid_64_invariants_over_seeds(self, seed):
+        # No chords: cocircular centers lift to coplanar points, the flat
+        # case of the Radon step.
+        s = build_disk_system(rg.gen_gotham(64, 0, seed=seed))
+        check_grid_tree(s, build_decomposition(s, seed=seed), 2.0 / 3.0, 32)
 
     def test_determinism(self):
         s = build_disk_system(rg.gen_gotham(24, 2, seed=3))
@@ -470,6 +479,45 @@ class TestLevelPassMatchesRecursion:
         assert failed_at[2] == failed_at[4] == 1
 
 
+class TestRadonPoints:
+    """The closed-form Radon step against the SVD null vector of the 4 x 5
+    system, and its degenerate rule on groups that span no solid."""
+
+    def test_matches_svd_on_well_conditioned_groups(self):
+        rng = np.random.default_rng(4)
+        groups = rng.normal(size=(5000, 5, 3))
+        groups[:2000] = separators._lift_to_sphere(rng.normal(size=(10000, 2))).reshape(2000, 5, 3)
+        m = np.concatenate([groups.transpose(0, 2, 1), np.ones((len(groups), 1, 5))], axis=1)
+        _, sv, vt = np.linalg.svd(m)
+        good = sv[:, 3] > 1e-2 * sv[:, 0]
+        assert good.sum() > 4000
+        groups, lam = groups[good], vt[good, -1]
+        got = separators._radon_points(groups)
+        scale = np.abs(groups).max(axis=(1, 2))[:, None]
+        assert np.all(np.abs(got - reference.svd_radon_points(groups)) <= 1e-12 * scale)
+        # Radon property: both sides of the dependence meet in that point.
+        for side in (lam, -lam):
+            w = np.clip(side, 0.0, None)
+            point = (w[:, :, None] * groups).sum(axis=1) / w.sum(axis=1)[:, None]
+            assert np.all(np.abs(got - point) <= 1e-12 * scale)
+
+    def test_flat_groups_give_a_point_in_the_box(self):
+        circle = np.array([(3, 4), (4, 3), (5, 0), (0, 5), (-3, 4)], dtype=float)
+        groups = np.stack([
+            separators._lift_to_sphere(circle / 5.0),  # cocircular, lifted: coplanar
+            separators._lift_to_sphere(circle * 0.01 + (0.3, -0.7)),
+            np.tile([0.3, -0.2, 0.9], (5, 1)),  # five equal points
+            np.linspace([-0.5, 0.1, 0.2], [0.5, 0.3, -0.6], 5),  # collinear
+            np.vstack([separators._lift_to_sphere(circle[:4] / 5.0), [(0.0, 0.0, -0.5)]]),
+        ])
+        got = separators._radon_points(groups)
+        assert np.all(np.isfinite(got))
+        assert np.all((groups.min(axis=1) <= got) & (got <= groups.max(axis=1)))
+        # The first four span no solid: the degenerate rule takes the mean.
+        assert np.allclose(got[:4], groups[:4].mean(axis=1), rtol=0.0, atol=1e-15)
+        assert got.tolist() == [reference.scalar_radon_point(g) for g in groups]
+
+
 def test_numpy_facts_the_batched_round_rests_on():
     """A batch of k normal 3-vectors is the stream of k single draws, and
     sqrt(vecdot) is the 1-D np.linalg.norm bit for bit.  If a numpy release
@@ -485,16 +533,19 @@ def test_numpy_facts_the_batched_round_rests_on():
 
 def test_numpy_facts_the_level_pass_rests_on():
     """The level pass stacks per-node work; each stacked or segmented form
-    must round exactly as the per-node call it replaces.  If a numpy or
-    LAPACK release breaks one, level-pass trees stop matching the recursion."""
+    must round exactly as the per-node call it replaces.  If a numpy
+    release breaks one, level-pass trees stop matching the recursion."""
     rng = np.random.default_rng(11)
-    # A stacked SVD returns each matrix's own factors.
-    for size in (1, 2, 7, 60, 200):
-        m = np.concatenate([rng.normal(size=(size, 3, 5)), np.ones((size, 1, 5))], axis=1)
-        vt = np.linalg.svd(m)[2]
-        for i in range(size):
-            assert np.array_equal(vt[i], np.linalg.svd(m[i])[2])
-    # Lock-step Radon reduction is per-set reduction: many sets, one SVD a step.
+    # The array determinant rounds as the same expression in Python
+    # floats, at scales 1e-8..1e8 and on lifted points.
+    rows = rng.normal(size=(3000, 3, 3)) * 10.0 ** rng.integers(-8, 9, size=(3000, 1, 1))
+    plane = rng.normal(size=(3000, 2)) * 10.0 ** rng.integers(-8, 9, size=(3000, 1))
+    rows[:1000] = separators._lift_to_sphere(plane).reshape(1000, 3, 3)
+    got = separators._det3(*rows.transpose(1, 2, 0))
+    want = np.array([reference.scalar_det3(*m.tolist()) for m in rows])
+    assert got.tobytes() == want.tobytes()
+    # Lock-step Radon reduction is per-set reduction: many sets, one
+    # closed-form Radon pass a step.
     sizes = [1, 4, 5, 6, 24, 25, 26, 130, 999, 1000]
     sets = [separators._lift_to_sphere(rng.normal(size=(k, 2))) for k in sizes]
     seeds = [rng.integers(1 << 30) for _ in sizes]
