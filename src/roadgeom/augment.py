@@ -290,14 +290,14 @@ def _word_search(indptr, nbr, keys, cutoff):
     return hops
 
 
-def _worst_pairs(worst, v, w, k=10):
-    """Indices of the k pairs first by (-worst, v, w), as
-    ``np.lexsort((w, v, -worst))[:k]``: only the pairs at least as bad as
-    the k-th worst, found by one partition, are sorted."""
+def _worst_pairs(worst, v, w):
+    """Indices of the ten pairs first by (-worst, v, w), as
+    ``np.lexsort((w, v, -worst))[:10]``: only the pairs at least as bad as
+    the tenth worst, found by one partition, are sorted."""
     cand = np.arange(len(worst))
-    if len(worst) > k:
-        cand = np.flatnonzero(worst >= np.partition(worst, -k)[-k])
-    return cand[np.lexsort((w[cand], v[cand], -worst[cand]))[:k]]
+    if len(worst) > 10:
+        cand = np.flatnonzero(worst >= np.partition(worst, -10)[-10])
+    return cand[np.lexsort((w[cand], v[cand], -worst[cand]))[:10]]
 
 
 def neighborly_check(
