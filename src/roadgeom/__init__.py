@@ -6,13 +6,7 @@ decompositions, runs comparison-model shortest paths and graph Voronoi
 labelings, and assembles circle arrangements.
 """
 
-from .arrangement import (
-    build_inductive,
-    build_naive,
-    complexity_audit,
-    system_ply,
-    vertex_depths,
-)
+from .arrangement import build_inductive, build_naive, complexity_audit, system_ply
 from .augment import clustering_check, grid_augment, neighborly_check
 from .crossings import CrossingTable, crossing_histogram, find_crossings, planarize, proper_only
 from .disks import (
@@ -24,7 +18,6 @@ from .disks import (
 )
 from .graphs import (
     GeometricGraph,
-    NetworkStats,
     gen_gotham,
     gen_hub_spoke,
     gen_random_geometric,
@@ -32,7 +25,6 @@ from .graphs import (
     load_dimacs,
     save_csv,
     save_dimacs,
-    stats,
 )
 from .routing import sssp, voronoi_direct, voronoi_via_tree
 from .separators import build_decomposition, find_separator
@@ -43,7 +35,6 @@ __all__ = [
     "CrossingTable",
     "DiskSystem",
     "GeometricGraph",
-    "NetworkStats",
     "build_decomposition",
     "build_disk_system",
     "build_inductive",
@@ -68,9 +59,7 @@ __all__ = [
     "save_csv",
     "save_dimacs",
     "sssp",
-    "stats",
     "system_ply",
-    "vertex_depths",
     "voronoi_direct",
     "voronoi_via_tree",
     "__version__",

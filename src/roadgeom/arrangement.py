@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._arrays import components, index_of, sorted_unique
-from .augment import ClusteringReport
+from .augment import ClusteringReport, clustering_check
 from .disks import DiskSystem, covering_counts
 from .errors import DegeneracyError, InvariantViolation
 from .geometry import circle_pair_points
@@ -35,10 +35,6 @@ class ArrangementVertex:
     point: tuple[float, float]
     circles: tuple[int, int]  # (i, j) with i < j, or (i, -1) for a sentinel
     tangent: bool = False
-
-    @property
-    def is_sentinel(self) -> bool:
-        return self.circles[1] == -1
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,11 +120,6 @@ class CircleArrangement:
             label = components(len(self.radii), self.table.i[joined], self.table.j[joined])
             self._components = len(sorted_unique(label[self.circles]))
         return self._components
-
-    def angle_on(self, vid: int, circle: int) -> float:
-        return math.atan2(
-            self.table.y[vid] - self.centers[circle, 1], self.table.x[vid] - self.centers[circle, 0]
-        )
 
     def face_count(self) -> int:
         """Faces of the embedded complex: the cycles of the face permutation
@@ -268,7 +259,7 @@ def build_inductive(system: DiskSystem, clustering: ClusteringReport) -> CircleA
         raise InvariantViolation("clustering report does not match the system")
     order, rank = system.radius_order()
     owner, member, comp = system.smaller_components()
-    found = np.bincount(owner[comp == np.arange(len(comp))], minlength=n)
+    found = clustering_check(system).component_counts
     bad = np.flatnonzero(found != clustering.component_counts)
     if len(bad):
         v = bad[np.argmin(rank[bad])]
@@ -307,11 +298,6 @@ def complexity_audit(arr: CircleArrangement, system: DiskSystem) -> ComplexityAu
         )
     n = max(len(system), 1)
     return ComplexityAudit(v, v / n)
-
-
-def vertex_depths(arr: CircleArrangement, system: DiskSystem) -> np.ndarray:
-    """Disk-coverage depth at every arrangement vertex."""
-    return covering_counts(system, np.column_stack([arr.table.x, arr.table.y]))
 
 
 def system_ply(system: DiskSystem) -> int:

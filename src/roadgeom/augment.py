@@ -17,7 +17,7 @@ from ._arrays import arcs_csr, components, concat_ranges, frozen, index_of, sort
 from .crossings import PlanarizedGraph
 from .disks import DiskSystem
 from .errors import ConfigError
-from .graphs import GeometricGraph
+from .graphs import GeometricGraph, _nearer_endpoint
 
 DIRECTIONS = ("up", "down", "left", "right")  # shortcut direction codes 0..3
 
@@ -71,8 +71,8 @@ def _axis_hits(g, a1, a2, b1, b2, qa, qr):
     (a1[k], b1[k])-(a2[k], b2[k]) and vertex v sits at (qa[v], qr[v]).
     Edges register in uniform slabs of a, of the median positive span; an
     edge spanning more than m slabs is wide, a candidate of every ray.
-    Returns (origin, target) arrays for the rays of growing b, then for
-    those of falling b.
+    Returns (ray, edge, hit) arrays, the hit as its b coordinate, for the
+    rays of growing b, then for those of falling b.
     """
     lo, hi = np.minimum(a1, a2), np.maximum(a1, a2)
     spans = hi - lo
@@ -94,7 +94,7 @@ def _axis_hits(g, a1, a2, b1, b2, qa, qr):
     start = np.searchsorted(keys, ray_slab, "left")
     count = np.searchsorted(keys, ray_slab, "right") - start
     total = np.cumsum(count + len(wide))
-    found = ([(np.empty(0, np.int64),) * 2], [(np.empty(0, np.int64),) * 2])
+    found = [[(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))] for _ in range(2)]
     v0 = 0
     while v0 < len(qa):
         # Whole rays, at most _RAY_BLOCK candidates unless one ray has more.
@@ -131,13 +131,7 @@ def _axis_hits(g, a1, a2, b1, b2, qa, qr):
             low = np.full(len(v), g.m)
             np.minimum.at(low, slot[tie], e[tie])
             win = tie & (e == low[slot])
-            r, e, h = r[win], e[win], h[win]
-            # The endpoint nearer the hit point, then the lower vertex id;
-            # float_power is the libm pow that a scalar ** 2 rounds with.
-            du = np.float_power(a1[e] - qa[r], 2) + np.float_power(b1[e] - h, 2)
-            dv = np.float_power(a2[e] - qa[r], 2) + np.float_power(b2[e] - h, 2)
-            u, w = g.edge_u[e], g.edge_v[e]
-            found[side].append((r, np.where((du < dv) | ((du == dv) & (u < w)), u, w)))
+            found[side].append((r[win], e[win], h[win]))
         v0 = v1
     return [tuple(map(np.concatenate, zip(*f))) for f in found]
 
@@ -157,8 +151,9 @@ def grid_augment(p: PlanarizedGraph) -> MixedAugmentedGraph:
     x, y = g.xy[:, 0], g.xy[:, 1]
     up, down = _axis_hits(g, xs1, xs2, ys1, ys2, x, y)
     right, left = _axis_hits(g, ys1, ys2, xs1, xs2, y, x)
-    hits = (up, down, left, right)  # in DIRECTIONS order
-    origin, target = (np.concatenate(col) for col in zip(*hits))
+    hits = [(r, _nearer_endpoint(g, e, x[r], h)) for r, e, h in (up, down)]
+    hits += [(r, _nearer_endpoint(g, e, h, y[r])) for r, e, h in (left, right)]
+    origin, target = (np.concatenate(col) for col in zip(*hits))  # in DIRECTIONS order
     code = np.repeat(np.arange(4), [len(o) for o, _ in hits])
     order = np.argsort(origin * 4 + code, kind="stable")
     return MixedAugmentedGraph(g, frozen(np.column_stack([origin, target, code])[order]))

@@ -47,6 +47,11 @@ GENERATORS = {
 }
 
 
+def _default(kind, key):
+    """The default of generator parameter ``key`` in ``GENERATORS``."""
+    return next(default for k, _, default in GENERATORS[kind][1] if k == key)
+
+
 def resolve_graph(spec: str, seed):
     """Build or load the graph named by a CLI graph spec."""
     kind, _, rest = spec.partition(":")
@@ -240,7 +245,7 @@ def cmd_report(args):
     rows = []
     for size in sizes:
         if args.gen == "gotham":
-            express = 4 if args.expressways is None else args.expressways
+            express = _default("gotham", "express") if args.expressways is None else args.expressways
             # Expressway chords need a side of 4, as spokes need a ring of 12.
             side = max(4 if express > 0 else 2, round(math.sqrt(size)))
             g = gen_gotham(side, express, args.seed)
@@ -251,7 +256,8 @@ def cmd_report(args):
             name = f"rgg-{size}"
         else:
             ring = max(12, round(math.sqrt(size)))
-            g = gen_hub_spoke(ring, 21 if args.spokes is None else args.spokes, args.seed)
+            spokes = _default("hubspoke", "spokes") if args.spokes is None else args.spokes
+            g = gen_hub_spoke(ring, spokes, args.seed)
             name = f"hubspoke-{ring}"
         value = REPORT_METRICS[args.metric](g, args)
         value_str = str(value) if isinstance(value, int) else _fmt(value)
@@ -320,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gen", required=True)
     p.add_argument("--sizes", required=True, help="comma list of target vertex counts")
     p.add_argument("--metric", required=True, help=f"one of {', '.join(REPORT_METRICS)}")
-    p.add_argument("--expressways", type=int, help="gotham only (default 4)")
-    p.add_argument("--spokes", type=int, help="hubspoke only (default 21)")
+    p.add_argument("--expressways", type=int, help=f"gotham only (default {_default('gotham', 'express')})")
+    p.add_argument("--spokes", type=int, help=f"hubspoke only (default {_default('hubspoke', 'spokes')})")
     p.add_argument("--radius", type=float, help="rgg only (default 1.5 / sqrt(size))")
     p.add_argument("--cutoff", type=int, default=250)
 

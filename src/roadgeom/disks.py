@@ -27,7 +27,7 @@ import numpy as np
 
 from ._arrays import components, concat_ranges, csr, frozen, grid_join, index_of, sorted_unique
 from .errors import ConfigError, InvariantViolation, ValidationError
-from .graphs import GeometricGraph
+from .graphs import GeometricGraph, _nearer_endpoint
 
 
 class DiskSystem:
@@ -35,8 +35,8 @@ class DiskSystem:
 
     ``vertices[i]`` is the source-graph vertex id of position ``i`` (the two
     coincide for a freshly built system; subsets keep original ids).
-    ``pairs`` holds positional index pairs (i, j), i < j, of intersecting
-    closed disks.
+    ``pairs`` holds positional index pairs (i, j), 0 <= i < j < n, of
+    intersecting closed disks; the constructor rejects any other row.
 
     Completeness contract: ``pairs`` must list every intersecting pair, and
     the constructor does not check that it does.  Center ply, the charge
@@ -57,6 +57,10 @@ class DiskSystem:
             raise ValidationError("non-finite disk center or radius")
         if np.any(self.radii < 0):
             raise ValidationError("negative disk radius")
+        i, j = self.pairs[:, 0], self.pairs[:, 1]
+        bad = np.flatnonzero((i < 0) | (i >= j) | (j >= len(self.radii)))
+        if len(bad):
+            raise ValidationError(f"pair row {self.pairs[bad[0]].tolist()} is not (i, j) with 0 <= i < j < n")
         for a in (self.vertices, self.centers, self.radii, self.pairs):
             a.setflags(write=False)
         self._adjacency = None
@@ -383,14 +387,7 @@ def check_crossing_charges(g: GeometricGraph, system: DiskSystem, proper) -> Non
     an edge is the one closer to the crossing point, the lower vertex id on
     ties.
     """
-    px, py = proper.x, proper.y
-    near = []
-    for e in (proper.e1, proper.e2):
-        u, v = g.edge_u[e], g.edge_v[e]
-        # float_power is libm pow, the rounding of a scalar ``** 2``.
-        du = np.float_power(g.xy[u, 0] - px, 2) + np.float_power(g.xy[u, 1] - py, 2)
-        dv = np.float_power(g.xy[v, 0] - px, 2) + np.float_power(g.xy[v, 1] - py, 2)
-        near.append(np.where((du < dv) | ((du == dv) & (u <= v)), u, v))
+    near = [_nearer_endpoint(g, e, proper.x, proper.y) for e in (proper.e1, proper.e2)]
     bad = np.flatnonzero(_missing_pairs(system, *near))
     if len(bad):
         i = bad[0]

@@ -9,7 +9,6 @@ nothing downstream assumes they reflect the geometry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,14 +18,6 @@ from ._arrays import csr, grid_join, index_of, sorted_unique
 from .errors import ConfigError, ParseError, ValidationError
 
 COORD_SCALE = 1e-6  # file coordinates are integers in micro-degrees
-
-
-@dataclass(frozen=True)
-class NetworkStats:
-    n: int
-    m: int
-    max_degree: int
-    degree_histogram: dict[int, int]
 
 
 class GeometricGraph:
@@ -82,13 +73,6 @@ class GeometricGraph:
     @property
     def m(self) -> int:
         return len(self.edge_u)
-
-    def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        if self.m:
-            np.add.at(deg, self.edge_u, 1)
-            np.add.at(deg, self.edge_v, 1)
-        return deg
 
     def adjacency(self):
         """CSR adjacency: (indptr, neighbor, edge_index, weight)."""
@@ -153,14 +137,18 @@ class GeometricGraph:
         return cls(np.asarray(points, dtype=np.float64).reshape(-1, 2), eu, ev, ew, el, meta)
 
 
-def stats(g: GeometricGraph) -> NetworkStats:
-    """Exact vertex/edge counts and the degree distribution."""
-    deg = g.degrees()
-    if g.n == 0:
-        return NetworkStats(0, 0, 0, {})
-    counts = np.bincount(deg)
-    hist = {int(d): int(c) for d, c in enumerate(counts) if c > 0}
-    return NetworkStats(g.n, g.m, int(deg.max()), hist)
+def _nearer_endpoint(g: GeometricGraph, e, px, py) -> np.ndarray:
+    """Per k, the endpoint of edge e[k] nearer the point (px[k], py[k]), the
+    lower vertex id on ties.
+
+    Squared distances round as the scalar (x - px) ** 2 + (y - py) ** 2:
+    float_power is the libm pow a scalar ``** 2`` uses.  Edges store u < v,
+    so the lower id wins a tie exactly when du <= dv.
+    """
+    u, v = g.edge_u[e], g.edge_v[e]
+    du = np.float_power(g.xy[u, 0] - px, 2) + np.float_power(g.xy[u, 1] - py, 2)
+    dv = np.float_power(g.xy[v, 0] - px, 2) + np.float_power(g.xy[v, 1] - py, 2)
+    return np.where(du <= dv, u, v)
 
 
 # -- text ingestion ------------------------------------------------------------

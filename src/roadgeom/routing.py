@@ -43,18 +43,13 @@ class VoronoiLabeling:
 
 
 def sssp(g: GeometricGraph, source: int) -> ShortestPathResult:
-    """Exact single-source shortest paths; pops tie-broken by vertex id.
-
-    One constant label makes the lexicographic run a plain Dijkstra: a pop
-    is stale iff its distance was improved, and only a strictly shorter
-    distance relaxes a vertex.
-    """
+    """Exact single-source shortest paths: the one-site direct Voronoi run.
+    One label makes it a plain Dijkstra, pops tie-broken by vertex id: only
+    a strictly shorter distance relaxes a vertex."""
     if not 0 <= source < g.n:
         raise ValidationError(f"unknown source vertex {source}")
-    indptr, nbr, _, wt = g.adjacency()
-    rule = np.full(len(nbr), -2, dtype=np.int64)
-    dist, _, parent = _lex_dijkstra(g.n, indptr, nbr, wt, rule, [(0.0, 0, source)])
-    return ShortestPathResult(source, dist, parent)
+    d = voronoi_direct(g, [source])
+    return ShortestPathResult(source, d.dist, d.parent)
 
 
 def _lex_dijkstra(n, indptr, nbr, wt, rule, seeds):

@@ -10,10 +10,9 @@ from roadgeom.arrangement import (
     build_naive,
     complexity_audit,
     system_ply,
-    vertex_depths,
 )
 from roadgeom.augment import clustering_check
-from roadgeom.disks import DiskSystem, build_disk_system
+from roadgeom.disks import DiskSystem, build_disk_system, covering_counts
 from roadgeom.errors import DegeneracyError, InvariantViolation
 from roadgeom.geometry import circle_pair_points, orient
 
@@ -95,7 +94,10 @@ class TestBuildNaive:
         s = build_disk_system(g)
         arr = build_naive(s)
         for c, ring in arr.rings.items():
-            angles = [arr.angle_on(v, c) for v in ring]
+            angles = [
+                math.atan2(arr.table.y[v] - s.centers[c, 1], arr.table.x[v] - s.centers[c, 0])
+                for v in ring
+            ]
             assert angles == sorted(angles)
             for v in ring:
                 pair = arr.vertices[v].circles
@@ -172,7 +174,7 @@ class TestDepths:
     def test_vertex_depths(self):
         s = system_from([(0.0, 0.0), (1.0, 0.0)], [1.0, 1.0])
         arr = build_naive(s)
-        depths = vertex_depths(arr, s)
+        depths = covering_counts(s, np.column_stack([arr.table.x, arr.table.y]))
         # Lens crossing points lie on both circles.
         assert np.all(depths == 2)
 
@@ -223,7 +225,8 @@ class TestVertexTableMatchesOracles:
             arr = reference.naive_arrangement(s)
             pts = np.array([v.point for v in arr.vertices]).reshape(-1, 2)
             want = [int(np.sum(np.hypot(*(p - s.centers).T) <= s.radii)) for p in pts]
-            assert vertex_depths(build_naive(s), s).tolist() == want
+            t = build_naive(s).table
+            assert covering_counts(s, np.column_stack([t.x, t.y])).tolist() == want
 
     def test_smaller_components_match_oracle(self):
         for s in oracle_corpus():
@@ -237,7 +240,7 @@ class TestVertexTableMatchesOracles:
         arr = build_naive(system_from([(0.0, 0.0), (1.0, 0.0), (5.0, 0.0)], [1.0, 1.0, 1.0]))
         v = arr.vertices
         assert len(v) == 3 and v[-1] == v[2]
-        assert v[2].is_sentinel and v[2].point == (6.0, 0.0)
+        assert v[2].circles == (2, -1) and v[2].point == (6.0, 0.0)
         assert all(type(c) is float for c in v[0].point)
         assert all(type(c) is int for c in v[0].circles)
         with pytest.raises(IndexError):

@@ -94,6 +94,16 @@ class TestBuildDiskSystem:
         with pytest.raises(ValidationError, match="non-finite"):
             DiskSystem([0, 1], centers, radii, [[0, 1]])
 
+    @pytest.mark.parametrize(
+        "pairs",
+        [[[0, 5]], [[-1, 0]], [[1, 0]], [[1, 1]], [[0, 1], [0, 2]], [[0, 1], [1, -1]]],
+    )
+    def test_bad_pair_rows_are_rejected(self, pairs):
+        # Unchecked, such rows fail later in center_ply or bincount with
+        # unnamed errors, or make _missing_pairs miss a listed reversed pair.
+        with pytest.raises(ValidationError, match=re.escape(f"pair row {pairs[-1]} ")):
+            DiskSystem([0, 1], [[0, 0], [1, 0]], [1, 1], pairs)
+
 
 class TestPly:
     def test_unit_path(self):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import roadgeom as rg
 from roadgeom.errors import ConfigError, ParseError, ValidationError
+from roadgeom.graphs import _nearer_endpoint
 
 
 def write(path, text):
@@ -221,34 +222,53 @@ class TestHubSpoke:
             rg.gen_hub_spoke(16, 0, seed=0)
 
 
-class TestStats:
-    def test_empty(self):
-        g = rg.GeometricGraph.build([], [])
-        s = rg.stats(g)
-        assert s.n == 0 and s.m == 0 and s.max_degree == 0
+def scalar_nearer_endpoint(g, e, px, py, swapped=False):
+    """Per query, the endpoint nearer the point by (x - px) ** 2 + (y - py) ** 2
+    in Python floats, then the lower vertex id; ``swapped`` sums the y term
+    first, the order of a ray along the x axis."""
+    out = []
+    for k, a, b in zip(e.tolist(), px.tolist(), py.tolist()):
+        ends = []
+        for w in (int(g.edge_u[k]), int(g.edge_v[k])):
+            x, y = g.xy[w].tolist()
+            ends.append(((y - b) ** 2 + (x - a) ** 2 if swapped else (x - a) ** 2 + (y - b) ** 2, w))
+        out.append(min(ends)[1])
+    return out
 
-    def test_cycle(self):
-        g = rg.GeometricGraph.build(
-            [(0, 0), (1, 0), (1, 1), (0, 1)],
-            [(0, 1, 1, 4), (1, 2, 1, 4), (2, 3, 1, 4), (0, 3, 1, 4)],
-        )
-        s = rg.stats(g)
-        assert s.max_degree == 2
-        assert s.degree_histogram == {2: 4}
 
-    def test_histogram_matches_recount(self):
-        g = rg.gen_gotham(8, 2, seed=13)
-        s = rg.stats(g)
-        deg = {}
-        for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()):
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-        hist = {}
-        for v in range(g.n):
-            d = deg.get(v, 0)
-            hist[d] = hist.get(d, 0) + 1
-        assert s.degree_histogram == hist
-        assert s.max_degree == max(deg.values())
+class TestNearerEndpoint:
+    """The one endpoint rule of crossing charges and shortcut targets."""
+
+    def check(self, g, e, px, py):
+        got = _nearer_endpoint(g, e, px, py).tolist()
+        assert got == scalar_nearer_endpoint(g, e, px, py)
+        assert got == scalar_nearer_endpoint(g, e, px, py, swapped=True)
+        return got
+
+    def test_lattice_ties_go_to_the_lower_id(self):
+        rng = np.random.default_rng(5)
+        xy = np.array([(x, y) for x in range(5) for y in range(5)], dtype=np.float64)[rng.permutation(25)]
+        pairs = {tuple(sorted(p)) for p in rng.integers(25, size=(60, 2)).tolist() if p[0] != p[1]}
+        g = rg.GeometricGraph.build(xy, [(u, v, 1.0) for u, v in sorted(pairs)])
+        grid = np.arange(-2, 11) / 2.0
+        px, py = (np.tile(c.ravel(), g.m) for c in np.meshgrid(grid, grid))
+        e = np.repeat(np.arange(g.m), len(grid) ** 2)
+        got = self.check(g, e, px, py)
+        # Squares of halves are exact: ties are common, and each goes to edge_u.
+        p = np.column_stack([px, py])
+        tie = ((g.xy[g.edge_u[e]] - p) ** 2).sum(axis=1) == ((g.xy[g.edge_v[e]] - p) ** 2).sum(axis=1)
+        assert tie.sum() > 400
+        assert np.array_equal(np.asarray(got)[tie], g.edge_u[e][tie])
+
+    def test_random_points_at_every_scale(self):
+        rng = np.random.default_rng(9)
+        n, k = 400, 20000
+        xy = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-8, 9, size=(n, 1))
+        g = rg.GeometricGraph.build(xy, [(2 * i, 2 * i + 1, 1.0) for i in range(n // 2)])
+        e = rng.integers(g.m, size=k)
+        mid = (g.xy[g.edge_u[e]] + g.xy[g.edge_v[e]]) / 2
+        p = mid + rng.normal(size=(k, 2)) * 10.0 ** rng.integers(-8, 9, size=(k, 1))
+        self.check(g, e, p[:, 0], p[:, 1])
 
 
 coord = st.floats(
