@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._arrays import arcs_csr, components, concat_ranges, frozen, index_of, sorted_unique
-from .crossings import PlanarizedGraph
+from . import crossings
 from .disks import DiskSystem
 from .errors import ConfigError
 from .graphs import GeometricGraph, _nearer_endpoint
@@ -53,9 +53,6 @@ class ClusteringReport:
     max_components: int
 
 
-# (ray, edge) candidates expanded at once: bounds the extra memory of
-# grid_augment, which would otherwise grow with n times the slab occupancy.
-_RAY_BLOCK = 2**14
 # Sources with at least this many distinct partners, the word width, search
 # bit-parallel; the rest as (source, vertex) pairs.
 _WIDE = 64
@@ -64,79 +61,76 @@ _WIDE = 64
 _SEEN_BUDGET = 8
 
 
-def _axis_hits(g, a1, a2, b1, b2, qa, qr):
-    """Shortcuts of every vertex's two rays along one axis.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _ray_walks(g, a1, a2, b1, b2, qa, qb):
+    """First hits of the rays of vertex v from (qa[v], qb[v]) along b, with
+    edge k from (a1[k], b1[k]) to (a2[k], b2[k]): (ray, edge, hit) arrays,
+    the hit as its b coordinate, for growing b, then for falling b.
 
-    Coordinate a runs across the rays and b along them: edge k spans
-    (a1[k], b1[k])-(a2[k], b2[k]) and vertex v sits at (qa[v], qr[v]).
-    Edges register in uniform slabs of a, of the median positive span; an
-    edge spanning more than m slabs is wide, a candidate of every ray.
-    Returns (ray, edge, hit) arrays, the hit as its b coordinate, for the
-    rays of growing b, then for those of falling b.
+    The edges register on ``crossings._segment_grid``, a as its column axis.
+    Each ray reads the long edges, then the occupied cells of its column
+    from one row behind its origin's, all rays a cell per round, keeping
+    its nearest hit, lowest edge first.  With every edge within 2^48 cells
+    of the origin a rounding errs by under h / 16, so a hit lies less than
+    a row outside the rows its edge registers in the column: the rows more
+    than one behind the origin's hold no hit ahead of it, and before
+    occupied row R unread edges hit at b >= (R - 1) h.  A ray stops once
+    its nearest distance is below that of (R - 1) h, which no unread one
+    can equal, distances rounding monotonely; falling rays use (R + 2) h.
     """
-    lo, hi = np.minimum(a1, a2), np.maximum(a1, a2)
-    spans = hi - lo
-    positive = spans[spans > 0]
-    width = max(float(np.median(positive)) if len(positive) else 1.0, 1e-12)
-    with np.errstate(over="ignore"):
-        first, last, ray_slab = np.floor(lo / width), np.floor(hi / width), np.floor(qa / width)
-    # Written so that NaN and inf fail the test too.
-    if not np.abs(np.concatenate([first, last])).max(initial=0.0) < 2.0**53:
-        raise ConfigError("coordinate range too large for the slab index")
-    count = last - first + 1
-    narrow = count <= len(lo)
-    wide = np.flatnonzero(~narrow)
-    count = count[narrow].astype(np.int64)
-    slab = concat_ranges(first[narrow].astype(np.int64), count)
-    order = np.argsort(slab, kind="stable")
-    keys, edges = slab[order].astype(np.float64), np.repeat(np.flatnonzero(narrow), count)[order]
-    # The ray's slab stays a float: a far-off vertex must miss every slab.
-    start = np.searchsorted(keys, ray_slab, "left")
-    count = np.searchsorted(keys, ray_slab, "right") - start
-    total = np.cumsum(count + len(wide))
-    found = [[(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))] for _ in range(2)]
-    v0 = 0
-    while v0 < len(qa):
-        # Whole rays, at most _RAY_BLOCK candidates unless one ray has more.
-        before = total[v0] - count[v0] - len(wide)
-        v1 = max(int(np.searchsorted(total, before + _RAY_BLOCK, "right")), v0 + 1)
-        v, c = np.arange(v0, v1), count[v0:v1]
-        ray = np.concatenate([np.repeat(v, c), np.repeat(v, len(wide))])
-        cand = np.concatenate([edges[concat_ranges(start[v0:v1], c)], np.tile(wide, len(v))])
-        # Non-incident edges whose a-interval holds the ray.
-        q = qa[ray]
-        keep = (g.edge_u[cand] != ray) & (g.edge_v[cand] != ray)
-        keep &= (lo[cand] <= q) & (q <= hi[cand])
-        ray, cand, q, at = ray[keep], cand[keep], q[keep], qr[ray[keep]]
-        e1, e2, f1, f2 = a1[cand], a2[cand], b1[cand], b2[cand]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            t = (q - e1) / (e2 - e1)
-        hit = f1 + t * (f2 - f1)
-        # An edge collinear with the ray's axis line is first met at the
-        # origin if it straddles it, else at its nearer endpoint; NaN when
-        # it lies behind the ray.
-        degenerate = e1 == e2
-        near, far = np.minimum(f1, f2), np.maximum(f1, f2)
-        straddle = (near <= at) & (at <= far)
-        for side, (entry, behind) in enumerate(((near, far < at), (far, near > at))):
-            along = np.where(behind, np.nan, np.where(straddle, at, entry))
-            h = np.where(degenerate, along, hit)
-            ok = ((h >= at) if side == 0 else (h <= at)) & np.isfinite(h)
-            r, e, h = ray[ok], cand[ok], h[ok]
-            # The nearest hit, then the lowest edge index among equals.
-            d, slot = np.abs(h - at[ok]), r - v0
-            best = np.full(len(v), np.inf)
-            np.minimum.at(best, slot, d)
-            tie = d == best[slot]
-            low = np.full(len(v), g.m)
-            np.minimum.at(low, slot[tie], e[tie])
-            win = tie & (e == low[slot])
-            found[side].append((r[win], e[win], h[win]))
-        v0 = v1
-    return [tuple(map(np.concatenate, zip(*f))) for f in found]
+    h, base, nrow, keys, owner, long = crossings._segment_grid(a1, b1, a2, b2)
+    if not np.abs(np.concatenate([a1, a2, b1, b2]) / h).max(initial=0.0) <= 2.0**48:
+        raise ConfigError("coordinate range too large for the shortcut grid")
+    first = np.flatnonzero(np.diff(keys, prepend=keys[:1] - 1))
+    cells, count = keys[first], np.diff(first, append=len(keys))
+    # Clipped to a column just past the occupied ones (and column 0), a ray outside them walks an empty one.
+    col = np.clip(np.floor(qa / h), keys.min(initial=0) // nrow - 1, keys.max(initial=0) // nrow + 1)
+    col, row = col.astype(np.int64) * nrow, np.floor(qb / h) - base
+    lo, hi, pool = np.minimum(a1, a2), np.maximum(a1, a2), np.concatenate([owner, long])
+    n, m, found, block = len(qa), len(a1), [], crossings._PAIR_BLOCK
+    for s in (1, -1):
+        best_d, best_e, best_hit = np.full(n, np.inf), np.full(n, m), np.full(n, np.nan)
+
+        def read(ray, start, size):
+            # Ray i meets the edges pool[start[i]:][:size[i]], _PAIR_BLOCK at a time.
+            cuts = np.searchsorted(np.cumsum(size), np.arange(block, size.sum(), block))
+            for r, c, k in zip(np.split(ray, cuts), np.split(start, cuts), np.split(size, cuts)):
+                r, e = np.repeat(r, k), pool[concat_ranges(c, k)]
+                keep = (g.edge_u[e] != r) & (g.edge_v[e] != r) & (lo[e] <= qa[r]) & (qa[r] <= hi[e])
+                r, e = r[keep], e[keep]
+                q, at, e1, e2, f1, f2 = qa[r], qb[r], a1[e], a2[e], b1[e], b2[e]
+                hit = f1 + (q - e1) / (e2 - e1) * (f2 - f1)
+                # An edge on the ray's line is met at the origin if it straddles
+                # it, else at its nearer end, which may lie behind the ray.
+                hit = np.where(e1 == e2, np.clip(at, np.minimum(f1, f2), np.maximum(f1, f2)), hit)
+                # Each ray's nearest hit ahead, lowest edge first, against its best so far.
+                d = np.where((s * (hit - at) >= 0) & np.isfinite(hit), np.abs(hit - at), np.nan)
+                order = np.lexsort((e, d, r))
+                head = order[np.diff(r[order], prepend=-1) != 0]
+                r, e, d, hit = r[head], e[head], d[head], hit[head]
+                win = (d < best_d[r]) | (d == best_d[r]) & (e < best_e[r])
+                best_d[r[win]], best_e[r[win]], best_hit[r[win]] = d[win], e[win], hit[win]
+
+        read(np.arange(n), np.full(n, len(owner)), np.full(n, len(long)))
+        # Rays read cells[pos:stop] forward, or cells[stop + 1:pos + 1] back.
+        shift = (s - 1) // 2
+        start = col + np.clip(row - s, shift, nrow + shift).astype(np.int64)
+        pos = np.searchsorted(cells, start, "left" if s > 0 else "right") + shift
+        stop = np.searchsorted(cells, col + (nrow if s > 0 else 0)) + shift
+        live = np.flatnonzero(pos != stop)
+        while len(live):
+            j = pos[live]
+            read(live, first[j], count[j])
+            pos[live] = j = j + s
+            more = j != stop[live]
+            bound = (cells[np.where(more, j, 0)] % nrow + base + (1 - 3 * s) // 2) * h
+            live = live[more & ~(best_d[live] < s * (bound - qb[live]))]
+        hit = np.flatnonzero(best_e < m)
+        found.append((hit, best_e[hit], best_hit[hit]))
+    return found
 
 
-def grid_augment(p: PlanarizedGraph) -> MixedAugmentedGraph:
+def grid_augment(p: crossings.PlanarizedGraph) -> MixedAugmentedGraph:
     """Shortcuts for every base vertex along the four axis rays.
 
     Rays shoot against the base edge set; targets are base-edge endpoints,
@@ -149,8 +143,8 @@ def grid_augment(p: PlanarizedGraph) -> MixedAugmentedGraph:
     g = p.base
     xs1, ys1, xs2, ys2 = g.segment_arrays()
     x, y = g.xy[:, 0], g.xy[:, 1]
-    up, down = _axis_hits(g, xs1, xs2, ys1, ys2, x, y)
-    right, left = _axis_hits(g, ys1, ys2, xs1, xs2, y, x)
+    up, down = _ray_walks(g, xs1, xs2, ys1, ys2, x, y)
+    right, left = _ray_walks(g, ys1, ys2, xs1, xs2, y, x)
     hits = [(r, _nearer_endpoint(g, e, x[r], h)) for r, e, h in (up, down)]
     hits += [(r, _nearer_endpoint(g, e, h, y[r])) for r, e, h in (left, right)]
     origin, target = (np.concatenate(col) for col in zip(*hits))  # in DIRECTIONS order

@@ -108,56 +108,11 @@ def _cell_candidates(g: GeometricGraph):
     """
     m = g.m
     x1, y1, x2, y2 = g.segment_arrays()
-    # Left endpoint first, as the column walk runs in increasing x.
-    swap = x1 > x2
-    ax, ay = np.where(swap, x2, x1), np.where(swap, y2, y1)
-    bx, by = np.where(swap, x1, x2), np.where(swap, y1, y2)
-    ymin = np.minimum(ay, by)
-    ymax = np.maximum(ay, by)
-
-    spans = np.maximum(bx - ax, ymax - ymin)
-    positive = spans[spans > 0]
-    h = max(float(np.median(positive)) if len(positive) else 1.0, 1e-12)
-
-    fx0, fx1 = np.floor(ax / h), np.floor(bx / h)
-    fy0, fy1 = np.floor(ymin / h), np.floor(ymax / h)
-    wide = ((fx1 - fx0) > 1) | ((fy1 - fy0) > 1)
-    # A walked segment registers at most 3 rows per column plus one per row
-    # it climbs; one whose bound exceeds m is cheaper to test against all m
-    # bounding boxes than to walk.
-    long = wide & (3.0 * (fx1 - fx0 + 1.0) + (fy1 - fy0) + 2.0 > m)
-    reg = np.flatnonzero(~long)
-    if len(reg):
-        c0, c1, r0, r1 = (f[reg] for f in (fx0, fx1, fy0, fy1))
-        # Rows stray at most two past the box, so this bounds every int64 key.
-        extent = (max(-c0.min(), c1.max()) + 1.0) * (r1.max() - r0.min() + 5.0)
-        if max(-r0.min(), r1.max()) >= 2.0**61 or extent >= 2.0**62:
-            raise ConfigError("coordinate range too large for the crossing grid")
-
-    # Each registered segment covers one strip of rows per grid column: its
-    # bounding-box rows, or, for a sloped wide segment, the rows it spans
-    # inside the column with one row of padding against rounding in ya/yb.
-    cx0 = fx0[reg].astype(np.int64)
-    ncol = fx1[reg].astype(np.int64) - cx0 + 1
-    owner = np.repeat(reg, ncol)
-    col = concat_ranges(cx0, ncol)
-    row_lo = fy0[owner].astype(np.int64)
-    row_hi = fy1[owner].astype(np.int64)
-    walk = wide[owner] & (ax[owner] != bx[owner])
-    e, c = owner[walk], col[walk]
-    slope = (by[e] - ay[e]) / (bx[e] - ax[e])
-    ya = ay[e] + slope * (np.maximum(ax[e], c * h) - ax[e])
-    yb = ay[e] + slope * (np.minimum(bx[e], (c + 1) * h) - ax[e])
-    row_lo[walk] = np.floor(np.minimum(ya, yb) / h).astype(np.int64) - 1
-    row_hi[walk] = np.floor(np.maximum(ya, yb) / h).astype(np.int64) + 1
-
-    nrow = row_hi - row_lo + 1
-    base, top = (row_lo.min(), row_hi.max()) if len(reg) else (0, 0)
-    cell = np.repeat(col * (top - base + 1), nrow)
-    cell += concat_ranges(row_lo - base, nrow)
-    keys = _same_cell_keys(cell, np.repeat(owner, nrow), m)
-    for i in np.flatnonzero(long):
-        hit = (ax <= bx[i]) & (bx >= ax[i]) & (ymin <= ymax[i]) & (ymax >= ymin[i])
+    *_, cell, owner, long = _segment_grid(x1, y1, x2, y2)
+    keys = _same_cell_keys(cell, owner, m)
+    (xlo, xhi), (ylo, yhi) = np.sort([x1, x2], axis=0), np.sort([y1, y2], axis=0)
+    for i in long:
+        hit = (xlo <= xhi[i]) & (xhi >= xlo[i]) & (ylo <= yhi[i]) & (yhi >= ylo[i])
         hit[i] = False
         j = np.flatnonzero(hit)
         keys.append(np.minimum(j, i) * np.int64(m) + np.maximum(j, i))
@@ -166,17 +121,68 @@ def _cell_candidates(g: GeometricGraph):
     return np.divmod(keys[0], m)
 
 
-def _same_cell_keys(cell, owner, m):
-    """Keys a * m + b (a < b) of the owner pairs registered in a common cell,
-    as a list of sorted distinct blocks (a pair may recur across blocks)."""
+def _segment_grid(x1, y1, x2, y2):
+    """(h, base, nrow, cell, owner, long): the segments (x1[k], y1[k])-(x2[k],
+    y2[k]) on one grid of side h, the median positive span.  A segment
+    registers its bounding-box cells or, if sloped and wide, per column the
+    rows it spans there padded by one; one that would register more than m
+    cells is long and registers none.  ``cell`` holds the sorted keys
+    column * nrow + row - base of the registrations, ``owner`` their segments.
+    """
+    # Left endpoint first, as the column walk runs in increasing x.
+    swap = x1 > x2
+    ax, ay = np.where(swap, x2, x1), np.where(swap, y2, y1)
+    bx, by = np.where(swap, x1, x2), np.where(swap, y1, y2)
+    ymin, ymax = np.minimum(ay, by), np.maximum(ay, by)
+
+    spans = np.maximum(bx - ax, ymax - ymin)
+    positive = spans[spans > 0]
+    h = max(float(np.median(positive)) if len(positive) else 1.0, 1e-12)
+
+    fx0, fx1 = np.floor(ax / h), np.floor(bx / h)
+    fy0, fy1 = np.floor(ymin / h), np.floor(ymax / h)
+    wide = ((fx1 - fx0) > 1) | ((fy1 - fy0) > 1)
+    # A walked segment registers at most 3 rows per column plus one per row it
+    # climbs; past m = len(x1) cells, testing all m bounding boxes is cheaper.
+    long = wide & (3.0 * (fx1 - fx0 + 1.0) + (fy1 - fy0) + 2.0 > len(x1))
+    reg = np.flatnonzero(~long)
+    if len(reg):
+        c0, c1, r0, r1 = (f[reg] for f in (fx0, fx1, fy0, fy1))
+        # Rows stray at most two past the box, so this bounds every int64 key.
+        extent = (max(-c0.min(), c1.max()) + 1.0) * (r1.max() - r0.min() + 5.0)
+        if max(-r0.min(), r1.max()) >= 2.0**61 or extent >= 2.0**62:
+            raise ConfigError("coordinate range too large for the crossing grid")
+
+    cx0 = fx0[reg].astype(np.int64)
+    ncol = fx1[reg].astype(np.int64) - cx0 + 1
+    owner, col = np.repeat(reg, ncol), concat_ranges(cx0, ncol)
+    row_lo, row_hi = fy0[owner].astype(np.int64), fy1[owner].astype(np.int64)
+    walk = wide[owner] & (ax[owner] != bx[owner])
+    e, c = owner[walk], col[walk]
+    slope = (by[e] - ay[e]) / (bx[e] - ax[e])
+    # Two ulps wider a side, column c's x-range holds every x with floor(x / h) = c.
+    lo, hi = c * h - 2 * np.spacing(np.abs(c * h)), (c + 1) * h + 2 * np.spacing(np.abs((c + 1) * h))
+    ya = ay[e] + slope * (np.maximum(ax[e], lo) - ax[e])
+    yb = ay[e] + slope * (np.minimum(bx[e], hi) - ax[e])
+    row_lo[walk] = np.floor(np.minimum(ya, yb) / h).astype(np.int64) - 1
+    row_hi[walk] = np.floor(np.maximum(ya, yb) / h).astype(np.int64) + 1
+
+    nrow = row_hi - row_lo + 1
+    base, top = (int(row_lo.min()), int(row_hi.max())) if len(reg) else (0, 0)
+    cell = np.repeat(col * (top - base + 1), nrow)
+    cell += concat_ranges(row_lo - base, nrow)
     order = np.argsort(cell)
-    cell, owner = cell[order], owner[order]
-    first = np.ones(len(cell), dtype=bool)
-    np.not_equal(cell[1:], cell[:-1], out=first[1:])
-    run_stop = np.append(np.flatnonzero(first)[1:], len(cell))
+    return h, base, top - base + 1, cell[order], np.repeat(owner, nrow)[order], np.flatnonzero(long)
+
+
+def _same_cell_keys(cell, owner, m):
+    """Keys a * m + b (a < b) of the owner pairs sharing a cell of the sorted
+    ``cell``, as a list of sorted distinct blocks (a pair may recur across them)."""
+    first = np.flatnonzero(np.diff(cell, prepend=cell[:1] - 1))
+    count = np.diff(first, append=len(cell))
     pos = np.arange(len(cell))
     # Each registration pairs with every later one in its cell.
-    later = run_stop[np.cumsum(first) - 1] - pos - 1
+    later = np.repeat(first + count, count) - pos - 1
     # Expand about _PAIR_BLOCK pairs at a time and deduplicate each block, so
     # the copies of a pair that shares several cells never all exist at once.
     done = np.cumsum(later)

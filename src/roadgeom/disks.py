@@ -27,7 +27,7 @@ import numpy as np
 
 from ._arrays import components, concat_ranges, csr, frozen, grid_join, index_of, sorted_unique
 from .errors import ConfigError, InvariantViolation, ValidationError
-from .graphs import GeometricGraph, _nearer_endpoint
+from .graphs import GeometricGraph, _nearer_endpoint, _two_columns
 
 
 class DiskSystem:
@@ -50,9 +50,12 @@ class DiskSystem:
     def __init__(self, vertices, centers, radii, pairs):
         # Owned copies, frozen below; callers keep their buffers writable.
         self.vertices = np.array(vertices, dtype=np.int64, copy=True)
-        self.centers = np.array(centers, dtype=np.float64, copy=True).reshape(-1, 2)
+        self.centers = _two_columns(centers, np.float64, "disk centers")
         self.radii = np.array(radii, dtype=np.float64, copy=True)
-        self.pairs = np.array(pairs, dtype=np.int64, copy=True).reshape(-1, 2)
+        self.pairs = _two_columns(pairs, np.int64, "disk pairs")
+        v, c, r = self.vertices, self.centers, self.radii
+        if not (v.ndim == r.ndim == 1 and len(v) == len(c) == len(r)):
+            raise ValidationError(f"vertices {v.shape}, centers {c.shape} and radii {r.shape} differ in positions")
         if not (np.all(np.isfinite(self.centers)) and np.all(np.isfinite(self.radii))):
             raise ValidationError("non-finite disk center or radius")
         if np.any(self.radii < 0):

@@ -31,7 +31,7 @@ class GeometricGraph:
     def __init__(self, xy, edge_u, edge_v, edge_weight, edge_level, meta=None):
         # Owned copies: the graph freezes its arrays without touching the
         # caller's buffers.
-        xy = np.array(xy, dtype=np.float64, copy=True).reshape(-1, 2)
+        xy = _two_columns(xy, np.float64, "vertex coordinates")
         u = np.array(edge_u, dtype=np.int64, copy=True).ravel()
         v = np.array(edge_v, dtype=np.int64, copy=True).ravel()
         w = np.array(edge_weight, dtype=np.float64, copy=True).ravel()
@@ -135,6 +135,17 @@ class GeometricGraph:
         else:
             eu = ev = ew = el = ()
         return cls(np.asarray(points, dtype=np.float64).reshape(-1, 2), eu, ev, ew, el, meta)
+
+
+def _two_columns(rows, dtype, name) -> np.ndarray:
+    """An owned copy of ``rows`` as a (k, 2) array; an empty input is (0, 2)
+    and any other shape a ValidationError naming ``name``."""
+    a = np.array(rows, dtype=dtype, copy=True)
+    if a.size == 0:
+        return a.reshape(0, 2)
+    if a.ndim != 2 or a.shape[1] != 2:
+        raise ValidationError(f"{name} must be rows of two columns, not an array of shape {a.shape}")
+    return a
 
 
 def _nearer_endpoint(g: GeometricGraph, e, px, py) -> np.ndarray:

@@ -145,6 +145,65 @@ class TestGridAugment:
         assert time.perf_counter() - start < 1.0
         assert shortcut_map(aug) == reference.ray_shoot_all(g)
 
+    def test_far_apart_grids_match_oracle_quickly(self):
+        # Two 8 x 8 unit grids 10^6 apart in y: the rays between them step
+        # over the empty rows to the next occupied cell, not row by row.
+        pts = [(float(x), y0 + j) for y0 in (0.0, 1e6) for x in range(8) for j in range(8)]
+        edges = [(v, v + 1, 1.0, 4) for v in range(128) if v % 8 < 7]
+        edges += [(v, v + 8, 1.0, 4) for v in range(128) if v % 64 < 56]
+        g = rg.GeometricGraph.build(pts, edges)
+        p = planarized(g)
+        start = time.perf_counter()
+        aug = grid_augment(p)
+        assert time.perf_counter() - start < 1.0
+        assert named(aug) == oracle_shortcuts(g)
+
+    @pytest.mark.parametrize(
+        "h, x, edge, bar",
+        [
+            # Edge A's hit at x rounds one ulp below its own cells, into row
+            # 0, and ties there with bar B: A, the lower edge, wins only if
+            # the walk reads a row past B's before it stops.
+            (
+                3.3071375579861866, -2.9035013626640533,
+                ((-3.5683852052631737, 7.642716096241715), (-2.9035013626640533, 3.3071375579861866)),
+                (3.307137557986186, 1.0),
+            ),
+            # Edge E lies in row -1, but its hit rounds to 0.0, the origin:
+            # the walk must start a row behind the origin's.
+            (
+                0.7104321571333317, 4.487518620441453,
+                ((4.194116612430047, -0.27651172559084236), (4.487518620441453, -5e-324)),
+                (0.5, 0.2),
+            ),
+        ],
+    )
+    def test_hits_rounded_across_a_row_match_oracle(self, h, x, edge, bar):
+        # Vertex 0's up ray meets edge 1-2 first; five filler edges of span
+        # h far below make h the median span, the grid's cell side.
+        y, half = bar
+        pts = [(x, 0.0), *edge, (x - half, y), (x + half, y)]
+        pts += [p for k in range(5) for p in ((0.0, -1e3 - 10.0 * k), (h, -1e3 - 10.0 * k))]
+        edges = [(1, 2, 1.0, 4), (3, 4, 1.0, 4)] + [(5 + 2 * k, 6 + 2 * k, 1.0, 4) for k in range(5)]
+        g = rg.GeometricGraph.build(pts, edges)
+        aug = grid_augment(planarized(g))
+        assert shortcut_map(aug)[(0, "up")] == 2
+        assert named(aug) == oracle_shortcuts(g)
+
+    def test_steep_edge_at_a_column_boundary_matches_oracle(self):
+        # Vertex 0 sits at x = q, which rounds into column c though
+        # q < c * h; its up ray meets steep edge 1-2 at its foot, in rows
+        # the edge must register in column c, before bar 3-4.
+        h, c = 0.5247914532927936, 175268
+        q = float(np.nextafter(c * h, -np.inf))
+        pts = [(q, -5 * h), (q, 0.0), (c * h, 50 * h), (q - 0.3 * h, 10 * h), (q + 0.3 * h, 10 * h)]
+        pts += [p for k in range(1, 61) for p in ((0.0, -1e3 * k), (h, -1e3 * k))]
+        edges = [(1, 2, 1.0, 4), (3, 4, 1.0, 4)] + [(3 + 2 * k, 4 + 2 * k, 1.0, 4) for k in range(1, 61)]
+        g = rg.GeometricGraph.build(pts, edges)
+        aug = grid_augment(planarized(g))
+        assert shortcut_map(aug)[(0, "up")] == 1
+        assert named(aug) == oracle_shortcuts(g)
+
     def test_ray_through_vertex_counts_as_hit(self):
         # The up ray passes exactly through vertex (0, 1) of edge (1)-(2).
         g = rg.GeometricGraph.build(
@@ -156,7 +215,7 @@ class TestGridAugment:
     @pytest.mark.parametrize("block", [1, 7])
     def test_candidate_blocks_match_oracle(self, monkeypatch, hub_small, block):
         # At a block of 1 every ray's candidates overflow it.
-        monkeypatch.setattr(augment, "_RAY_BLOCK", block)
+        monkeypatch.setattr(cr, "_PAIR_BLOCK", block)
         for g in (rg.gen_gotham(12, 2, seed=6), hub_small):
             assert named(grid_augment(planarized(g))) == oracle_shortcuts(g)
 
@@ -171,10 +230,11 @@ class TestGridAugment:
         assert shortcut_map(aug)[(6, "down")] == 0
 
     def test_inexact_slab_coordinates_are_config_error(self):
-        # Slab 1e17 of width 1 is past 2^53, where floats skip integers.
+        # Cell 1e17 of side 1 is past 2^48, where a coordinate's rounding
+        # is no longer small against the cell.
         pts = [(float(x), 0.0) for x in range(4)] + [(1e17, 0.0), (1e17 + 32.0, 0.0)]
         g = rg.GeometricGraph.build(pts, [(0, 1, 1.0, 4), (1, 2, 1.0, 4), (2, 3, 1.0, 4), (4, 5, 1.0, 4)])
-        with pytest.raises(ConfigError, match="slab index"):
+        with pytest.raises(ConfigError, match="shortcut grid"):
             grid_augment(cr.planarize(g, cr.find_crossings(g)))
 
     @pytest.mark.parametrize("wide_first, want", [(False, 1), (True, 3)])

@@ -311,9 +311,10 @@ def lattice_with_wide_segments():
     return segments_graph(segs)
 
 
-def loop_cell_candidates(g):
-    """Reference grid join: the same cells as ``_cell_candidates`` registers,
-    walked one segment and one column at a time, as sorted (a, b) pairs."""
+def loop_cells(g):
+    """Reference grid registration: cell -> the segments registered there,
+    as ``_segment_grid`` registers them, walked one segment and one column
+    at a time."""
     x1, y1, x2, y2 = g.segment_arrays()
     spans = np.maximum(np.abs(x2 - x1), np.abs(y2 - y1))
     h = max(float(np.median(spans[spans > 0])), 1e-12)
@@ -330,13 +331,20 @@ def loop_cell_candidates(g):
             slope = (b[1] - a[1]) / (b[0] - a[0])
             mine = []
             for cx in range(c0, c1 + 1):
-                ya = a[1] + slope * (max(a[0], cx * h) - a[0])
-                yb = a[1] + slope * (min(b[0], (cx + 1) * h) - a[0])
+                lo, hi = cx * h - 2 * np.spacing(abs(cx * h)), (cx + 1) * h + 2 * np.spacing(abs((cx + 1) * h))
+                ya = a[1] + slope * (max(a[0], lo) - a[0])
+                yb = a[1] + slope * (min(b[0], hi) - a[0])
                 lo, hi = int(np.floor(min(ya, yb) / h)), int(np.floor(max(ya, yb) / h))
                 mine += [(cx, cy) for cy in range(lo - 1, hi + 2)]
         for cell in mine:
             cells.setdefault(cell, []).append(i)
-    pairs = {pair for members in cells.values() for pair in itertools.combinations(members, 2)}
+    return cells
+
+
+def loop_cell_candidates(g):
+    """Reference grid join: the segment pairs sharing a cell of ``loop_cells``,
+    as sorted (a, b) pairs."""
+    pairs = {pair for members in loop_cells(g).values() for pair in itertools.combinations(members, 2)}
     return sorted(pairs)
 
 
@@ -346,6 +354,16 @@ class TestWideSegments:
         for g in (lattice_with_wide_segments(), rgg_small, planar):
             a, b = cr._cell_candidates(g)
             assert list(zip(a.tolist(), b.tolist())) == loop_cell_candidates(g)
+
+    def test_grid_registrations_equal_loop_reference(self, rgg_small, gotham_small):
+        # Axis rays walk these registrations, not only the pairs they make.
+        planar = cr.planarize(gotham_small, cr.find_crossings(gotham_small)).graph
+        for g in (lattice_with_wide_segments(), rgg_small, planar):
+            _, base, nrow, cell, owner, long = cr._segment_grid(*g.segment_arrays())
+            assert len(long) == 0 and np.all(np.diff(cell) >= 0)
+            got = sorted(zip((cell // nrow).tolist(), (cell % nrow + base).tolist(), owner.tolist()))
+            want = sorted((cx, cy, i) for (cx, cy), members in loop_cells(g).items() for i in members)
+            assert got == want
 
     def test_candidates_cover_oracle(self):
         g = lattice_with_wide_segments()
@@ -360,6 +378,18 @@ class TestWideSegments:
         assert record_set(recs) == oracle_set(g)
         assert {r.kind for r in recs} == {PROPER, ENDPOINT_TOUCH, COLLINEAR_OVERLAP}
         assert [(r.e1, r.e2) for r in recs] == sorted((r.e1, r.e2) for r in recs)
+
+    def test_steep_segment_at_a_column_boundary_matches_oracle(self):
+        # x = q rounds into column c, floor(q / h) = c, though q < c * h.
+        # The steep segment from (q, 0) registers column c alone, so column
+        # c's rows must reach down to its foot, where the bar crosses it.
+        h, c = 0.5247914532927936, 175268
+        q = float(np.nextafter(c * h, -np.inf))
+        assert np.floor(q / h) == c
+        segs = [((q, 0.0), (c * h, 50 * h)), ((q - 0.3 * h, 0.5 * h), (q + 0.3 * h, 0.5 * h))]
+        segs += [((0.0, -1e3 * k), (h, -1e3 * k)) for k in range(1, 61)]
+        g = segments_graph(segs)
+        assert record_set(cr.find_crossings(g)) == oracle_set(g) != set()
 
     def test_huge_edge_uses_bounding_boxes(self):
         # One edge 10^9 grid cells long would take hours to walk cell by cell.

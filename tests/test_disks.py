@@ -104,6 +104,24 @@ class TestBuildDiskSystem:
         with pytest.raises(ValidationError, match=re.escape(f"pair row {pairs[-1]} ")):
             DiskSystem([0, 1], [[0, 0], [1, 0]], [1, 1], pairs)
 
+    @pytest.mark.parametrize(
+        "vertices, centers, radii, pairs, match",
+        [
+            ([0, 1], [[0, 0], [1, 0], [5, 5]], [1, 1], [[0, 1]], "differ in positions"),
+            ([0, 1], [[0, 0]], [1, 1], [[0, 1]], "differ in positions"),
+            ([0], [[0, 0], [1, 0]], [1, 1], [[0, 1]], "differ in positions"),
+            ([0, 1], [[0, 0], [1, 0]], 1.0, [[0, 1]], "differ in positions"),
+            ([0, 1], [0.0, 0.0, 1.0], [1, 1], [[0, 1]], "centers must be rows of two columns"),
+            ([0, 1], [[0, 0, 0], [1, 0, 0]], [1, 1], [[0, 1]], "centers must be rows of two columns"),
+            ([0, 1], [[0, 0], [1, 0]], [1, 1], [[0, 1, 1]], "pairs must be rows of two columns"),
+        ],
+    )
+    def test_malformed_arrays_are_rejected(self, vertices, centers, radii, pairs, match):
+        # Unchecked, these dropped a center silently or failed later in
+        # center_ply, subset or numpy's reshape with unnamed errors.
+        with pytest.raises(ValidationError, match=match):
+            DiskSystem(vertices, centers, radii, pairs)
+
 
 class TestPly:
     def test_unit_path(self):

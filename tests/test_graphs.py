@@ -135,6 +135,11 @@ class TestValidation:
         with pytest.raises(ValidationError, match="out of range"):
             rg.GeometricGraph.build([(0, 0), (1, 0)], [(0, 5, 1.0, 4)])
 
+    @pytest.mark.parametrize("xy", [[0.0, 1.0, 2.0], [[0.0, 1.0, 2.0]], [[[0.0, 1.0]]]])
+    def test_coordinates_not_in_two_columns_are_rejected(self, xy):
+        with pytest.raises(ValidationError, match="two columns"):
+            rg.GeometricGraph(xy, [], [], [], [])
+
 
 class TestGotham:
     def test_pure_grid(self):
