@@ -104,12 +104,15 @@ def _ray_walks(g, a1, a2, b1, b2, qa, qb):
                 # it, else at its nearer end, which may lie behind the ray.
                 hit = np.where(e1 == e2, np.clip(at, np.minimum(f1, f2), np.maximum(f1, f2)), hit)
                 # Each ray's nearest hit ahead, lowest edge first, against its best so far.
-                d = np.where((s * (hit - at) >= 0) & np.isfinite(hit), np.abs(hit - at), np.nan)
-                order = np.lexsort((e, d, r))
-                head = order[np.diff(r[order], prepend=-1) != 0]
-                r, e, d, hit = r[head], e[head], d[head], hit[head]
-                win = (d < best_d[r]) | (d == best_d[r]) & (e < best_e[r])
-                best_d[r[win]], best_e[r[win]], best_hit[r[win]] = d[win], e[win], hit[win]
+                ahead = np.flatnonzero((s * (hit - at) >= 0) & np.isfinite(hit))
+                r, e, hit = r[ahead], e[ahead], hit[ahead]
+                d, old = np.abs(hit - at[ahead]), best_d[r]
+                np.minimum.at(best_d, r, d)
+                best_e[r[best_d[r] < old]] = m
+                tie = np.flatnonzero(d == best_d[r])
+                np.minimum.at(best_e, r[tie], e[tie])
+                won = tie[e[tie] == best_e[r[tie]]]
+                best_hit[r[won]] = hit[won]
 
         read(np.arange(n), np.full(n, len(owner)), np.full(n, len(long)))
         # Rays read cells[pos:stop] forward, or cells[stop + 1:pos + 1] back.

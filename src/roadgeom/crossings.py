@@ -9,7 +9,10 @@ every segment's bounding box.  With K candidate pairs this costs
 O((m + K) log m).  Classification uses float orientation tests with an
 exact rational fallback, so the output matches an all-pairs oracle
 exactly.  Contacts come as one table of columns, kinded as proper interior
-crossings, endpoint touches, and collinear overlaps (never planarized).
+crossings, endpoint touches, and collinear overlaps (never planarized),
+and the graph keeps it.  ``planarize`` splits edges at proper crossings and
+checks only the sub-edge pairs that the rounding of crossing vertices can
+bring into contact.
 """
 
 from __future__ import annotations
@@ -20,12 +23,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry
-from ._arrays import concat_ranges, sorted_unique
-from .errors import ConfigError, DegeneracyError, InvariantViolation
+from ._arrays import concat_ranges, index_of, sorted_unique
+from .errors import ConfigError, DegeneracyError, InvariantViolation, ValidationError
 from .geometry import COLLINEAR_OVERLAP, ENDPOINT_TOUCH, PROPER
 from .graphs import GeometricGraph
 
 _PAIR_BLOCK = 1 << 22  # candidate pairs expanded at once by the grid join
+_U = 2.0**-53  # unit roundoff of float64
 
 
 class CrossingRecord(NamedTuple):
@@ -204,11 +208,18 @@ def find_crossings(g: GeometricGraph) -> CrossingTable:
 
     Proper crossings are pairs whose open segments intersect at a single
     interior point; pairs sharing a graph vertex are never proper and are
-    reported only when they overlap collinearly (a data error).
+    reported only when they overlap collinearly (a data error).  The table
+    is kept on ``g``, its columns read-only, so later calls (and
+    ``planarize``) reuse it.
     """
-    e1, e2, kind, x, y = _contacts(g, *_cell_candidates(g))
-    lv1, lv2 = g.edge_level[e1], g.edge_level[e2]
-    return CrossingTable(e1, e2, x, y, np.minimum(lv1, lv2), np.maximum(lv1, lv2), kind)
+    if g._crossings is None:
+        e1, e2, kind, x, y = _contacts(g, *_cell_candidates(g))
+        lv1, lv2 = g.edge_level[e1], g.edge_level[e2]
+        table = CrossingTable(e1, e2, x, y, np.minimum(lv1, lv2), np.maximum(lv1, lv2), kind)
+        for column in vars(table).values():
+            column.setflags(write=False)
+        g._crossings = table
+    return CrossingTable(*vars(g._crossings).values())
 
 
 def _contacts(g: GeometricGraph, a, b, junctions: bool = True):
@@ -280,10 +291,67 @@ def planarize(g: GeometricGraph, crossings) -> PlanarizedGraph:
     order as ``find_crossings`` gives them.  Crossing vertices get fresh ids
     n, n+1, ... in row order; each split edge becomes a chain of collinear
     sub-edges whose weights divide the original weight proportionally to arc
-    length.  Collinear overlaps are unsupported degeneracies.  An exact
-    crossing search on the result must find no proper crossing.
+    length.  Collinear overlaps are unsupported degeneracies.  Rows naming
+    edges outside 0 <= e1 < e2 < m, and proper rows other than the graph's
+    own crossings (edges, x and y as ``find_crossings(g)`` gives them), raise
+    ValidationError.  An exact crossing search on the result must find no
+    proper crossing; a leftover one raises ``_leftover_error``'s error.
+
+    The check reads the exact contacts of ``g`` (kept by ``find_crossings``)
+    and classifies only the sub-edge pairs that rounding can bring into
+    contact.  A crossing vertex p rounds the exact point X, and its reach
+    bounds |p - X| (``_reach``); the reach r_e of an edge is the largest of
+    its cuts' (0 for a whole edge), so every piece of e lies within r_e of e.
+
+    Why no proper crossing escapes: move every crossing vertex from X to p
+    along a straight line.  At the start the pieces of one chain lie on one
+    line, and pieces of two chains cross properly only at an exact proper
+    crossing of their edges, a row's vertex or one the table lacks; rule
+    (a) pairs the pieces through it.  A pair of pieces, of edges e and f,
+    that crosses properly at the end but not at the start has a last time
+    at which it does not, and then an endpoint P of one lies on the other
+    (closed segments meeting otherwise cross properly).  P is an input
+    vertex, or within its cut's reach of its exact point on e, and the
+    other piece is within r_f of f, so the exact point of P lies within
+    d = r_e + r_f of f, and the pieces' meeting point near it.  Then:
+
+    - e = f: the other piece has a cut or chain end within d of P, and the
+      windows of (a) around P's row, or of (b) around a chain end, hold it.
+    - e and f meet at a point Y, at an angle of sine s: the points of e
+      within d of f lie within d / s of Y, and so do those of f near them.
+      (a) pairs the pieces of e and f within that of a row's point (proper
+      crossing, endpoint touch or overlap, where s = 0).  (b) pairs those
+      of all edges at a shared vertex, where s is 1 past a right angle.
+    - e and f are disjoint: they are closest at an endpoint w of one, so w
+      lies within d of the other, and along each the points within d of
+      the other lie within 2 d / s of w or of its projection: (c).
+
+    ``_rounding_pairs`` builds (a)-(c) with these radii doubled, plus the
+    float error of the cut and projection parameters.
     """
-    table = _table(crossings)
+    graph, proper, rows, ends, off, t0, t1 = _cut(g, _table(crossings))
+    a, b = _rounding_pairs(g, graph, rows, ends, off, t0, t1)
+    a, b, kind, _, _ = _contacts(graph, a, b, junctions=False)
+    left = kind == KINDS.index(PROPER)
+    if left.any():
+        owner = np.repeat(np.arange(g.m), np.diff(off))
+        raise _leftover_error(g, owner[a[left]], owner[b[left]])
+    return PlanarizedGraph(graph, g, proper, off)
+
+
+def _cut(g: GeometricGraph, table: CrossingTable):
+    """Check ``table`` and split the edges of ``g`` at its proper rows.
+
+    Returns (graph, proper, rows, ends, off, t0, t1): the split graph, the
+    proper rows, their rows in ``find_crossings(g)``, per proper row the
+    sub-edges of e1 and of e2 that end at its vertex, the chain offsets,
+    and each sub-edge's start and end parameter along its base edge.
+    """
+    n, m = g.n, g.m
+    bad = np.flatnonzero(~((0 <= table.e1) & (table.e1 < table.e2) & (table.e2 < m)))
+    if len(bad):
+        i = bad[0]
+        raise ValidationError(f"crossing row names edges ({table.e1[i]}, {table.e2[i]}), not 0 <= e1 < e2 < {m}")
     overlaps = np.flatnonzero(table.kind == KINDS.index(COLLINEAR_OVERLAP))
     if len(overlaps):
         i = overlaps[0]
@@ -292,7 +360,6 @@ def planarize(g: GeometricGraph, crossings) -> PlanarizedGraph:
         )
     proper = proper_only(table)
 
-    n, m = g.n, g.m
     pts = np.column_stack([proper.x, proper.y])
     # One cut per (crossing, edge), crossing-major: e1's cut, then e2's.
     edge = np.column_stack([proper.e1, proper.e2]).ravel()
@@ -313,15 +380,27 @@ def planarize(g: GeometricGraph, crossings) -> PlanarizedGraph:
     # Cuts along each edge by (t, crossing id); equal t is a concurrency.
     order = np.lexsort((vid, t, edge))
     edge, t, vid = edge[order], t[order], vid[order]
+    end = edge + np.arange(len(edge))
     tied = np.flatnonzero((edge[1:] == edge[:-1]) & (t[1:] == t[:-1]))
     if len(tied):
         raise DegeneracyError(f"concurrent crossings on edge {int(edge[tied[0]])}")
+
+    # The proper rows must be the graph's own crossings, bit for bit.
+    exact = find_crossings(g)
+    rows, found = index_of(exact.e1 * m + exact.e2, proper.e1 * m + proper.e2)
+    at = rows[found]
+    found[found] = (exact.kind[at] == KINDS.index(PROPER)) & (exact.x[at] == proper.x[found]) & (exact.y[at] == proper.y[found])
+    if not found.all():
+        i = np.flatnonzero(~found)[0]
+        raise ValidationError(
+            f"crossing row ({proper.e1[i]}, {proper.e2[i]}) at ({proper.x[i]}, {proper.y[i]}) "
+            "is not a proper crossing of the graph"
+        )
 
     # Edge e becomes sub-edges off[e] .. off[e + 1] - 1; the j-th cut in
     # this order ends sub-edge edge[j] + j and starts the next one.
     off = np.arange(m + 1) + np.searchsorted(edge, np.arange(m + 1))
     owner = np.repeat(np.arange(m), np.diff(off))
-    end = edge + np.arange(len(edge))
     eu, ev = np.empty((2, off[-1]), dtype=np.int64)
     t0, t1 = np.empty((2, off[-1]))
     eu[off[:-1]], t0[off[:-1]] = g.edge_u, 0.0
@@ -334,11 +413,213 @@ def planarize(g: GeometricGraph, crossings) -> PlanarizedGraph:
         g.edge_weight[owner] * (t1 - t0), g.edge_level[owner],
         meta={"planarized_from": g.meta.get("source", "graph")},
     )
-    a, b, kind, _, _ = _contacts(graph, *_cell_candidates(graph), junctions=False)
-    left = kind == KINDS.index(PROPER)
-    if left.any():
-        raise _leftover_error(g, owner[a[left]], owner[b[left]])
-    return PlanarizedGraph(graph, g, proper, off)
+    ends = np.empty_like(end)
+    ends[order] = end
+    return graph, proper, rows, ends.reshape(-1, 2), off, t0, t1
+
+
+def _reach(g: GeometricGraph, e1, e2, x, y):
+    """Per row, an upper bound on |p - X|: p = (x, y) is the crossing point
+    of edges e1 and e2 as ``geometry.intersection_point`` rounds it, X the
+    exact one.
+
+    That formula's forward error, with u = 2^-53: the numerator and the
+    denominator of t err by at most 8u times the sum of their products'
+    magnitudes, so t, exactly in (0, 1), errs by at most their sum over
+    |denominator| plus 2u, and x = ax + t rx by that times |rx| plus
+    4u |rx| + 2u |x|; y likewise.  The reach is twice the sum over both
+    axes.  It grows like 1 / sin(angle) as the edges turn parallel; where
+    it overflows it is inf, which makes every check near it conservative.
+    """
+    x1, y1, x2, y2 = g.segment_arrays()
+    ax, ay, bx, by, cx, cy, dx, dy = x1[e1], y1[e1], x2[e1], y2[e1], x1[e2], y1[e2], x2[e2], y2[e2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rx, ry, sx, sy, qx, qy = bx - ax, by - ay, dx - cx, dy - cy, cx - ax, cy - ay
+        products = np.abs(rx * sy) + np.abs(ry * sx) + np.abs(qx * sy) + np.abs(qy * sx)
+        dt = 8 * _U * products / np.abs(rx * sy - ry * sx) + 2 * _U
+        reach = 2 * ((dt + 4 * _U) * (np.abs(rx) + np.abs(ry)) + 2 * _U * (np.abs(x) + np.abs(y)))
+    return np.where(np.isfinite(reach), reach, np.inf)
+
+
+def _rounding_pairs(g: GeometricGraph, graph: GeometricGraph, rows, ends, off, t0, t1):
+    """Sub-edge pairs (a, b) of ``graph``, a < b, sorted and distinct, that
+    hold every proper crossing between its sub-edges (see ``planarize``);
+    ``rows``, ``ends``, ``off``, ``t0`` and ``t1`` are as ``_cut`` gives them.
+
+    Each rule names sites: a point and, on some chains, a parameter window
+    around its projection.  A site meets the pieces of those chains whose
+    parameter ranges meet their windows, and one that meets a piece not
+    ending at its point pairs all the pieces it meets.  Radii are lengths
+    along the base edges, doubled for the float evaluation, and windows
+    add the parameter error of the cuts and of the projection.
+    """
+    n, m = g.n, g.m
+    exact = find_crossings(g)
+    proper = exact.kind == KINDS.index(PROPER)
+    if not proper.any():
+        # Nothing moved, and no base edges cross properly.
+        return np.empty((2, 0), dtype=np.int64)
+    reach = np.zeros(len(exact))
+    reach[proper] = _reach(g, exact.e1[proper], exact.e2[proper], exact.x[proper], exact.y[proper])
+    rho = np.zeros(m)  # per base edge, the largest reach of its cuts
+    np.maximum.at(rho, exact.e1[rows], reach[rows])
+    np.maximum.at(rho, exact.e2[rows], reach[rows])
+    x1, y1, x2, y2 = g.segment_arrays()
+    dx, dy = x2 - x1, y2 - y1
+    length = np.hypot(dx, dy)
+
+    def sine(ax, ay, bx, by, la, lb):
+        # A lower bound on |sin| of the angle between the two directions.
+        return np.abs(ax * by - ay * bx) / (la * lb) - 8 * _U
+
+    sites = []  # (site, chain, x, y, radius) arrays, one row per window
+
+    # (a) Every contact (e, f) of g, at its table point: e and f come within
+    # rho_e + rho_f of each other only within (rho_e + rho_f) / sin of it.
+    e, f = exact.e1, exact.e2
+    rho_ef = rho[e] + rho[f]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = rho_ef / np.maximum(sine(dx[e], dy[e], dx[f], dy[f], length[e], length[f]), 0.0)
+    r = np.where(rho_ef > 0, r, 0.0) + 2 * rho_ef + reach
+    # Two whole edges are as the table has them.  A crossing vertex whose
+    # windows stay within the pieces on either side of it meets only pieces
+    # that end at it.
+    chain = np.column_stack([e[rows], f[rows]])
+    half = 2 * (r[rows, None] + 2 * rho[chain]) / length[chain] + 128 * _U
+    gap = np.minimum(t1[ends] - t0[ends], t1[ends + 1] - t0[ends + 1])
+    site = (rho_ef > 0) | proper
+    site[rows[(2 * half < gap).all(axis=1)]] = False
+    site = np.flatnonzero(site)
+    for c in (e, f):
+        sites.append((site, c[site], exact.x[site], exact.y[site], r[site]))
+
+    # (b) Every chain end w: there chains e and f come within rho_e + rho_f
+    # only within (rho_e + rho_f) / sin of w, where sin is 1 past a right
+    # angle; the chain next to e in angle at w bounds it.  A vertex where no
+    # window passes its end piece meets only pieces ending there: skipped.
+    vertex = np.concatenate([g.edge_u, g.edge_v])
+    chain = np.concatenate([np.arange(m), np.arange(m)])
+    rho_w = np.zeros(n)
+    np.maximum.at(rho_w, vertex, rho[chain])
+    # At a vertex whose chains are all whole, each meets only itself.
+    moved = np.flatnonzero(rho_w[vertex] > 0)
+    vertex, chain = vertex[moved], chain[moved]
+    sign = np.where(moved < m, 1.0, -1.0)
+    ax, ay = sign * dx[chain], sign * dy[chain]
+    # Sorted by vertex, then by angle in steps of 2^-bits: a neighbour in this
+    # order is at most two steps further in angle than the nearest chain.
+    bits = 59 - int(n).bit_length()
+    order = np.argsort((vertex << (bits + 3)) + np.floor((np.arctan2(ay, ax) + 4.0) * 2.0**bits).astype(np.int64))
+    vertex, chain, ax, ay = vertex[order], chain[order], ax[order], ay[order]
+    k = np.arange(len(vertex))
+    first = np.searchsorted(vertex, vertex)
+    last = np.searchsorted(vertex, vertex, "right") - 1
+    sin = np.ones(len(vertex))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for other in (np.where(k == first, last, k - 1), np.where(k == last, first, k + 1)):
+            acute = (ax * ax[other] + ay * ay[other] > 0) & (other != k)
+            sin = np.where(acute, np.minimum(sin, sine(ax, ay, ax[other], ay[other], length[chain], length[chain[other]])), sin)
+        sin -= 2.0 ** (1 - bits)
+        r = 2 * rho_w[vertex] / np.maximum(sin, 0.0) + 4 * rho_w[vertex]
+        gap = np.where(g.edge_u[chain] == vertex, t1[off[chain]], 1.0 - t0[off[chain + 1] - 1])
+        reaches = ~(2 * (r + 2 * rho[chain]) / length[chain] + 128 * _U < gap)
+    site = np.zeros(n, dtype=bool)
+    site[vertex[reaches]] = True
+    keep = site[vertex]
+    vertex, chain, r = vertex[keep], chain[keep], r[keep]
+    sites.append((len(exact) + vertex, chain, g.xy[vertex, 0], g.xy[vertex, 1], r))
+
+    # (c) Every input vertex w within rho_w + rho_f of an edge f it is not
+    # an endpoint of, with each edge e at w: along e, the points within
+    # that distance of f lie within 2 (rho_w + rho_f) / sin of w.
+    # Every vertex looks up the grid of the split edges, and the vertices
+    # with rho_w > 0 that of the whole ones.
+    split = rho > 0
+    near = (_near_grid(g, np.flatnonzero(split), np.arange(n), rho, rho_w),
+            _near_grid(g, np.flatnonzero(~split), np.flatnonzero(rho_w > 0), rho, rho_w))
+    w, f = np.divmod(sorted_unique(np.concatenate([w * np.int64(m) + f for w, f in near])), m)
+    if len(w):
+        indptr, _, eidx, _ = g.adjacency()
+        count = indptr[w + 1] - indptr[w]
+        w, f, e = np.repeat(w, count), np.repeat(f, count), eidx[concat_ranges(indptr[w], count)]
+        rho_ef = rho_w[w] + rho[f]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = 2 * rho_ef / np.maximum(sine(dx[e], dy[e], dx[f], dy[f], length[e], length[f]), 0.0) + 2 * rho_ef
+        site = len(exact) + n + np.arange(len(w))
+        for c in (e, f):
+            sites.append((site, c, g.xy[w, 0], g.xy[w, 1], r))
+
+    site, chain, sx, sy, r = (np.concatenate(c) for c in zip(*sites))
+    qx, qy = sx - x1[chain], sy - y1[chain]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        para = (qx * dx[chain] + qy * dy[chain]) / (np.float_power(dx[chain], 2) + np.float_power(dy[chain], 2))
+        half = 2 * (r + 2 * rho[chain]) / length[chain] + 64 * _U * (np.hypot(qx, qy) / length[chain] + 1)
+        lo = np.clip(np.nan_to_num(para - half, nan=0.0), 0.0, 1.0)
+        hi = np.clip(np.nan_to_num(para + half, nan=1.0), 0.0, 1.0)
+    # Pieces whose range meets [lo, hi]: keys chain + t round monotonely, so
+    # the search on them can only widen the range, and no wider than the chain.
+    owner = np.repeat(np.arange(m, dtype=np.float64), np.diff(off))
+    start = np.maximum(np.searchsorted(owner + t1, chain + lo), off[chain])
+    count = np.minimum(np.searchsorted(owner + t0, chain + hi, "right"), off[chain + 1]) - start
+    site, piece = np.repeat(site, count), concat_ranges(start, count)
+    px, py = np.repeat(sx, count), np.repeat(sy, count)
+    at_point = [(graph.xy[v, 0] == px) & (graph.xy[v, 1] == py) for v in (graph.edge_u[piece], graph.edge_v[piece])]
+    active = np.zeros(site.max(initial=0) + 1, dtype=bool)
+    active[site[~(at_point[0] | at_point[1])]] = True
+    keep = np.flatnonzero(active[site])
+    keep = keep[np.argsort(site[keep], kind="stable")]
+    keys = _same_cell_keys(site[keep], piece[keep], graph.m)
+    return np.divmod(sorted_unique(np.concatenate(keys)), graph.m)
+
+
+def _near_grid(g: GeometricGraph, edges, points, rho, rho_w):
+    """(w, f): the vertices w of ``points`` within rho_w[w] + rho[f] of an
+    edge f of ``edges`` that they are not an endpoint of, from the grid of
+    those edges.  Vertices and edges of reach above h / 16 meet every edge
+    or vertex; the rest look up at most 2 x 2 cells."""
+    if not (len(edges) and len(points)):
+        return np.empty((2, 0), dtype=np.int64)
+    x1, y1, x2, y2 = (c[edges] for c in g.segment_arrays())
+    h, base, nrow, cell, owner, long = _segment_grid(x1, y1, x2, y2)
+    px, py = g.xy[points, 0], g.xy[points, 1]
+    heavy = rho[edges] > h / 16
+    light = np.flatnonzero(rho_w[points] <= h / 16)
+    far = rho_w[points[light]] + rho[edges[~heavy]].max(initial=0.0)
+    far += 2.0**-30 * h + 8 * np.spacing(np.maximum(np.abs(px[light]), np.abs(py[light])))
+    c0, c1 = np.floor((px[light] - far) / h), np.floor((px[light] + far) / h)
+    r0, r1 = np.floor((py[light] - far) / h), np.floor((py[light] + far) / h)
+    point, key = [], []
+    for dc, dr in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        col, row = c0 + dc, r0 + dr
+        ok = (col <= c1) & (row <= r1) & (row >= base) & (row < base + nrow)
+        point.append(light[ok])
+        key.append(col[ok].astype(np.int64) * nrow + row[ok].astype(np.int64) - base)
+    key = np.concatenate(key)
+    lo, hi = np.searchsorted(cell, key), np.searchsorted(cell, key, "right")
+    lone = np.flatnonzero(rho_w[points] > h / 16)
+    wide = np.union1d(long, np.flatnonzero(heavy))
+    k = len(edges)
+    w = np.concatenate([np.repeat(np.concatenate(point), hi - lo), np.repeat(lone, k), np.tile(np.arange(len(points)), len(wide))])
+    f = np.concatenate([owner[concat_ranges(lo, hi - lo)], np.tile(np.arange(k), len(lone)), np.repeat(wide, len(points))])
+    px, py, w, f = px[w], py[w], points[w], edges[f]
+    x1, y1, x2, y2 = (c[f] for c in g.segment_arrays())
+
+    # A box test first: w within dist of f's bounding box, up to rounding.
+    dist = rho_w[w] + rho[f]
+    pad = 2 * dist + 8 * np.spacing(np.maximum(np.abs(px), np.abs(py)))
+    keep = (np.minimum(x1, x2) - pad <= px) & (px <= np.maximum(x1, x2) + pad)
+    keep &= (np.minimum(y1, y2) - pad <= py) & (py <= np.maximum(y1, y2) + pad)
+    keep &= (g.edge_u[f] != w) & (g.edge_v[f] != w)
+    w, f, dist, px, py, x1, y1, x2, y2 = (c[keep] for c in (w, f, dist, px, py, x1, y1, x2, y2))
+    dx, dy = x2 - x1, y2 - y1
+    qx, qy = px - x1, py - y1
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        length = np.hypot(dx, dy)
+        cross = np.abs(dx * qy - dy * qx)
+        para = (qx * dx + qy * dy) / (length * length)
+        half = 2 * dist / length + 16 * _U * (np.hypot(qx, qy) / length + 1)
+        near = ~((cross > 2 * dist * length + 16 * _U * (np.abs(dx * qy) + np.abs(dy * qx))) | (para < -half) | (para > 1 + half))
+    return w[near], f[near]
 
 
 def _leftover_error(g: GeometricGraph, a, b):

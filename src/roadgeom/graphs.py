@@ -63,6 +63,7 @@ class GeometricGraph:
         for a in (self.xy, self.edge_u, self.edge_v, self.edge_weight, self.edge_level):
             a.setflags(write=False)
         self._adjacency = None
+        self._crossings = None  # crossings.find_crossings keeps its table here
 
     # -- basic accessors ---------------------------------------------------
 

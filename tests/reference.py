@@ -9,7 +9,9 @@ node-by-node separator tree the depth-by-depth builder must equal.
 Likewise the one-pair-at-a-time arrangement builders and the dict face
 tracer, which the vertex-table arrangement must match exactly, and
 ``pair_hops``, the per-source list BFS that the array hop searches of the
-neighborly check must equal bit for bit.  The
+neighborly check must equal bit for bit, and ``joined_planarize``, the
+planarization checked by one grid join over all its sub-edge pairs, whose
+outcome and leftover pairs the rounding-local check must equal.  The
 crossing and disk-pair oracles, which the benchmark imports too, are in
 ``oracles.py``.
 """
@@ -19,6 +21,7 @@ import math
 
 import numpy as np
 
+from roadgeom import crossings as cr
 from roadgeom._arrays import components
 
 
@@ -882,3 +885,24 @@ def traced_face_count(arr):
         if v.circles[1] != -1:
             uf.union(*v.circles)
     return orbits - (uf.component_count() - 1)
+
+
+def joined_leftover(g, crossings):
+    """The split of ``crossings.planarize`` checked by one grid join over all
+    its sub-edge pairs: (graph, proper, off, a, b), where (a[k], b[k]),
+    a < b in ascending order, are the sub-edge pairs that still cross
+    properly."""
+    graph, proper, _, _, off, _, _ = cr._cut(g, cr._table(crossings))
+    a, b, kind, _, _ = cr._contacts(graph, *cr._cell_candidates(graph), junctions=False)
+    left = kind == cr.KINDS.index(cr.PROPER)
+    return graph, proper, off, a[left], b[left]
+
+
+def joined_planarize(g, crossings):
+    """``crossings.planarize`` with that joined check: the PlanarizedGraph,
+    or the error of ``cr._leftover_error`` for the leftover pairs."""
+    graph, proper, off, a, b = joined_leftover(g, crossings)
+    if len(a):
+        owner = np.repeat(np.arange(g.m), np.diff(off))
+        raise cr._leftover_error(g, owner[a], owner[b])
+    return cr.PlanarizedGraph(graph, g, proper, off)

@@ -1,5 +1,7 @@
 import itertools
+import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,18 +10,20 @@ from hypothesis import strategies as st
 
 import roadgeom as rg
 from roadgeom import crossings as cr
-from roadgeom.errors import ConfigError, DegeneracyError, InvariantViolation
+from roadgeom.errors import ConfigError, DegeneracyError, InvariantViolation, ValidationError
 from roadgeom.cli import main
 from roadgeom.geometry import (
     COLLINEAR_OVERLAP,
     ENDPOINT_TOUCH,
     PROPER,
     intersection_point,
+    orient_exact,
     orient_filtered,
     segment_contact,
 )
 
 import oracles
+import reference
 
 
 def record_set(records):
@@ -290,6 +294,33 @@ class TestPlanarize:
         with pytest.raises(DegeneracyError, match="collinear"):
             cr.planarize(g, cr.find_crossings(g))
 
+    def test_malformed_rows_are_validation_errors(self):
+        g = rg.GeometricGraph.build([(0, 0), (1, 1), (0, 1), (1, 0)], [(0, 1, 1, 4), (2, 3, 1, 4)])
+        row = cr.find_crossings(g)[0]
+        for e1, e2 in ((0, 2), (-1, 1), (1, 0), (0, 0)):
+            with pytest.raises(ValidationError, match=rf"names edges \({e1}, {e2}\)"):
+                cr.planarize(g, [row._replace(e1=e1, e2=e2)])
+        # A proper row must be the graph's own crossing: here it lies on neither edge.
+        with pytest.raises(ValidationError, match=r"\(0, 1\) at \(0.75, 0.5\) is not a proper crossing"):
+            cr.planarize(g, [row._replace(point=(0.75, 0.5))])
+        assert cr.planarize(g, [row]).graph.n == 5
+
+    def test_table_is_kept_on_the_graph(self, rgg_small):
+        g = rg.GeometricGraph(rgg_small.xy, rgg_small.edge_u, rgg_small.edge_v, rgg_small.edge_weight, rgg_small.edge_level)
+        assert g._crossings is None
+        # planarize computes the exact table once when the caller's table is not it.
+        recs = list(cr.find_crossings(rgg_small))
+        p = cr.planarize(g, recs)
+        kept = g._crossings
+        assert kept is not None and p.graph._crossings is None
+        again = cr.find_crossings(g)
+        assert again is not kept and all(u is v for u, v in zip(vars(again).values(), vars(kept).values()))
+        for column in vars(again).values():
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[:1] = column[:1]
+        assert record_set(again) == record_set(recs)
+
 
 def lattice_with_wide_segments():
     """Unit segments on a lattice around the origin (so the grid cell is 1
@@ -455,6 +486,182 @@ class TestWindowedOracleAtScale:
         p = cr.planarize(g, recs)
         assert p.graph.n == g.n + len(cr.proper_only(recs))
         assert len(cr.proper_only(cr.find_crossings(p.graph))) == 0
+
+
+def check_outcome(g, table):
+    """The rounding-local check against the joined one: the same result or
+    error (type and message, so the leftover count and the first named
+    pair), and the same leftover sub-edge pairs."""
+    def outcome(planarize):
+        try:
+            p = planarize(g, table)
+        except (DegeneracyError, InvariantViolation) as exc:
+            return type(exc), str(exc)
+        return p.graph, p.split_edges, record_set(p.crossing_vertices)
+
+    got, want = outcome(cr.planarize), outcome(reference.joined_planarize)
+    if isinstance(want[0], type):
+        assert got == want
+    else:
+        assert got[0] == want[0] and np.array_equal(got[1], want[1]) and got[2] == want[2]
+    left = rounding_leftover(g, table)
+    *_, a, b = reference.joined_leftover(g, table)
+    assert left == list(zip(a.tolist(), b.tolist()))
+    return left
+
+
+def rounding_leftover(g, table):
+    """The sub-edge pairs that the rounding-local check finds still crossing."""
+    graph, _, rows, ends, off, t0, t1 = cr._cut(g, cr._table(table))
+    a, b = cr._rounding_pairs(g, graph, rows, ends, off, t0, t1)
+    assert np.all(a < b) and np.all(np.diff(a * graph.m + b) > 0)
+    a, b, kind, _, _ = cr._contacts(graph, a, b, junctions=False)
+    left = kind == cr.KINDS.index(PROPER)
+    return list(zip(a[left].tolist(), b[left].tolist()))
+
+
+def planted_tables(gotham_small):
+    """The inputs and tables of TestPlanarize that reach the check."""
+    plane = rg.gen_gotham(6, 0, seed=0)
+    yield plane, cr.find_crossings(plane)
+    yield plane, []
+    recs = cr.find_crossings(gotham_small)
+    proper = np.flatnonzero(recs.kind == cr.KINDS.index(PROPER))
+    yield gotham_small, recs
+    yield gotham_small, []
+    for drop in (proper[0], proper[len(proper) // 2]):
+        yield gotham_small, recs[np.arange(len(recs)) != drop]
+    near = segments_graph([((0, 0), (6, 2)), ((3, np.nextafter(1.0, 2.0)), (3.5, 0))])
+    yield near, []
+    yield near, cr.find_crossings(near)
+    lattice = rg.GeometricGraph.build(
+        [(0, 4), (1, 3), (2, 2), (3, 2), (3, 3), (4, 4)], [(0, 4, 1.0, 4), (1, 3, 1.0, 4), (2, 5, 1.0, 4)]
+    )
+    recs = cr.find_crossings(lattice)
+    yield lattice, recs
+    yield lattice, recs[np.arange(len(recs)) != 1]
+    x = rg.GeometricGraph.build([(0, 0), (1, 1), (0, 1), (1, 0)], [(0, 1, 2.0, 4), (2, 3, 1.0, 3)])
+    yield x, cr.find_crossings(x)
+
+
+# Rule (b) alone pairs the second piece of edge 1 with edge 2, which leaves
+# their shared end (1, 1) 26 degrees from it: edge 0 cuts edge 1 an ulp away.
+RULE_B_POINTS = [
+    (0.005038871996651539, -0.16826391784973604), (1.9949611280033497, 2.168263917849737),
+    (1.0, 1.0), (5.0, 3.0), (3.4083765040656266, 4.193700457880268),
+]
+# Rule (c) alone pairs the vertical edge with the piece of edge 1 past its
+# cut: its lower end lies just off edge 1, between it and that piece.
+RULE_C_POINTS = [
+    (-0.3630383126785457, -1.0), (-0.7302132862361297, 1.0), (-1.0, -0.3), (3.0, 0.9),
+    (0.0, -4.82297076235877e-17), (0.0, -10.0),
+]
+
+
+class TestRoundingCheck:
+    """planarize's check against the grid join over every sub-edge pair."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda seed: rg.gen_gotham(64, 8, seed),
+            lambda seed: rg.gen_random_geometric(8192, 1.5 / 8192**0.5, seed),
+            lambda seed: rg.gen_hub_spoke(64, 21, seed),
+        ],
+        ids=["gotham-route", "rgg-planarize", "hubspoke-locality"],
+    )
+    def test_workload_graphs(self, make, seed):
+        g = make(seed)
+        assert check_outcome(g, cr.find_crossings(g)) == []
+
+    def test_planted_tables(self, gotham_small):
+        lefts = [check_outcome(g, table) for g, table in planted_tables(gotham_small)]
+        assert sum(map(len, lefts)) > 40
+
+    def test_rule_b_pairs_pieces_at_a_shared_end(self):
+        g = rg.GeometricGraph.build(RULE_B_POINTS, [(0, 1, 1.0, 4), (2, 3, 1.0, 4), (2, 4, 1.0, 4)])
+        recs = cr.find_crossings(g)
+        assert [(r.e1, r.e2, r.kind) for r in recs] == [(0, 1, PROPER)]
+        # Sub-edges 0, 1 of edge 0, 2, 3 of edge 1, 4 of edge 2.
+        assert check_outcome(g, recs) == [(1, 4), (3, 4)]
+        with pytest.raises(DegeneracyError, match=r"edges \(0, 2\) cross after planarization"):
+            cr.planarize(g, recs)
+
+    def test_rule_c_pairs_pieces_near_a_vertex(self):
+        g = rg.GeometricGraph.build(RULE_C_POINTS, [(0, 1, 1.0, 4), (2, 3, 1.0, 4), (4, 5, 1.0, 4)])
+        recs = cr.find_crossings(g)
+        assert [(r.e1, r.e2, r.kind) for r in recs] == [(0, 1, PROPER)]
+        x1, y1, x2, y2 = g.segment_arrays()
+        assert orient_exact(*(float(c) for c in (x1[1], y1[1], x2[1], y2[1], *g.xy[4]))) != 0
+        assert check_outcome(g, recs) == [(3, 4)]
+        with pytest.raises(DegeneracyError, match=r"edges \(1, 2\) cross after planarization"):
+            cr.planarize(g, recs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_lattice_and_nearly_parallel_segments(self, data):
+        g = data.draw(lattice_and_nearly_parallel())
+        try:
+            recs = cr.find_crossings(g)
+        except DegeneracyError:
+            return
+        # Some proper rows may be left out, as a caller may do.
+        keep = data.draw(st.lists(st.booleans(), min_size=len(recs), max_size=len(recs)))
+        table = [r for r, k in zip(recs, keep) if r.kind == ENDPOINT_TOUCH or r.kind == PROPER and k]
+        try:
+            check_outcome(g, table)
+        except DegeneracyError as exc:
+            # Raised by the split both checks share, before either check.
+            assert "concurrent" in str(exc) or "on an endpoint" in str(exc)
+
+    def test_reach_bounds_the_exact_displacement(self, rgg_small, gotham_small):
+        # The workload graphs (every 8th row of the rgg one), small fixtures,
+        # and crossings of segments whose slopes differ by 1e-12.
+        graphs = [rg.gen_gotham(64, 8, 1), rg.gen_random_geometric(8192, 1.5 / 8192**0.5, 1), rg.gen_hub_spoke(64, 21, 1)]
+        graphs += [rgg_small, gotham_small, lattice_with_wide_segments()]
+        rng = np.random.default_rng(3)
+        segs = []
+        for _ in range(40):
+            x0, y0, slope = rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-2, 2)
+            for s in (slope, slope + 1e-12):
+                segs.append(((x0 - 1.0, y0 - s), (x0 + 1.0 + rng.uniform(0, 1e-3), y0 + s)))
+        graphs.append(segments_graph(segs))
+        worst = 0.0
+        for g in graphs:
+            t = cr.proper_only(cr.find_crossings(g))
+            t = t[:: max(1, len(t) // 4000)]
+            reach = cr._reach(g, t.e1, t.e2, t.x, t.y)
+            x1, y1, x2, y2 = g.segment_arrays()
+            for i in range(len(t)):
+                e, f = t.e1[i], t.e2[i]
+                ax, ay, bx, by = (Fraction(float(c[e])) for c in (x1, y1, x2, y2))
+                cx, cy, dx, dy = (Fraction(float(c[f])) for c in (x1, y1, x2, y2))
+                u = ((cx - ax) * (dy - cy) - (cy - ay) * (dx - cx)) / ((bx - ax) * (dy - cy) - (by - ay) * (dx - cx))
+                ex, ey = Fraction(float(t.x[i])) - ax - u * (bx - ax), Fraction(float(t.y[i])) - ay - u * (by - ay)
+                assert ex * ex + ey * ey <= Fraction(float(reach[i])) ** 2
+                worst = max(worst, math.hypot(float(ex), float(ey)) / reach[i])
+        # The bound is not slack by orders of magnitude.
+        assert worst > 1e-3
+
+
+@st.composite
+def lattice_and_nearly_parallel(draw):
+    """Segments on a small integer lattice, some joined at shared vertices,
+    plus copies of some of them with one end moved by a few ulps or by
+    1e-12, so that they run nearly parallel."""
+    coord = st.integers(-4, 4)
+    points = draw(st.lists(st.tuples(coord, coord), min_size=4, max_size=10, unique=True))
+    k = len(points)
+    pairs = draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), min_size=3, max_size=12))
+    edges = sorted({(min(a, b), max(a, b)) for a, b in pairs if a != b})
+    xy = [tuple(map(float, p)) for p in points]
+    for a, b in draw(st.lists(st.sampled_from(edges), max_size=3)) if edges else []:
+        (x, y), step = xy[b], draw(st.sampled_from([1, 3, 1e-12]))
+        moved = (x, y + step * 2.0**-50 * max(1.0, abs(y))) if step != 1e-12 else (x, y + 1e-12)
+        xy += [xy[a], moved]
+        edges.append((len(xy) - 2, len(xy) - 1))
+    return rg.GeometricGraph.build(xy, [(a, b, 1.0, 4) for a, b in edges])
 
 
 int_coord = st.integers(min_value=-6, max_value=6)
