@@ -6,6 +6,9 @@ import numpy as np
 
 from .errors import ConfigError
 
+# Items a range expansion (a join's candidate pairs, say) makes at once.
+_PAIR_BLOCK = 1 << 16
+
 
 def sorted_unique(keys) -> np.ndarray:
     """Distinct values of an array, ascending.
@@ -53,14 +56,39 @@ def concat_ranges(starts, counts) -> np.ndarray:
     return out
 
 
+def range_blocks(starts, counts):
+    """``concat_ranges(starts, counts)`` with the range of each item, cut
+    into blocks of ``_PAIR_BLOCK`` items in order: yields (row, item) arrays.
+    A range may span blocks; a block holds the ranges it touches, so one
+    costs O(_PAIR_BLOCK + those ranges)."""
+    end = np.cumsum(counts)
+    total = int(end[-1]) if len(end) else 0
+    if 0 < total <= _PAIR_BLOCK:
+        # One block: no range to trim.
+        yield np.repeat(np.arange(len(counts)), counts), concat_ranges(starts, counts)
+        return
+    for lo in range(0, total, _PAIR_BLOCK):
+        hi = min(lo + _PAIR_BLOCK, total)
+        # Items lo .. hi - 1 lie in ranges first .. last; trim those two.
+        first, last = int(np.searchsorted(end, lo, "right")), int(np.searchsorted(end, hi - 1, "right"))
+        skip = lo - int(end[first] - counts[first])
+        size, start = counts[first : last + 1].copy(), starts[first : last + 1].copy()
+        size[0] -= skip
+        size[-1] -= int(end[last]) - hi
+        start[0] += skip
+        yield np.repeat(np.arange(first, last + 1), size), concat_ranges(start, size)
+
+
 def grid_join(query_xy, site_xy, cell):
-    """(qi, sj): every query/site index pair whose cells on the grid of side
-    ``cell`` are at most one cell apart in each axis, grouped by query.
+    """(qi, sj) blocks: every query/site index pair whose cells on the grid
+    of side ``cell`` are at most one cell apart in each axis, grouped by
+    query, ``_PAIR_BLOCK`` pairs a block (``range_blocks``).
 
     Sites are keyed by the ranks of their distinct columns and rows, so the
     keys stay below n^2 whatever the coordinate range; the sites of a query's
-    three rows in one column then hold one consecutive key range.  Cell
-    coordinates must be exact float integers (below 2^53), else ConfigError.
+    three rows in one column then hold one consecutive key range.  The site
+    index is built once, by this call.  Cell coordinates must be exact float
+    integers (below 2^53), else ConfigError.
     """
     with np.errstate(over="ignore"):
         q = np.floor(np.asarray(query_xy, dtype=np.float64).reshape(-1, 2) / cell)
@@ -69,7 +97,7 @@ def grid_join(query_xy, site_xy, cell):
     if not (np.abs(q).max(initial=0.0) < 2.0**53 and np.abs(s).max(initial=0.0) < 2.0**53):
         raise ConfigError("coordinate range too large for the grid join")
     if len(q) == 0 or len(s) == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        return iter(())
     cols, rows = sorted_unique(s[:, 0]), sorted_unique(s[:, 1])
     skey = np.searchsorted(cols, s[:, 0]) * len(rows) + np.searchsorted(rows, s[:, 1])
     order = np.argsort(skey, kind="stable")
@@ -83,8 +111,7 @@ def grid_join(query_xy, site_xy, cell):
         starts[:, k] = np.searchsorted(skey, c * len(rows) + row_lo)
         counts[:, k] = np.searchsorted(skey, c * len(rows) + row_hi) - starts[:, k]
         counts[~hit, k] = 0
-    qi = np.repeat(np.arange(len(q)), counts.sum(axis=1))
-    return qi, order[concat_ranges(starts.ravel(), counts.ravel())]
+    return ((row // 3, order[item]) for row, item in range_blocks(starts.ravel(), counts.ravel()))
 
 
 def arcs_csr(n, tail, head):

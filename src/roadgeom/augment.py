@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import arcs_csr, components, concat_ranges, frozen, index_of, sorted_unique
+from ._arrays import arcs_csr, components, concat_ranges, frozen, index_of, range_blocks, sorted_unique
 from . import crossings
 from .disks import DiskSystem
 from .errors import ConfigError
@@ -62,14 +62,14 @@ _SEEN_BUDGET = 8
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _ray_walks(g, a1, a2, b1, b2, qa, qb):
+def _ray_walks(g, grid, a1, a2, b1, b2, qa, qb):
     """First hits of the rays of vertex v from (qa[v], qb[v]) along b, with
     edge k from (a1[k], b1[k]) to (a2[k], b2[k]): (ray, edge, hit) arrays,
     the hit as its b coordinate, for growing b, then for falling b.
 
-    The edges register on ``crossings._segment_grid``, a as its column axis.
-    Each ray reads the long edges, then the occupied cells of its column
-    from one row behind its origin's, all rays a cell per round, keeping
+    ``grid`` is ``crossings._segment_grid`` of the edges, a as its column
+    axis.  Each ray reads the long edges, then the occupied cells of its
+    column from one row behind its origin's, all rays a cell per round, keeping
     its nearest hit, lowest edge first.  With every edge within 2^48 cells
     of the origin a rounding errs by under h / 16, so a hit lies less than
     a row outside the rows its edge registers in the column: the rows more
@@ -78,7 +78,7 @@ def _ray_walks(g, a1, a2, b1, b2, qa, qb):
     its nearest distance is below that of (R - 1) h, which no unread one
     can equal, distances rounding monotonely; falling rays use (R + 2) h.
     """
-    h, base, nrow, keys, owner, long = crossings._segment_grid(a1, b1, a2, b2)
+    h, base, nrow, keys, owner, long = grid
     if not np.abs(np.concatenate([a1, a2, b1, b2]) / h).max(initial=0.0) <= 2.0**48:
         raise ConfigError("coordinate range too large for the shortcut grid")
     first = np.flatnonzero(np.diff(keys, prepend=keys[:1] - 1))
@@ -87,15 +87,14 @@ def _ray_walks(g, a1, a2, b1, b2, qa, qb):
     col = np.clip(np.floor(qa / h), keys.min(initial=0) // nrow - 1, keys.max(initial=0) // nrow + 1)
     col, row = col.astype(np.int64) * nrow, np.floor(qb / h) - base
     lo, hi, pool = np.minimum(a1, a2), np.maximum(a1, a2), np.concatenate([owner, long])
-    n, m, found, block = len(qa), len(a1), [], crossings._PAIR_BLOCK
+    n, m, found = len(qa), len(a1), []
     for s in (1, -1):
         best_d, best_e, best_hit = np.full(n, np.inf), np.full(n, m), np.full(n, np.nan)
 
         def read(ray, start, size):
-            # Ray i meets the edges pool[start[i]:][:size[i]], _PAIR_BLOCK at a time.
-            cuts = np.searchsorted(np.cumsum(size), np.arange(block, size.sum(), block))
-            for r, c, k in zip(np.split(ray, cuts), np.split(start, cuts), np.split(size, cuts)):
-                r, e = np.repeat(r, k), pool[concat_ranges(c, k)]
+            # Ray i meets the edges pool[start[i]:][:size[i]], a block at a time.
+            for i, k in range_blocks(start, size):
+                r, e = ray[i], pool[k]
                 keep = (g.edge_u[e] != r) & (g.edge_v[e] != r) & (lo[e] <= qa[r]) & (qa[r] <= hi[e])
                 r, e = r[keep], e[keep]
                 q, at, e1, e2, f1, f2 = qa[r], qb[r], a1[e], a2[e], b1[e], b2[e]
@@ -146,8 +145,9 @@ def grid_augment(p: crossings.PlanarizedGraph) -> MixedAugmentedGraph:
     g = p.base
     xs1, ys1, xs2, ys2 = g.segment_arrays()
     x, y = g.xy[:, 0], g.xy[:, 1]
-    up, down = _ray_walks(g, xs1, xs2, ys1, ys2, x, y)
-    right, left = _ray_walks(g, ys1, ys2, xs1, xs2, y, x)
+    # The up and down rays walk the crossing grid, which the graph keeps.
+    up, down = _ray_walks(g, crossings._grid(g), xs1, xs2, ys1, ys2, x, y)
+    right, left = _ray_walks(g, crossings._segment_grid(ys1, xs1, ys2, xs2), ys1, ys2, xs1, xs2, y, x)
     hits = [(r, _nearer_endpoint(g, e, x[r], h)) for r, e, h in (up, down)]
     hits += [(r, _nearer_endpoint(g, e, h, y[r])) for r, e, h in (left, right)]
     origin, target = (np.concatenate(col) for col in zip(*hits))  # in DIRECTIONS order

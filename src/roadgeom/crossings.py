@@ -10,9 +10,15 @@ O((m + K) log m).  Classification uses float orientation tests with an
 exact rational fallback, so the output matches an all-pairs oracle
 exactly.  Contacts come as one table of columns, kinded as proper interior
 crossings, endpoint touches, and collinear overlaps (never planarized),
-and the graph keeps it.  ``planarize`` splits edges at proper crossings and
-checks only the sub-edge pairs that the rounding of crossing vertices can
-bring into contact.
+and the graph keeps it, with the grid.  ``planarize`` splits edges at
+proper crossings and checks only the sub-edge pairs that the rounding of
+crossing vertices can bring into contact.
+
+Memory: every candidate expansion (pairs sharing a cell, the classification
+of candidates, the rounding check's site and vertex lookups) runs
+``_arrays._PAIR_BLOCK`` items at a time in candidate order, so the joins
+hold O(m + distinct candidate keys + block) at once, not one temporary per
+candidate for all of them.
 """
 
 from __future__ import annotations
@@ -22,13 +28,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import geometry
-from ._arrays import concat_ranges, index_of, sorted_unique
+from . import _arrays, geometry
+from ._arrays import concat_ranges, index_of, range_blocks, sorted_unique
 from .errors import ConfigError, DegeneracyError, InvariantViolation, ValidationError
 from .geometry import COLLINEAR_OVERLAP, ENDPOINT_TOUCH, PROPER
 from .graphs import GeometricGraph
 
-_PAIR_BLOCK = 1 << 22  # candidate pairs expanded at once by the grid join
 _U = 2.0**-53  # unit roundoff of float64
 
 
@@ -111,8 +116,8 @@ def _cell_candidates(g: GeometricGraph):
     their cells are tested against every segment's bounding box instead.
     """
     m = g.m
-    x1, y1, x2, y2 = g.segment_arrays()
-    *_, cell, owner, long = _segment_grid(x1, y1, x2, y2)
+    x1, y1, x2, y2 = segments = g.segment_arrays()
+    *_, cell, owner, long = _grid(g, segments)
     keys = _same_cell_keys(cell, owner, m)
     (xlo, xhi), (ylo, yhi) = np.sort([x1, x2], axis=0), np.sort([y1, y2], axis=0)
     for i in long:
@@ -121,8 +126,21 @@ def _cell_candidates(g: GeometricGraph):
         j = np.flatnonzero(hit)
         keys.append(np.minimum(j, i) * np.int64(m) + np.maximum(j, i))
     if len(keys) > 1:
-        keys = [sorted_unique(np.concatenate(keys))]
+        # One step at a time, so that each frees its input before the next.
+        keys = np.concatenate(keys)
+        keys = [sorted_unique(keys)]
     return np.divmod(keys[0], m)
+
+
+def _grid(g: GeometricGraph, segments=None):
+    """``_segment_grid`` of the edges of ``g``, kept on ``g``, read-only;
+    ``segments`` is ``g.segment_arrays()`` if the caller has it."""
+    if g._grid is None:
+        grid = _segment_grid(*(segments or g.segment_arrays()))
+        for a in grid[3:]:
+            a.setflags(write=False)
+        g._grid = grid
+    return g._grid
 
 
 def _segment_grid(x1, y1, x2, y2):
@@ -181,26 +199,23 @@ def _segment_grid(x1, y1, x2, y2):
 
 def _same_cell_keys(cell, owner, m):
     """Keys a * m + b (a < b) of the owner pairs sharing a cell of the sorted
-    ``cell``, as a list of sorted distinct blocks (a pair may recur across them)."""
+    ``cell``, as a list of sorted distinct blocks (a pair may recur across
+    them), at least one."""
     first = np.flatnonzero(np.diff(cell, prepend=cell[:1] - 1))
     count = np.diff(first, append=len(cell))
     pos = np.arange(len(cell))
     # Each registration pairs with every later one in its cell.
     later = np.repeat(first + count, count) - pos - 1
-    # Expand about _PAIR_BLOCK pairs at a time and deduplicate each block, so
-    # the copies of a pair that shares several cells never all exist at once.
-    done = np.cumsum(later)
-    total = int(done[-1]) if len(done) else 0
-    cuts = np.searchsorted(done, np.arange(_PAIR_BLOCK, total, _PAIR_BLOCK))
+    # Expanded a block at a time and deduplicated per block, so the copies of
+    # a pair that shares several cells never all exist at once.
     blocks = []
-    for p, k in zip(np.split(pos, cuts), np.split(later, cuts)):
-        a = owner[np.repeat(p, k)]
-        b = owner[concat_ranges(p + 1, k)]
+    for i, j in range_blocks(pos + 1, later):
+        a, b = owner[i], owner[j]
         keys = np.minimum(a, b)
         keys *= m
         keys += np.maximum(a, b, out=a)
         blocks.append(sorted_unique(keys))
-    return blocks
+    return blocks or [np.empty(0, dtype=np.int64)]
 
 
 def find_crossings(g: GeometricGraph) -> CrossingTable:
@@ -228,11 +243,26 @@ def _contacts(g: GeometricGraph, a, b, junctions: bool = True):
 
     Pairs sharing a graph vertex are never proper; they are kept only when
     they overlap collinearly, and with junctions=False they are dropped
-    before the orientation tests.
+    before the orientation tests.  A pair sharing vertex w, with free ends
+    p and q, lies on one line only if orient(w, p, q) = 0: a sign the float
+    filter is sure of rules the overlap out, and only the pairs it leaves
+    undecided go to the exact test.  Candidates are classified
+    ``_PAIR_BLOCK`` at a time.
     """
-    x1, y1, x2, y2 = g.segment_arrays()
-    xlo, xhi = np.minimum(x1, x2), np.maximum(x1, x2)
-    ylo, yhi = np.minimum(y1, y2), np.maximum(y1, y2)
+    segments = g.segment_arrays()
+    x1, y1, x2, y2 = segments
+    box = np.minimum(x1, x2), np.maximum(x1, x2), np.minimum(y1, y2), np.maximum(y1, y2)
+    block = _arrays._PAIR_BLOCK
+    # No candidate still makes one (empty) block, which gives the dtypes.
+    found = [_contact_block(g, segments, box, a[i : i + block], b[i : i + block], junctions)
+             for i in range(0, max(len(a), 1), block)]
+    return tuple(np.concatenate(column) for column in zip(*found))
+
+
+def _contact_block(g: GeometricGraph, segments, box, a, b, junctions):
+    """``_contacts`` on one block of candidates, given the segment and box columns."""
+    x1, y1, x2, y2 = segments
+    xlo, xhi, ylo, yhi = box
     overlap = (xhi[a] >= xlo[b]) & (xhi[b] >= xlo[a]) & (yhi[a] >= ylo[b]) & (yhi[b] >= ylo[a])
     a, b = a[overlap], b[overlap]
     u, v = g.edge_u, g.edge_v
@@ -245,23 +275,33 @@ def _contacts(g: GeometricGraph, a, b, junctions: bool = True):
             np.minimum(yhi[a], yhi[b]) > np.maximum(ylo[a], ylo[b])
         )
     a, b, shared = a[keep], b[keep], shared[keep]
-    coords = ax, ay, bx, by, cx, cy, dx, dy = x1[a], y1[a], x2[a], y2[a], x1[b], y1[b], x2[b], y2[b]
+    kind = np.full(len(a), -1, dtype=np.int8)
+    x, y = np.empty(len(a)), np.empty(len(a))
+    ambiguous = np.empty(len(a), dtype=bool)
+
+    free = np.flatnonzero(~shared)
+    fa, fb = a[free], b[free]
+    coords = ax, ay, bx, by, cx, cy, dx, dy = x1[fa], y1[fa], x2[fa], y2[fa], x1[fb], y1[fb], x2[fb], y2[fb]
     orient = geometry.orient_filtered
     o1, o2 = orient(ax, ay, bx, by, cx, cy), orient(ax, ay, bx, by, dx, dy)
     o3, o4 = orient(cx, cy, dx, dy, ax, ay), orient(cx, cy, dx, dy, bx, by)
     ab, cd = o1 * o2, o3 * o4
     opposite = (ab < 0) & (cd < 0)
-    # The exact test decides what the filter cannot; a shared pair goes to
-    # it only when all four orientations may be zero.
-    collinear = (o1 == 0) & (o2 == 0) & (o3 == 0) & (o4 == 0)
-    ambiguous = np.where(shared, collinear, ~(opposite | (ab > 0) | (cd > 0)))
+    ambiguous[free] = ~(opposite | (ab > 0) | (cd > 0))
+    proper = free[opposite]
+    kind[proper] = KINDS.index(PROPER)
+    x[proper], y[proper] = geometry.intersection_point(*(c[opposite] for c in coords))
 
-    kind = np.where(opposite & ~shared, KINDS.index(PROPER), -1).astype(np.int8)
-    x, y = np.empty(len(a)), np.empty(len(a))
-    idx = np.flatnonzero(kind >= 0)
-    x[idx], y[idx] = geometry.intersection_point(*(c[idx] for c in coords))
+    joint = np.flatnonzero(shared)
+    ua, va, ub, vb = u[a[joint]], v[a[joint]], u[b[joint]], v[b[joint]]
+    w = np.where((ua == ub) | (ua == vb), ua, va)
+    p, q = g.xy[ua + va - w], g.xy[ub + vb - w]
+    ambiguous[joint] = orient(g.xy[w, 0], g.xy[w, 1], p[:, 0], p[:, 1], q[:, 0], q[:, 1]) == 0
+
+    # The exact test decides what the filters cannot.
     for row in np.flatnonzero(ambiguous).tolist():
-        found, point = geometry.segment_contact(*(float(c[row]) for c in coords))
+        e, f = a[row], b[row]
+        found, point = geometry.segment_contact(*(float(c[k]) for k in (e, f) for c in segments))
         if found is not None and (found == COLLINEAR_OVERLAP or not shared[row]):
             kind[row] = KINDS.index(found)
             x[row], y[row] = point
@@ -464,14 +504,12 @@ def _rounding_pairs(g: GeometricGraph, graph: GeometricGraph, rows, ends, off, t
     rho = np.zeros(m)  # per base edge, the largest reach of its cuts
     np.maximum.at(rho, exact.e1[rows], reach[rows])
     np.maximum.at(rho, exact.e2[rows], reach[rows])
+    rho_w = np.zeros(n)  # per vertex, the largest rho of its edges
+    np.maximum.at(rho_w, g.edge_u, rho)
+    np.maximum.at(rho_w, g.edge_v, rho)
     x1, y1, x2, y2 = g.segment_arrays()
     dx, dy = x2 - x1, y2 - y1
     length = np.hypot(dx, dy)
-
-    def sine(ax, ay, bx, by, la, lb):
-        # A lower bound on |sin| of the angle between the two directions.
-        return np.abs(ax * by - ay * bx) / (la * lb) - 8 * _U
-
     sites = []  # (site, chain, x, y, radius) arrays, one row per window
 
     # (a) Every contact (e, f) of g, at its table point: e and f come within
@@ -479,7 +517,7 @@ def _rounding_pairs(g: GeometricGraph, graph: GeometricGraph, rows, ends, off, t
     e, f = exact.e1, exact.e2
     rho_ef = rho[e] + rho[f]
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = rho_ef / np.maximum(sine(dx[e], dy[e], dx[f], dy[f], length[e], length[f]), 0.0)
+        r = rho_ef / np.maximum(_sine(dx[e], dy[e], dx[f], dy[f], length[e], length[f]), 0.0)
     r = np.where(rho_ef > 0, r, 0.0) + 2 * rho_ef + reach
     # Two whole edges are as the table has them.  A crossing vertex whose
     # windows stay within the pieces on either side of it meets only pieces
@@ -495,12 +533,63 @@ def _rounding_pairs(g: GeometricGraph, graph: GeometricGraph, rows, ends, off, t
 
     # (b) Every chain end w: there chains e and f come within rho_e + rho_f
     # only within (rho_e + rho_f) / sin of w, where sin is 1 past a right
-    # angle; the chain next to e in angle at w bounds it.  A vertex where no
-    # window passes its end piece meets only pieces ending there: skipped.
+    # angle.
+    vertex, chain, r = _end_sites(g, rho, rho_w, dx, dy, length, off, t0, t1)
+    sites.append((len(exact) + vertex, chain, g.xy[vertex, 0], g.xy[vertex, 1], r))
+
+    # (c) Every input vertex w within rho_w + rho_f of an edge f it is not
+    # an endpoint of, with each edge e at w: along e, the points within
+    # that distance of f lie within 2 (rho_w + rho_f) / sin of w.
+    # Only pairs with rho_w + rho_f > 0 need a site.
+    w, f = _near_grid(g, rho, rho_w)
+    w, f = np.divmod(sorted_unique(w * np.int64(m) + f), m)
+    if len(w):
+        indptr, _, eidx, _ = g.adjacency()
+        count = indptr[w + 1] - indptr[w]
+        w, f, e = np.repeat(w, count), np.repeat(f, count), eidx[concat_ranges(indptr[w], count)]
+        rho_ef = rho_w[w] + rho[f]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = 2 * rho_ef / np.maximum(_sine(dx[e], dy[e], dx[f], dy[f], length[e], length[f]), 0.0) + 2 * rho_ef
+        site = len(exact) + n + np.arange(len(w))
+        for c in (e, f):
+            sites.append((site, c, g.xy[w, 0], g.xy[w, 1], r))
+
+    site, chain, sx, sy, r = (np.concatenate(c) for c in zip(*sites))
+    qx, qy = sx - x1[chain], sy - y1[chain]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        para = (qx * dx[chain] + qy * dy[chain]) / (np.float_power(dx[chain], 2) + np.float_power(dy[chain], 2))
+        half = 2 * (r + 2 * rho[chain]) / length[chain] + 64 * _U * (np.hypot(qx, qy) / length[chain] + 1)
+        lo = np.clip(np.nan_to_num(para - half, nan=0.0), 0.0, 1.0)
+        hi = np.clip(np.nan_to_num(para + half, nan=1.0), 0.0, 1.0)
+    # Pieces whose range meets [lo, hi]: keys chain + t round monotonely, so
+    # the search on them can only widen the range, and no wider than the chain.
+    owner = np.repeat(np.arange(m, dtype=np.float64), np.diff(off))
+    start = np.maximum(np.searchsorted(owner + t1, chain + lo), off[chain])
+    count = np.minimum(np.searchsorted(owner + t0, chain + hi, "right"), off[chain + 1]) - start
+    active = np.zeros(site.max(initial=0) + 1, dtype=bool)
+    for k, piece in range_blocks(start, count):
+        at_point = [(graph.xy[v, 0] == sx[k]) & (graph.xy[v, 1] == sy[k]) for v in (graph.edge_u[piece], graph.edge_v[piece])]
+        active[site[k[~(at_point[0] | at_point[1])]]] = True
+    # The pieces each active site meets, grouped by site in window order.
+    keep = np.flatnonzero(active[site])
+    keep = keep[np.argsort(site[keep], kind="stable")]
+    keys = _same_cell_keys(np.repeat(site[keep], count[keep]), concat_ranges(start[keep], count[keep]), graph.m)
+    return np.divmod(sorted_unique(np.concatenate(keys)), graph.m)
+
+
+def _sine(ax, ay, bx, by, la, lb):
+    """A lower bound on |sin| of the angle between the directions (ax, ay)
+    and (bx, by) of lengths la and lb."""
+    return np.abs(ax * by - ay * bx) / (la * lb) - 8 * _U
+
+
+def _end_sites(g: GeometricGraph, rho, rho_w, dx, dy, length, off, t0, t1):
+    """(vertex, chain, radius): rule (b)'s windows (see ``_rounding_pairs``).
+    The chain next to e in angle at w bounds the sine.  A vertex where no
+    window passes its end piece meets only pieces ending there: skipped."""
+    n, m = g.n, g.m
     vertex = np.concatenate([g.edge_u, g.edge_v])
     chain = np.concatenate([np.arange(m), np.arange(m)])
-    rho_w = np.zeros(n)
-    np.maximum.at(rho_w, vertex, rho[chain])
     # At a vertex whose chains are all whole, each meets only itself.
     moved = np.flatnonzero(rho_w[vertex] > 0)
     vertex, chain = vertex[moved], chain[moved]
@@ -518,7 +607,7 @@ def _rounding_pairs(g: GeometricGraph, graph: GeometricGraph, rows, ends, off, t
     with np.errstate(divide="ignore", invalid="ignore"):
         for other in (np.where(k == first, last, k - 1), np.where(k == last, first, k + 1)):
             acute = (ax * ax[other] + ay * ay[other] > 0) & (other != k)
-            sin = np.where(acute, np.minimum(sin, sine(ax, ay, ax[other], ay[other], length[chain], length[chain[other]])), sin)
+            sin = np.where(acute, np.minimum(sin, _sine(ax, ay, ax[other], ay[other], length[chain], length[chain[other]])), sin)
         sin -= 2.0 ** (1 - bits)
         r = 2 * rho_w[vertex] / np.maximum(sin, 0.0) + 4 * rho_w[vertex]
         gap = np.where(g.edge_u[chain] == vertex, t1[off[chain]], 1.0 - t0[off[chain + 1] - 1])
@@ -526,65 +615,20 @@ def _rounding_pairs(g: GeometricGraph, graph: GeometricGraph, rows, ends, off, t
     site = np.zeros(n, dtype=bool)
     site[vertex[reaches]] = True
     keep = site[vertex]
-    vertex, chain, r = vertex[keep], chain[keep], r[keep]
-    sites.append((len(exact) + vertex, chain, g.xy[vertex, 0], g.xy[vertex, 1], r))
-
-    # (c) Every input vertex w within rho_w + rho_f of an edge f it is not
-    # an endpoint of, with each edge e at w: along e, the points within
-    # that distance of f lie within 2 (rho_w + rho_f) / sin of w.
-    # Every vertex looks up the grid of the split edges, and the vertices
-    # with rho_w > 0 that of the whole ones.
-    split = rho > 0
-    near = (_near_grid(g, np.flatnonzero(split), np.arange(n), rho, rho_w),
-            _near_grid(g, np.flatnonzero(~split), np.flatnonzero(rho_w > 0), rho, rho_w))
-    w, f = np.divmod(sorted_unique(np.concatenate([w * np.int64(m) + f for w, f in near])), m)
-    if len(w):
-        indptr, _, eidx, _ = g.adjacency()
-        count = indptr[w + 1] - indptr[w]
-        w, f, e = np.repeat(w, count), np.repeat(f, count), eidx[concat_ranges(indptr[w], count)]
-        rho_ef = rho_w[w] + rho[f]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = 2 * rho_ef / np.maximum(sine(dx[e], dy[e], dx[f], dy[f], length[e], length[f]), 0.0) + 2 * rho_ef
-        site = len(exact) + n + np.arange(len(w))
-        for c in (e, f):
-            sites.append((site, c, g.xy[w, 0], g.xy[w, 1], r))
-
-    site, chain, sx, sy, r = (np.concatenate(c) for c in zip(*sites))
-    qx, qy = sx - x1[chain], sy - y1[chain]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        para = (qx * dx[chain] + qy * dy[chain]) / (np.float_power(dx[chain], 2) + np.float_power(dy[chain], 2))
-        half = 2 * (r + 2 * rho[chain]) / length[chain] + 64 * _U * (np.hypot(qx, qy) / length[chain] + 1)
-        lo = np.clip(np.nan_to_num(para - half, nan=0.0), 0.0, 1.0)
-        hi = np.clip(np.nan_to_num(para + half, nan=1.0), 0.0, 1.0)
-    # Pieces whose range meets [lo, hi]: keys chain + t round monotonely, so
-    # the search on them can only widen the range, and no wider than the chain.
-    owner = np.repeat(np.arange(m, dtype=np.float64), np.diff(off))
-    start = np.maximum(np.searchsorted(owner + t1, chain + lo), off[chain])
-    count = np.minimum(np.searchsorted(owner + t0, chain + hi, "right"), off[chain + 1]) - start
-    site, piece = np.repeat(site, count), concat_ranges(start, count)
-    px, py = np.repeat(sx, count), np.repeat(sy, count)
-    at_point = [(graph.xy[v, 0] == px) & (graph.xy[v, 1] == py) for v in (graph.edge_u[piece], graph.edge_v[piece])]
-    active = np.zeros(site.max(initial=0) + 1, dtype=bool)
-    active[site[~(at_point[0] | at_point[1])]] = True
-    keep = np.flatnonzero(active[site])
-    keep = keep[np.argsort(site[keep], kind="stable")]
-    keys = _same_cell_keys(site[keep], piece[keep], graph.m)
-    return np.divmod(sorted_unique(np.concatenate(keys)), graph.m)
+    return vertex[keep], chain[keep], r[keep]
 
 
-def _near_grid(g: GeometricGraph, edges, points, rho, rho_w):
-    """(w, f): the vertices w of ``points`` within rho_w[w] + rho[f] of an
-    edge f of ``edges`` that they are not an endpoint of, from the grid of
-    those edges.  Vertices and edges of reach above h / 16 meet every edge
-    or vertex; the rest look up at most 2 x 2 cells."""
-    if not (len(edges) and len(points)):
-        return np.empty((2, 0), dtype=np.int64)
-    x1, y1, x2, y2 = (c[edges] for c in g.segment_arrays())
-    h, base, nrow, cell, owner, long = _segment_grid(x1, y1, x2, y2)
-    px, py = g.xy[points, 0], g.xy[points, 1]
-    heavy = rho[edges] > h / 16
-    light = np.flatnonzero(rho_w[points] <= h / 16)
-    far = rho_w[points[light]] + rho[edges[~heavy]].max(initial=0.0)
+def _near_grid(g: GeometricGraph, rho, rho_w):
+    """(w, f): the vertices w within rho_w[w] + rho[f] > 0 of an edge f that
+    they are not an endpoint of, from the grid of the edges (``_grid``).
+    Vertices and edges of reach above h / 16 meet every edge or vertex; the
+    rest look up at most 2 x 2 cells.  Candidates are tested a block at a time."""
+    h, base, nrow, cell, owner, long = _grid(g)
+    x1, y1, x2, y2 = g.segment_arrays()
+    px, py = g.xy[:, 0], g.xy[:, 1]
+    heavy = rho > h / 16
+    light = np.flatnonzero(rho_w <= h / 16)
+    far = rho_w[light] + rho[~heavy].max(initial=0.0)
     far += 2.0**-30 * h + 8 * np.spacing(np.maximum(np.abs(px[light]), np.abs(py[light])))
     c0, c1 = np.floor((px[light] - far) / h), np.floor((px[light] + far) / h)
     r0, r1 = np.floor((py[light] - far) / h), np.floor((py[light] + far) / h)
@@ -594,32 +638,38 @@ def _near_grid(g: GeometricGraph, edges, points, rho, rho_w):
         ok = (col <= c1) & (row <= r1) & (row >= base) & (row < base + nrow)
         point.append(light[ok])
         key.append(col[ok].astype(np.int64) * nrow + row[ok].astype(np.int64) - base)
-    key = np.concatenate(key)
+    point, key = np.concatenate(point), np.concatenate(key)
     lo, hi = np.searchsorted(cell, key), np.searchsorted(cell, key, "right")
-    lone = np.flatnonzero(rho_w[points] > h / 16)
+    lone = np.flatnonzero(rho_w > h / 16)
     wide = np.union1d(long, np.flatnonzero(heavy))
-    k = len(edges)
-    w = np.concatenate([np.repeat(np.concatenate(point), hi - lo), np.repeat(lone, k), np.tile(np.arange(len(points)), len(wide))])
-    f = np.concatenate([owner[concat_ranges(lo, hi - lo)], np.tile(np.arange(k), len(lone)), np.repeat(wide, len(points))])
-    px, py, w, f = px[w], py[w], points[w], edges[f]
-    x1, y1, x2, y2 = (c[f] for c in g.segment_arrays())
 
-    # A box test first: w within dist of f's bounding box, up to rounding.
-    dist = rho_w[w] + rho[f]
-    pad = 2 * dist + 8 * np.spacing(np.maximum(np.abs(px), np.abs(py)))
-    keep = (np.minimum(x1, x2) - pad <= px) & (px <= np.maximum(x1, x2) + pad)
-    keep &= (np.minimum(y1, y2) - pad <= py) & (py <= np.maximum(y1, y2) + pad)
-    keep &= (g.edge_u[f] != w) & (g.edge_v[f] != w)
-    w, f, dist, px, py, x1, y1, x2, y2 = (c[keep] for c in (w, f, dist, px, py, x1, y1, x2, y2))
-    dx, dy = x2 - x1, y2 - y1
-    qx, qy = px - x1, py - y1
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        length = np.hypot(dx, dy)
-        cross = np.abs(dx * qy - dy * qx)
-        para = (qx * dx + qy * dy) / (length * length)
-        half = 2 * dist / length + 16 * _U * (np.hypot(qx, qy) / length + 1)
-        near = ~((cross > 2 * dist * length + 16 * _U * (np.abs(dx * qy) + np.abs(dy * qx))) | (para < -half) | (para > 1 + half))
-    return w[near], f[near]
+    xlo, xhi, ylo, yhi = np.minimum(x1, x2), np.maximum(x1, x2), np.minimum(y1, y2), np.maximum(y1, y2)
+
+    def near(w, f):
+        dist = rho_w[w] + rho[f]
+        keep = (dist > 0) & (g.edge_u[f] != w) & (g.edge_v[f] != w)
+        w, f, dist = w[keep], f[keep], dist[keep]
+        qx, qy = px[w], py[w]
+        # A box test first: w within dist of f's bounding box, up to rounding.
+        pad = 2 * dist + 8 * np.spacing(np.maximum(np.abs(qx), np.abs(qy)))
+        keep = (xlo[f] - pad <= qx) & (qx <= xhi[f] + pad) & (ylo[f] - pad <= qy) & (qy <= yhi[f] + pad)
+        w, f, dist, qx, qy = w[keep], f[keep], dist[keep], qx[keep], qy[keep]
+        dx, dy = x2[f] - x1[f], y2[f] - y1[f]
+        qx, qy = qx - x1[f], qy - y1[f]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            length = np.hypot(dx, dy)
+            cross = np.abs(dx * qy - dy * qx)
+            para = (qx * dx + qy * dy) / (length * length)
+            half = 2 * dist / length + 16 * _U * (np.hypot(qx, qy) / length + 1)
+            close = ~((cross > 2 * dist * length + 16 * _U * (np.abs(dx * qy) + np.abs(dy * qx))) | (para < -half) | (para > 1 + half))
+        return w[close], f[close]
+
+    none = np.empty(0, dtype=np.int64)
+    found = [(none, none)]
+    found += [near(point[r], owner[k]) for r, k in range_blocks(lo, hi - lo)]
+    found += [near(lone[r], k) for r, k in range_blocks(np.zeros_like(lone), np.full(len(lone), g.m))]
+    found += [near(k, wide[r]) for r, k in range_blocks(np.zeros_like(wide), np.full(len(wide), g.n))]
+    return tuple(np.concatenate(c) for c in zip(*found))
 
 
 def _leftover_error(g: GeometricGraph, a, b):

@@ -9,12 +9,13 @@ satisfy dist <= r_u + r_v exactly, even in floating point.
 The pair index comes from one banded join.  Disks fall into doubling radius
 bands; band b's centers are joined (``grid_join``, cell 4 * 2^b) against
 the centers of every band up to b, so each intersecting pair is found in the
-band of its larger disk without assuming a bounded radius ratio.  Point
-coverage uses the same per-band join.  Center ply needs no spatial query: a
-disk that covers another disk's center intersects it, so center ply is
-counted over the pair index.  A ``DiskSystem`` computes its two relations
-once, the (radius, position) order and the per-pair center-cover flags, and
-every reader here and in ``arrangement`` shares them.
+band of its larger disk without assuming a bounded radius ratio; each
+block of the join's pairs is filtered as it comes.  Point coverage uses the
+same per-band join.  Center ply needs no spatial query: a disk that covers
+another disk's center intersects it, so center ply is counted over the pair
+index.  A ``DiskSystem`` computes its two relations once, the (radius,
+position) order and the per-pair center-cover flags, and every reader here
+and in ``arrangement`` shares them.
 """
 
 from __future__ import annotations
@@ -221,11 +222,11 @@ def _enumerate_pairs(centers, radii):
     for b in sorted_unique(bands):
         lower = np.flatnonzero(bands <= b)
         band = np.flatnonzero(bands == b)
-        qi, sj = grid_join(centers[lower], centers[band], 4.0 * 2.0 ** float(b))
-        i, j = lower[qi], band[sj]
-        d = np.hypot(centers[i, 0] - centers[j, 0], centers[i, 1] - centers[j, 1])
-        keep = (d <= radii[i] + radii[j]) & (i != j)
-        keys.append(np.minimum(i[keep], j[keep]) * np.int64(n) + np.maximum(i[keep], j[keep]))
+        for qi, sj in grid_join(centers[lower], centers[band], 4.0 * 2.0 ** float(b)):
+            i, j = lower[qi], band[sj]
+            d = np.hypot(centers[i, 0] - centers[j, 0], centers[i, 1] - centers[j, 1])
+            keep = (d <= radii[i] + radii[j]) & (i != j)
+            keys.append(np.minimum(i[keep], j[keep]) * np.int64(n) + np.maximum(i[keep], j[keep]))
     keys = sorted_unique(np.concatenate(keys))
     return np.column_stack([keys // n, keys % n])
 
@@ -242,9 +243,10 @@ def covering_counts(system: DiskSystem, points) -> np.ndarray:
         # A band-b radius is below the cell side 2^(b + 1), and hypot is at
         # least the larger coordinate gap, so a covered point lies in a cell
         # at most one away from the center's (both quotients exact).
-        qi, sj = grid_join(points, system.centers[band], 2.0 ** float(b + 1))
-        inside = np.hypot(px[qi] - cx[sj], py[qi] - cy[sj]) <= r[sj]
-        counts += np.bincount(qi[inside], minlength=len(points))
+        for qi, sj in grid_join(points, system.centers[band], 2.0 ** float(b + 1)):
+            inside = np.hypot(px[qi] - cx[sj], py[qi] - cy[sj]) <= r[sj]
+            # A block holds the pairs of the queries qi[0] .. qi[-1].
+            counts[qi[0] : qi[-1] + 1] += np.bincount(qi[inside] - qi[0], minlength=qi[-1] - qi[0] + 1)
     return counts
 
 

@@ -64,6 +64,7 @@ class GeometricGraph:
             a.setflags(write=False)
         self._adjacency = None
         self._crossings = None  # crossings.find_crossings keeps its table here
+        self._grid = None  # and crossings._grid the grid of the edges
 
     # -- basic accessors ---------------------------------------------------
 
@@ -591,13 +592,16 @@ def gen_random_geometric(n: int, radius: float, seed) -> GeometricGraph:
         raise ConfigError("radius must be > 0")
     rng = np.random.default_rng(seed)
     xy = rng.random((n, 2))
-    eu, ev = grid_join(xy, xy, radius)
-    first = eu < ev
-    eu, ev = eu[first], ev[first]
-    d = xy[eu] - xy[ev]
-    d2 = d[:, 0] ** 2 + d[:, 1] ** 2
-    keep = d2 <= radius * radius
-    eu, ev, ew = eu[keep], ev[keep], np.sqrt(d2[keep])
+    none = np.empty(0, dtype=np.int64)
+    edges = [(none, none, np.empty(0))]
+    for eu, ev in grid_join(xy, xy, radius):
+        first = eu < ev
+        eu, ev = eu[first], ev[first]
+        d = xy[eu] - xy[ev]
+        d2 = d[:, 0] ** 2 + d[:, 1] ** 2
+        keep = d2 <= radius * radius
+        edges.append((eu[keep], ev[keep], np.sqrt(d2[keep])))
+    eu, ev, ew = (np.concatenate(c) for c in zip(*edges))
     order = np.lexsort((ev, eu))
     eu, ev, ew = eu[order], ev[order], ew[order]
     return GeometricGraph(

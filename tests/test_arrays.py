@@ -1,15 +1,21 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import roadgeom as rg
+from roadgeom import _arrays
 from roadgeom import crossings as cr
-from roadgeom._arrays import components, csr, grid_join, index_of, sorted_unique
+from roadgeom._arrays import components, concat_ranges, csr, grid_join, index_of, range_blocks, sorted_unique
 from roadgeom.augment import DIRECTIONS, grid_augment
-from roadgeom.disks import build_disk_system, exceptional_decomposition
-from roadgeom.errors import ConfigError
+from roadgeom.disks import build_disk_system, covering_counts, exceptional_decomposition
+from roadgeom.errors import ConfigError, DegeneracyError
 from roadgeom.separators import build_decomposition, find_separator
 
 import reference
+from test_augment import lattice_graphs
 
 
 def cursor_csr(n, u, v):
@@ -64,6 +70,12 @@ class TestCsr:
             assert all(np.array_equal(a, b) for a, b in zip(s.pair_adjacency(), want))
 
 
+def joined(q, s, cell):
+    """grid_join's blocks as one (qi, sj) pair of arrays."""
+    blocks = [(np.empty(0, dtype=np.int64),) * 2, *grid_join(q, s, cell)]
+    return tuple(np.concatenate(c) for c in zip(*blocks))
+
+
 def brute_join(q, s, cell):
     cq, cs = np.floor(q / cell), np.floor(s / cell)
     near = (np.abs(cq[:, None, :] - cs[None, :, :]) <= 1).all(axis=2)
@@ -76,7 +88,7 @@ class TestGridJoin:
         q = rng.uniform(-3, 5, size=(300, 2))
         s = np.vstack([rng.uniform(-2, 4, size=(200, 2)), q[:20], [[-2.0, -2.0], [-2.0, -2.0]]])
         for cell in (0.25, 1.0, 3.0, 50.0):
-            qi, sj = grid_join(q, s, cell)
+            qi, sj = joined(q, s, cell)
             assert len(qi) == len(set(zip(qi.tolist(), sj.tolist())))
             assert set(zip(qi.tolist(), sj.tolist())) == brute_join(q, s, cell)
             assert np.all(np.diff(qi) >= 0)
@@ -86,12 +98,12 @@ class TestGridJoin:
         # coordinates would not fit in int64.
         s = np.array([[0.0, 0.0], [1e12, 1e12], [1e12 + 1.5, 1e12], [0.5, 1e12]])
         q = np.array([[1e12 + 0.9, 1e12 + 0.9], [0.2, -0.7], [3.0, 3.0]])
-        qi, sj = grid_join(q, s, 1.0)
+        qi, sj = joined(q, s, 1.0)
         assert set(zip(qi.tolist(), sj.tolist())) == brute_join(q, s, 1.0)
 
     def test_empty_sides(self):
         for q, s in ((np.empty((0, 2)), np.ones((3, 2))), (np.ones((3, 2)), np.empty((0, 2)))):
-            qi, sj = grid_join(q, s, 1.0)
+            qi, sj = joined(q, s, 1.0)
             assert len(qi) == len(sj) == 0
 
     def test_unrepresentable_cells_are_config_error(self):
@@ -105,6 +117,95 @@ class TestGridJoin:
             build_disk_system(g)
         with pytest.raises(ConfigError, match="grid join"):
             grid_join([[0.0, 0.0]], [[2.0**60, 0.0]], 1.0)
+
+
+def block_outputs(g):
+    """Every output the blocked joins feed, on a fresh copy of ``g``, as
+    (dtype, shape, bytes) rows: the crossing table, the planarized graph
+    and its shortcuts (or planarize's error), the disk pairs and the
+    covering counts of the vertices, edge midpoints and contact points."""
+    g = rg.GeometricGraph(g.xy, g.edge_u, g.edge_v, g.edge_weight, g.edge_level)
+    t = cr.find_crossings(g)
+    out = list(vars(t).values())
+    try:
+        p = cr.planarize(g, t)
+        out += [p.graph.xy, p.graph.edge_u, p.graph.edge_v, p.graph.edge_weight, p.split_edges]
+        out.append(grid_augment(p).shortcuts)
+    except DegeneracyError as e:
+        out.append(str(e))
+    s = build_disk_system(g)
+    points = np.concatenate([g.xy, 0.5 * (g.xy[g.edge_u] + g.xy[g.edge_v]), np.column_stack([t.x, t.y])])
+    out += [s.pairs, covering_counts(s, points)]
+    return [(a.dtype.str, a.shape, a.tobytes()) if isinstance(a, np.ndarray) else a for a in out]
+
+
+class TestPairBlock:
+    """Every join expands its candidates ``_arrays._PAIR_BLOCK`` at a time,
+    in candidate order, so no output depends on the block size."""
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 1 << 16])
+    def test_range_blocks_cover_every_item_once(self, block):
+        rng = np.random.default_rng(5)
+        counts = rng.integers(0, 9, size=60)
+        counts[[0, 7, 8, 59]] = 0
+        starts = rng.integers(-50, 50, size=60)
+        with mock.patch.object(_arrays, "_PAIR_BLOCK", block):
+            blocks = list(range_blocks(starts, counts))
+        sizes = [len(r) for r, _ in blocks]
+        total = int(counts.sum())
+        assert sizes == [block] * (total // block) + ([total % block] if total % block else [])
+        row, item = (np.concatenate(c) for c in zip(*blocks))
+        assert np.array_equal(row, np.repeat(np.arange(60), counts))
+        assert np.array_equal(item, concat_ranges(starts, counts))
+        assert list(range_blocks(starts[:0], counts[:0])) == []
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_grid_join_blocks_concatenate_to_one(self, block):
+        rng = np.random.default_rng(2)
+        q, s = rng.uniform(-3, 5, size=(80, 2)), rng.uniform(-2, 4, size=(50, 2))
+        want = joined(q, s, 1.0)
+        with mock.patch.object(_arrays, "_PAIR_BLOCK", block):
+            blocks = list(grid_join(q, s, 1.0))
+        assert all(0 < len(qi) <= block for qi, _ in blocks)
+        got = tuple(np.concatenate(c) for c in zip(*blocks))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_outputs_do_not_depend_on_the_block(self, monkeypatch, gotham_small, rgg_small, hub_small, block):
+        graphs = (gotham_small, rgg_small, hub_small)
+        want = [block_outputs(g) for g in graphs]
+        monkeypatch.setattr(_arrays, "_PAIR_BLOCK", block)
+        assert [block_outputs(g) for g in graphs] == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(lattice_graphs(), st.sampled_from([1, 7]))
+    def test_lattice_outputs_do_not_depend_on_the_block(self, g, block):
+        want = block_outputs(g)
+        with mock.patch.object(_arrays, "_PAIR_BLOCK", block):
+            assert block_outputs(g) == want
+
+    @pytest.mark.parametrize("block", [1, 1 << 16])
+    def test_empty_and_candidate_free_graphs(self, block):
+        empty = rg.GeometricGraph.build([], [])
+        # Two unit edges 100 cells apart share no cell: no candidate pair.
+        apart = rg.GeometricGraph.build([(0, 0), (1, 0), (100, 100), (101, 100)], [(0, 1, 1.0, 4), (2, 3, 1.0, 4)])
+        with mock.patch.object(_arrays, "_PAIR_BLOCK", block):
+            for g, pairs in ((empty, []), (apart, [[0, 1], [2, 3]])):
+                a, b = cr._cell_candidates(g)
+                assert a.dtype == b.dtype == np.int64 and a.shape == b.shape == (0,)
+                t = cr.find_crossings(g)
+                assert [c.dtype for c in vars(t).values()] == [np.int64] * 2 + [np.float64] * 2 + [np.int64] * 2 + [np.int8]
+                assert all(c.shape == (0,) for c in vars(t).values())
+                p = cr.planarize(g, t)
+                assert p.graph == g and np.array_equal(p.split_edges, np.arange(g.m + 1))
+                shortcuts = grid_augment(p).shortcuts
+                assert shortcuts.dtype == np.int64 and shortcuts.shape == (0, 3)
+                s = build_disk_system(g)
+                assert s.pairs.dtype == np.int64 and s.pairs.tolist() == pairs and s.pairs.shape == (len(pairs), 2)
+                counts = covering_counts(s, g.xy)
+                assert counts.dtype == np.int64 and counts.tolist() == [1] * g.n
+                none = covering_counts(s, np.empty((0, 2)))
+                assert none.dtype == np.int64 and none.shape == (0,)
 
 
 def test_sorted_unique_equals_np_unique_on_signed_zeros():

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import roadgeom as rg
-from roadgeom import augment
+from roadgeom import _arrays, augment
 from roadgeom import crossings as cr
 from roadgeom._arrays import arcs_csr, components
 from roadgeom.augment import DIRECTIONS, NeighborlyReport, clustering_check, grid_augment, neighborly_check
@@ -215,7 +215,7 @@ class TestGridAugment:
     @pytest.mark.parametrize("block", [1, 7])
     def test_candidate_blocks_match_oracle(self, monkeypatch, hub_small, block):
         # At a block of 1 every ray's candidates overflow it.
-        monkeypatch.setattr(cr, "_PAIR_BLOCK", block)
+        monkeypatch.setattr(_arrays, "_PAIR_BLOCK", block)
         for g in (rg.gen_gotham(12, 2, seed=6), hub_small):
             assert named(grid_augment(planarized(g))) == oracle_shortcuts(g)
 

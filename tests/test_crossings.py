@@ -74,6 +74,22 @@ class TestFindCrossings:
         assert len(recs) == 1 and recs[0].kind == COLLINEAR_OVERLAP
 
     @pytest.mark.parametrize(
+        "points, edges",
+        [
+            # w = (0.125, 1), p = (6.125, 3), q = (3.125, 2): edges w-p and w-q,
+            # with w as the lower or the higher id of each.
+            ([(0.125, 1.0), (6.125, 3.0), (3.125, 2.0)], [(0, 1), (0, 2)]),
+            ([(3.125, 2.0), (0.125, 1.0), (6.125, 3.0)], [(1, 2), (0, 1)]),
+            ([(6.125, 3.0), (0.125, 1.0), (3.125, 2.0)], [(0, 1), (1, 2)]),
+            ([(6.125, 3.0), (3.125, 2.0), (0.125, 1.0)], [(0, 2), (1, 2)]),
+        ],
+        ids=["u-u", "u-v", "v-u", "v-v"],
+    )
+    def test_collinear_overlap_at_a_shared_vertex(self, points, edges):
+        g = rg.GeometricGraph.build(points, [(a, b, 1.0, 4) for a, b in edges])
+        assert [(r.e1, r.e2, r.kind, r.point) for r in cr.find_crossings(g)] == [(0, 1, COLLINEAR_OVERLAP, (1.625, 1.5))]
+
+    @pytest.mark.parametrize(
         "segments",
         [
             # The denominator of the crossing point underflows to 0.
