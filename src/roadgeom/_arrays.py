@@ -58,15 +58,14 @@ def concat_ranges(starts, counts) -> np.ndarray:
 
 def range_blocks(starts, counts):
     """``concat_ranges(starts, counts)`` with the range of each item, cut
-    into blocks of ``_PAIR_BLOCK`` items in order: yields (row, item) arrays.
-    A range may span blocks; a block holds the ranges it touches, so one
-    costs O(_PAIR_BLOCK + those ranges)."""
+    into blocks of ``_PAIR_BLOCK`` items in order: yields (row, item) int64
+    arrays, and one empty block when there is no item, so the blocks always
+    concatenate.  A range may span blocks; a block holds the ranges it
+    touches, so one costs O(_PAIR_BLOCK + those ranges)."""
     end = np.cumsum(counts)
     total = int(end[-1]) if len(end) else 0
-    if 0 < total <= _PAIR_BLOCK:
-        # One block: no range to trim.
-        yield np.repeat(np.arange(len(counts)), counts), concat_ranges(starts, counts)
-        return
+    if total == 0:
+        yield np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     for lo in range(0, total, _PAIR_BLOCK):
         hi = min(lo + _PAIR_BLOCK, total)
         # Items lo .. hi - 1 lie in ranges first .. last; trim those two.
@@ -82,7 +81,7 @@ def range_blocks(starts, counts):
 def grid_join(query_xy, site_xy, cell):
     """(qi, sj) blocks: every query/site index pair whose cells on the grid
     of side ``cell`` are at most one cell apart in each axis, grouped by
-    query, ``_PAIR_BLOCK`` pairs a block (``range_blocks``).
+    query, ``_PAIR_BLOCK`` pairs a block (``range_blocks``: at least one).
 
     Sites are keyed by the ranks of their distinct columns and rows, so the
     keys stay below n^2 whatever the coordinate range; the sites of a query's
@@ -97,7 +96,7 @@ def grid_join(query_xy, site_xy, cell):
     if not (np.abs(q).max(initial=0.0) < 2.0**53 and np.abs(s).max(initial=0.0) < 2.0**53):
         raise ConfigError("coordinate range too large for the grid join")
     if len(q) == 0 or len(s) == 0:
-        return iter(())
+        return range_blocks(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
     cols, rows = sorted_unique(s[:, 0]), sorted_unique(s[:, 1])
     skey = np.searchsorted(cols, s[:, 0]) * len(rows) + np.searchsorted(rows, s[:, 1])
     order = np.argsort(skey, kind="stable")

@@ -18,7 +18,9 @@ Memory: every candidate expansion (pairs sharing a cell, the classification
 of candidates, the rounding check's site and vertex lookups) runs
 ``_arrays._PAIR_BLOCK`` items at a time in candidate order, so the joins
 hold O(m + distinct candidate keys + block) at once, not one temporary per
-candidate for all of them.
+candidate for all of them.  The rounding check's rows of the sites that
+pair their pieces are taken a run of whole sites at a time: at most a
+block plus the rows of one site.
 """
 
 from __future__ import annotations
@@ -215,7 +217,7 @@ def _same_cell_keys(cell, owner, m):
         keys *= m
         keys += np.maximum(a, b, out=a)
         blocks.append(sorted_unique(keys))
-    return blocks or [np.empty(0, dtype=np.int64)]
+    return blocks
 
 
 def find_crossings(g: GeometricGraph) -> CrossingTable:
@@ -253,7 +255,8 @@ def _contacts(g: GeometricGraph, a, b, junctions: bool = True):
     x1, y1, x2, y2 = segments
     box = np.minimum(x1, x2), np.maximum(x1, x2), np.minimum(y1, y2), np.maximum(y1, y2)
     block = _arrays._PAIR_BLOCK
-    # No candidate still makes one (empty) block, which gives the dtypes.
+    # Slices, not ``range_blocks``: views need no index arrays.  No candidate
+    # still makes one (empty) block, which gives the dtypes.
     found = [_contact_block(g, segments, box, a[i : i + block], b[i : i + block], junctions)
              for i in range(0, max(len(a), 1), block)]
     return tuple(np.concatenate(column) for column in zip(*found))
@@ -570,10 +573,19 @@ def _rounding_pairs(g: GeometricGraph, graph: GeometricGraph, rows, ends, off, t
     for k, piece in range_blocks(start, count):
         at_point = [(graph.xy[v, 0] == sx[k]) & (graph.xy[v, 1] == sy[k]) for v in (graph.edge_u[piece], graph.edge_v[piece])]
         active[site[k[~(at_point[0] | at_point[1])]]] = True
-    # The pieces each active site meets, grouped by site in window order.
+    # The pieces each active site meets, grouped by site in window order,
+    # paired a run of whole sites at a time (no pair spans two sites): a run
+    # starts at each site whose first row opens a new block of rows, so it
+    # holds at most a block plus one site's rows.
     keep = np.flatnonzero(active[site])
     keep = keep[np.argsort(site[keep], kind="stable")]
-    keys = _same_cell_keys(np.repeat(site[keep], count[keep]), concat_ranges(start[keep], count[keep]), graph.m)
+    head = np.flatnonzero(np.diff(site[keep], prepend=-1))
+    row = (np.cumsum(count[keep]) - count[keep])[head] // _arrays._PAIR_BLOCK
+    run = head[np.diff(row, prepend=-1) > 0][1:].tolist()
+    keys = []
+    for i, j in zip([0, *run], [*run, len(keep)]):
+        k = keep[i:j]
+        keys += _same_cell_keys(np.repeat(site[k], count[k]), concat_ranges(start[k], count[k]), graph.m)
     return np.divmod(sorted_unique(np.concatenate(keys)), graph.m)
 
 
@@ -664,9 +676,7 @@ def _near_grid(g: GeometricGraph, rho, rho_w):
             close = ~((cross > 2 * dist * length + 16 * _U * (np.abs(dx * qy) + np.abs(dy * qx))) | (para < -half) | (para > 1 + half))
         return w[close], f[close]
 
-    none = np.empty(0, dtype=np.int64)
-    found = [(none, none)]
-    found += [near(point[r], owner[k]) for r, k in range_blocks(lo, hi - lo)]
+    found = [near(point[r], owner[k]) for r, k in range_blocks(lo, hi - lo)]
     found += [near(lone[r], k) for r, k in range_blocks(np.zeros_like(lone), np.full(len(lone), g.m))]
     found += [near(k, wide[r]) for r, k in range_blocks(np.zeros_like(wide), np.full(len(wide), g.n))]
     return tuple(np.concatenate(c) for c in zip(*found))

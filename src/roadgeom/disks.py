@@ -246,7 +246,8 @@ def covering_counts(system: DiskSystem, points) -> np.ndarray:
         for qi, sj in grid_join(points, system.centers[band], 2.0 ** float(b + 1)):
             inside = np.hypot(px[qi] - cx[sj], py[qi] - cy[sj]) <= r[sj]
             # A block holds the pairs of the queries qi[0] .. qi[-1].
-            counts[qi[0] : qi[-1] + 1] += np.bincount(qi[inside] - qi[0], minlength=qi[-1] - qi[0] + 1)
+            if len(qi):
+                counts[qi[0] : qi[-1] + 1] += np.bincount(qi[inside] - qi[0], minlength=qi[-1] - qi[0] + 1)
     return counts
 
 

@@ -592,8 +592,7 @@ def gen_random_geometric(n: int, radius: float, seed) -> GeometricGraph:
         raise ConfigError("radius must be > 0")
     rng = np.random.default_rng(seed)
     xy = rng.random((n, 2))
-    none = np.empty(0, dtype=np.int64)
-    edges = [(none, none, np.empty(0))]
+    edges = []
     for eu, ev in grid_join(xy, xy, radius):
         first = eu < ev
         eu, ev = eu[first], ev[first]

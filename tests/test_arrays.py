@@ -72,8 +72,7 @@ class TestCsr:
 
 def joined(q, s, cell):
     """grid_join's blocks as one (qi, sj) pair of arrays."""
-    blocks = [(np.empty(0, dtype=np.int64),) * 2, *grid_join(q, s, cell)]
-    return tuple(np.concatenate(c) for c in zip(*blocks))
+    return tuple(np.concatenate(c) for c in zip(*grid_join(q, s, cell)))
 
 
 def brute_join(q, s, cell):
@@ -157,7 +156,9 @@ class TestPairBlock:
         row, item = (np.concatenate(c) for c in zip(*blocks))
         assert np.array_equal(row, np.repeat(np.arange(60), counts))
         assert np.array_equal(item, concat_ranges(starts, counts))
-        assert list(range_blocks(starts[:0], counts[:0])) == []
+        for none in (starts[:0], counts[:0]), (starts, 0 * counts):
+            (row, item), = range_blocks(*none)
+            assert row.dtype == item.dtype == np.int64 and row.shape == item.shape == (0,)
 
     @pytest.mark.parametrize("block", [1, 7])
     def test_grid_join_blocks_concatenate_to_one(self, block):

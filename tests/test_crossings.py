@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import roadgeom as rg
-from roadgeom import crossings as cr
+from roadgeom import _arrays, crossings as cr
 from roadgeom.errors import ConfigError, DegeneracyError, InvariantViolation, ValidationError
 from roadgeom.cli import main
 from roadgeom.geometry import (
@@ -594,6 +594,21 @@ class TestRoundingCheck:
     def test_planted_tables(self, gotham_small):
         lefts = [check_outcome(g, table) for g, table in planted_tables(gotham_small)]
         assert sum(map(len, lefts)) > 40
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_pairs_do_not_depend_on_the_block(self, monkeypatch, gotham_small, block):
+        # The rows of the active sites are paired a run of whole sites at a time.
+        def pairs():
+            out = []
+            for g, table in planted_tables(gotham_small):
+                graph, _, rows, ends, off, t0, t1 = cr._cut(g, cr._table(table))
+                out.append([c.tolist() for c in cr._rounding_pairs(g, graph, rows, ends, off, t0, t1)])
+            return out
+
+        want = pairs()
+        assert sum(len(a) for a, _ in want) > 50
+        monkeypatch.setattr(_arrays, "_PAIR_BLOCK", block)
+        assert pairs() == want
 
     def test_rule_b_pairs_pieces_at_a_shared_end(self):
         g = rg.GeometricGraph.build(RULE_B_POINTS, [(0, 1, 1.0, 4), (2, 3, 1.0, 4), (2, 4, 1.0, 4)])
